@@ -4,7 +4,8 @@
 // random-walk generation.
 //
 // Default run: a thread-scaling sweep over the parallelized kernels
-// (MatMul, SegmentSoftmax, SegmentSum, IndexSelectRows, Relu) at 1, 2,
+// (the MLP decoder's dense products at the paper's training and serving
+// shapes, SegmentSoftmax, SegmentSum, IndexSelectRows, Relu) at 1, 2,
 // and 4 threads, verifying bit-identical outputs against the 1-thread
 // reference and writing machine-readable JSON to BENCH_micro_ops.json
 // (override with --json_out=PATH), followed by a fused-vs-unfused
@@ -227,8 +228,8 @@ struct ScalingResult {
   bool bit_identical = true;
 };
 
-/// Times `run` (which returns the op's output buffer for the identity
-/// check) until ~200 ms of samples or 64 iterations, whichever first.
+/// Times `run` until ~200 ms of samples or 64 iterations, whichever
+/// first.
 template <typename Fn>
 double TimeNsPerIter(Fn run) {
   run();  // warmup + first-touch
@@ -241,17 +242,18 @@ double TimeNsPerIter(Fn run) {
   return watch.ElapsedSeconds() * 1e9 / static_cast<double>(iters);
 }
 
-/// Runs one op at 1/2/4 threads, recording time and comparing outputs
-/// bit-for-bit against the 1-thread run.
-template <typename Fn>
-void SweepThreads(const std::string& op, int64_t rows, int64_t cols, Fn run,
-                  std::vector<ScalingResult>* results) {
+/// Runs one op at 1/2/4 threads, timing `run` and comparing what
+/// `output` reads after the last run (untimed) bit-for-bit against the
+/// 1-thread run.
+template <typename Run, typename Output>
+void SweepThreads(const std::string& op, int64_t rows, int64_t cols, Run run,
+                  Output output, std::vector<ScalingResult>* results) {
   std::vector<float> reference;
   double ns_1t = 0.0;
   for (int32_t threads : {1, 2, 4}) {
     core::SetNumThreads(threads);
-    std::vector<float> output;
-    const double ns = TimeNsPerIter([&] { output = run(); });
+    const double ns = TimeNsPerIter(run);
+    const std::vector<float> out = output();
     ScalingResult r;
     r.op = op;
     r.rows = rows;
@@ -259,16 +261,15 @@ void SweepThreads(const std::string& op, int64_t rows, int64_t cols, Fn run,
     r.threads = threads;
     r.ns_per_iter = ns;
     if (threads == 1) {
-      reference = output;
+      reference = out;
       ns_1t = ns;
     }
     r.speedup_vs_1t = threads == 1 ? 1.0 : ns_1t / ns;
-    r.bit_identical =
-        output.size() == reference.size() &&
-        std::memcmp(output.data(), reference.data(),
-                    output.size() * sizeof(float)) == 0;
+    r.bit_identical = out.size() == reference.size() &&
+                      std::memcmp(out.data(), reference.data(),
+                                  out.size() * sizeof(float)) == 0;
     results->push_back(r);
-    std::printf("%-16s %6lldx%-5lld threads=%d  %12.0f ns/iter  "
+    std::printf("%-22s %6lldx%-5lld threads=%d  %12.0f ns/iter  "
                 "x%.2f  %s\n",
                 op.c_str(), static_cast<long long>(rows),
                 static_cast<long long>(cols), threads, ns, r.speedup_vs_1t,
@@ -277,8 +278,96 @@ void SweepThreads(const std::string& op, int64_t rows, int64_t cols, Fn run,
   core::SetNumThreads(1);
 }
 
-std::vector<float> TensorData(const tensor::Tensor& t) {
-  return std::vector<float>(t.data(), t.data() + t.size());
+/// SweepThreads over one op whose result tensor is the checked output.
+template <typename Op>
+void SweepOp(const std::string& op, int64_t rows, int64_t cols, Op make,
+             std::vector<ScalingResult>* results) {
+  tensor::Tensor out;
+  SweepThreads(
+      op, rows, cols,
+      [&] {
+        out = make();
+        // data() forces the lazy tape to execute the op.
+        benchmark::DoNotOptimize(out.data());
+      },
+      [&] { return std::vector<float>(out.data(), out.data() + out.size()); },
+      results);
+}
+
+// ---------------------------------------------------------------------------
+// Dense products at the shapes that dominate training and serving
+// ---------------------------------------------------------------------------
+
+/// The MLP decoder at the paper's Table I configuration, through the op
+/// API: layer 1 maps the 128-wide pair embedding of 136,241 training
+/// pairs to 64 hidden units, layer 2 maps the ReLU output to one logit
+/// (an m = 1 product). Rows:
+///  - Decoder.L1 fwd: MatMul [136241x128]·[128x64].
+///  - Decoder.L2 fwd: MatMul [136241x64]·[64x1] on a ReLU output.
+///  - Decoder.L2 fwd+bwd: that forward, its sum, and the backward's
+///    MatMulNT (k = 1) and MatMulTN (m = 1).
+///  - Decoder fwd+bwd: both layers and the ReLU, forward and backward,
+///    so all six products of a training step; layer 1's MatMulNT
+///    (k = 64) and MatMulTN are its share beyond the rows above.
+///  - Serve.batch90 fwd: both layers over one 90-pair serving batch.
+/// The fwd+bwd rows zero the leaves' gradients each iteration, as the
+/// optimizer does each step, and check the loss and every gradient.
+void SweepDenseProducts(std::vector<ScalingResult>* results) {
+  constexpr int64_t kPairs = 136241, kIn = 128, kHidden = 64, kBatch = 90;
+  core::Rng rng(1);
+  tensor::Tensor x = tensor::NormalInit(kPairs, kIn, 1.0f, &rng, true);
+  tensor::Tensor w1 = tensor::NormalInit(kIn, kHidden, 0.1f, &rng, true);
+  tensor::Tensor w2 = tensor::NormalInit(kHidden, 1, 0.1f, &rng, true);
+  tensor::Tensor h = tensor::Relu(
+      tensor::NormalInit(kPairs, kHidden, 1.0f, &rng, false));
+  h = tensor::Tensor::FromVector(
+      std::vector<float>(h.data(), h.data() + h.size()), kPairs, kHidden,
+      /*requires_grad=*/true);
+  const tensor::Tensor batch =
+      tensor::NormalInit(kBatch, kIn, 1.0f, &rng, false);
+
+  SweepOp("Decoder.L1 fwd", kPairs, kHidden,
+          [&] { return tensor::MatMul(x, w1); }, results);
+  SweepOp("Decoder.L2 fwd", kPairs, 1, [&] { return tensor::MatMul(h, w2); },
+          results);
+
+  // Loss followed by each leaf's gradient, read after the last run.
+  const auto loss_and_grads = [](const tensor::Tensor& loss,
+                                 std::vector<tensor::Tensor> leaves) {
+    std::vector<float> out{loss.item()};
+    for (const auto& leaf : leaves) {
+      out.insert(out.end(), leaf.grad(), leaf.grad() + leaf.size());
+    }
+    return out;
+  };
+  tensor::Tensor loss;
+  SweepThreads(
+      "Decoder.L2 fwd+bwd", kPairs, 1,
+      [&] {
+        h.ZeroGrad();
+        w2.ZeroGrad();
+        loss = tensor::ReduceSum(tensor::MatMul(h, w2));
+        loss.Backward();
+      },
+      [&] { return loss_and_grads(loss, {h, w2}); }, results);
+  SweepThreads(
+      "Decoder fwd+bwd", kPairs, 1,
+      [&] {
+        x.ZeroGrad();
+        w1.ZeroGrad();
+        w2.ZeroGrad();
+        loss = tensor::ReduceSum(
+            tensor::MatMul(tensor::Relu(tensor::MatMul(x, w1)), w2));
+        loss.Backward();
+      },
+      [&] { return loss_and_grads(loss, {x, w1, w2}); }, results);
+
+  SweepOp("Serve.batch90 fwd", kBatch, 1,
+          [&] {
+            return tensor::MatMul(tensor::Relu(tensor::MatMul(batch, w1)),
+                                  w2);
+          },
+          results);
 }
 
 // ---------------------------------------------------------------------------
@@ -366,14 +455,7 @@ std::vector<FusionChainResult> RunFusionComparison() {
 int RunScalingHarness(const std::string& json_path) {
   std::vector<ScalingResult> results;
 
-  {
-    const int64_t n = 192;
-    core::Rng rng(1);
-    tensor::Tensor a = tensor::NormalInit(n, n, 1.0f, &rng, false);
-    tensor::Tensor b = tensor::NormalInit(n, n, 1.0f, &rng, false);
-    SweepThreads("MatMul", n, n,
-                 [&] { return TensorData(tensor::MatMul(a, b)); }, &results);
-  }
+  SweepDenseProducts(&results);
   {
     const int64_t pairs = 1 << 16;
     const int64_t segments = pairs / 16;
@@ -383,19 +465,15 @@ int RunScalingHarness(const std::string& json_path) {
       s = static_cast<int32_t>(rng.UniformInt(segments));
     }
     tensor::Tensor scores = tensor::NormalInit(pairs, 1, 1.0f, &rng, false);
-    SweepThreads("SegmentSoftmax", pairs, 1,
-                 [&] {
-                   return TensorData(
-                       tensor::SegmentSoftmax(scores, segment_ids, segments));
-                 },
-                 &results);
+    SweepOp("SegmentSoftmax", pairs, 1,
+            [&] {
+              return tensor::SegmentSoftmax(scores, segment_ids, segments);
+            },
+            &results);
     tensor::Tensor values = tensor::NormalInit(pairs, 64, 1.0f, &rng, false);
-    SweepThreads("SegmentSum", pairs, 64,
-                 [&] {
-                   return TensorData(
-                       tensor::SegmentSum(values, segment_ids, segments));
-                 },
-                 &results);
+    SweepOp("SegmentSum", pairs, 64,
+            [&] { return tensor::SegmentSum(values, segment_ids, segments); },
+            &results);
   }
   {
     const int64_t rows = 1 << 14, d = 64, picks = 1 << 13;
@@ -405,16 +483,14 @@ int RunScalingHarness(const std::string& json_path) {
     for (auto& idx : indices) {
       idx = static_cast<int32_t>(rng.UniformInt(rows));
     }
-    SweepThreads("IndexSelectRows", picks, d,
-                 [&] { return TensorData(tensor::IndexSelectRows(x, indices)); },
-                 &results);
+    SweepOp("IndexSelectRows", picks, d,
+            [&] { return tensor::IndexSelectRows(x, indices); }, &results);
   }
   {
     const int64_t n = 1 << 20;
     core::Rng rng(7);
     tensor::Tensor x = tensor::NormalInit(n, 1, 1.0f, &rng, false);
-    SweepThreads("Relu", n, 1, [&] { return TensorData(tensor::Relu(x)); },
-                 &results);
+    SweepOp("Relu", n, 1, [&] { return tensor::Relu(x); }, &results);
   }
 
   const std::vector<FusionChainResult> fusion = RunFusionComparison();

@@ -10,11 +10,19 @@ namespace hygnn::obs {
 
 /// Per-operator wall-time attribution for the tensor engine, keyed by
 /// the same static `TensorImpl::op` tags NumericsGuard and GraphLint
-/// use. The autograd layer calls OpStart when an op's output node is
-/// allocated (before the kernel runs) and OpFinish after the forward
-/// value is written; Tensor::Backward wraps each node's backward_fn the
-/// same way. Forward time is inclusive — a composite op that calls
-/// other ops between its own start/finish includes their time.
+/// use.
+///  - Forward: the tape executor (tensor/tape.cc) calls OpStart before
+///    it allocates a node's output and OpFinish once the kernel wrote
+///    it; closure-based ops that compute eagerly (the losses in
+///    tensor/loss.cc) bracket their own computation the same way.
+///  - Backward: tensor::ExecuteNodeBackward (tensor/tape.cc) times
+///    every node it runs, recorded or closure-based, and reports the
+///    span through RecordBackward.
+///  - A fused group's forward and backward are one kernel call each,
+///    attributed to the group name (e.g. "Fused[Dropout|LeakyRelu]"),
+///    not to its member ops.
+/// Forward time is inclusive: a composite op that calls other ops
+/// between its own start and finish includes their time.
 ///
 /// Hot-path cost model (the part that must not perturb kernels):
 ///  - disabled: one relaxed atomic load per op, nothing else;
@@ -40,8 +48,9 @@ void SetKernelTimingEnabled(bool enabled);
 
 /// Monotonic (steady_clock) timestamp in nanoseconds. The sanctioned
 /// raw-clock read for callers outside src/obs that time spans feeding
-/// this attribution table (e.g. Tensor::Backward) — scripts/lint.py
-/// rule 10 keeps direct std::chrono clock reads out of those layers.
+/// this attribution table (e.g. tensor::ExecuteNodeBackward) —
+/// scripts/lint.py rule 10 keeps direct std::chrono clock reads out of
+/// those layers.
 uint64_t NowNanos();
 
 /// Marks the start of the op that will produce `token` (the output
@@ -53,8 +62,9 @@ void OpStart(const void* token);
 /// enabled mid-op) are dropped, never misattributed.
 void OpFinish(const void* token, const char* op);
 
-/// Records `nanos` of backward time for `op` directly (Tensor::Backward
-/// times each backward_fn itself — closures have no output token).
+/// Records `nanos` of backward time for `op` directly:
+/// tensor::ExecuteNodeBackward times each node's gradient step itself,
+/// with no OpStart token.
 void RecordBackward(const char* op, uint64_t nanos);
 
 /// Aggregated time of one operator, forward and backward.

@@ -35,23 +35,42 @@ inline constexpr int64_t kSegmentGrain = 16;    // per-segment reductions
 
 // ---------------------------------------------------------------------------
 // matmul.cc — dense products and layout transforms
+//
+// Rounding contract: each element of c gets the same float operations,
+// in the same order, at any shape, tile or thread count.
+//   MatMul, MatMulTN: for t ascending, c = MulAdd(a, b, c) wherever
+//     a != 0. MulAdd rounds once (std::fma) when the target has FMA
+//     (__FMA__) and twice (c + a*b) otherwise. An a of ±0 is skipped,
+//     so c keeps its bits: -0 stays -0, and an inf or NaN in b never
+//     meets a zero. The zeros come from ReLU outputs and their
+//     gradients, e.g. the decoder's hidden layer and its backward pass.
+//   MatMulNT: s = +0, then s = s + round(a*b) for t ascending with no
+//     zero skip, then c = c + s.
+// matmul.cc alone builds with -ffp-contract=off. Without it the
+// compiler may fuse any a*b + c it sees into one FMA, and where it does
+// depends on how it vectorizes a loop; with it, the source decides.
+//
+// All three run one register-tiled microkernel: a 4-row × 64-column
+// tile of c accumulates in registers while t walks forward. MatMul
+// reads a by rows, MatMulTN by columns (no transposed copy), MatMulNT
+// packs bᵀ once per call, and a one-column c takes a matrix-vector
+// tile with one accumulator per row.
 // ---------------------------------------------------------------------------
 
-/// c[n,m] += a[n,k] · b[k,m]. Parallel over rows of c; skips zero a
-/// entries (hypergraph incidence operands are sparse in practice).
+/// c[n,m] += a[n,k] · b[k,m]. Parallel over rows of c.
 void MatMul(const float* a, const float* b, float* c, int64_t n, int64_t k,
             int64_t m);
 
 /// c[n,m] += a[n,k] · b[m,k]ᵀ — the transposed-B product used by
-/// MatMul's dA backward without materializing a transposed copy.
-/// Parallel over rows of c.
+/// MatMul's dA backward. Parallel over rows of c. Packs bᵀ into a
+/// per-thread buffer of k·m floats that is kept for the next call.
 void MatMulNT(const float* a, const float* b, float* c, int64_t n, int64_t k,
               int64_t m);
 
 /// c[k,m] += a[n,k]ᵀ · b[n,m] — the transposed-A product used by
 /// MatMul's dB backward without materializing a transposed copy.
-/// Parallel over rows of c (columns of a); per-element accumulation
-/// runs over i ascending, matching the sequential order.
+/// Parallel over rows of c (columns of a); each element accumulates
+/// over i ascending.
 void MatMulTN(const float* a, const float* b, float* c, int64_t n, int64_t k,
               int64_t m);
 

@@ -1,9 +1,12 @@
 // Kernel-layer tests: (1) threaded execution is bit-identical to the
 // threads=1 reference for every parallelized op, forward AND backward;
-// (2) gradcheck still passes with a 4-thread pool; (3) two seeded
-// training runs produce identical per-epoch losses at any thread
-// count.
+// (2) the dense products match scalar references that spell out each
+// rounding, bit for bit, at 1/2/4 threads; (3) gradcheck still passes
+// with a 4-thread pool; (4) two seeded training runs produce identical
+// per-epoch losses at any thread count.
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -21,6 +24,7 @@
 #include "hygnn/model.h"
 #include "hygnn/trainer.h"
 #include "tensor/init.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "tests/gradcheck.h"
@@ -227,6 +231,191 @@ TEST(KernelParityTest, TransposeNoGrad) {
     inputs->clear();
     return tensor::TransposeNoGrad(x);
   });
+}
+
+// ---------------------------------------------------------------------------
+// Dense products against scalar references that spell out every rounding
+// ---------------------------------------------------------------------------
+
+/// round(a·b) to float. The volatile store is the rounding: it keeps the
+/// compiler from fusing the product into a following add when it
+/// contracts this file's arithmetic.
+float RoundedProduct(float a, float b) {
+  volatile float product = a * b;
+  return product;
+}
+
+/// The step MatMul and MatMulTN take per nonzero a: one fused rounding
+/// on FMA targets, a rounded product and a rounded sum elsewhere.
+float ReferenceMulAdd(float a, float b, float c) {
+#if defined(__FMA__)
+  return std::fma(a, b, c);
+#else
+  return c + RoundedProduct(a, b);
+#endif
+}
+
+/// c[n,m] += a[n,k] · b[k,m]: MulAdd per nonzero a, t ascending.
+void ReferenceMatMul(const float* a, const float* b, float* c, int64_t n,
+                     int64_t k, int64_t m) {
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < m; ++j) {
+      float acc = c[i * m + j];
+      for (int64_t t = 0; t < k; ++t) {
+        const float av = a[i * k + t];
+        if (av != 0.0f) acc = ReferenceMulAdd(av, b[t * m + j], acc);
+      }
+      c[i * m + j] = acc;
+    }
+  }
+}
+
+/// c[n,m] += a[n,k] · b[m,k]ᵀ: rounded products summed from +0 with t
+/// ascending, then one add into c.
+void ReferenceMatMulNT(const float* a, const float* b, float* c, int64_t n,
+                       int64_t k, int64_t m) {
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < m; ++j) {
+      float sum = 0.0f;
+      for (int64_t t = 0; t < k; ++t) {
+        sum = sum + RoundedProduct(a[i * k + t], b[j * k + t]);
+      }
+      c[i * m + j] = c[i * m + j] + sum;
+    }
+  }
+}
+
+/// c[k,m] += a[n,k]ᵀ · b[n,m]: MulAdd per nonzero a, i ascending.
+void ReferenceMatMulTN(const float* a, const float* b, float* c, int64_t n,
+                       int64_t k, int64_t m) {
+  for (int64_t r = 0; r < k; ++r) {
+    for (int64_t j = 0; j < m; ++j) {
+      float acc = c[r * m + j];
+      for (int64_t i = 0; i < n; ++i) {
+        const float av = a[i * k + r];
+        if (av != 0.0f) acc = ReferenceMulAdd(av, b[i * m + j], acc);
+      }
+      c[r * m + j] = acc;
+    }
+  }
+}
+
+using DenseKernel = void (*)(const float*, const float*, float*, int64_t,
+                             int64_t, int64_t);
+
+/// Normal draws where a `zero_frac` share is ±0, half of them -0.
+std::vector<float> DenseInput(core::Rng* rng, int64_t size, double zero_frac) {
+  std::vector<float> v(static_cast<size_t>(size));
+  for (float& x : v) {
+    if (rng->Bernoulli(zero_frac)) {
+      x = rng->Bernoulli(0.5) ? -0.0f : 0.0f;
+    } else {
+      x = static_cast<float>(rng->Normal());
+    }
+  }
+  return v;
+}
+
+/// Runs `kernel` at 1, 2 and 4 threads over every shape in the grid and
+/// memcmps c against `reference`. Zero-heavy a (with -0) and a c that
+/// starts nonzero (with some -0) pin the skip-zero and accumulate
+/// contracts; row counts around the 4-row tile and 1,024 rows make the
+/// single-chunk threads = 1 call form its tiles itself.
+/// `transposed_a` marks MatMulTN, whose b is [n,m] and c is [k,m].
+void ExpectMatchesReference(const char* name, bool transposed_a,
+                            DenseKernel kernel, DenseKernel reference) {
+  const int64_t kRowsGrid[] = {1, 3, 5, 90, 1024};
+  const int64_t kDimGrid[] = {1, 3, 8, 13, 63, 64, 65, 128};
+  core::Rng rng(2024);
+  int failures = 0;
+  for (int64_t n : kRowsGrid) {
+    for (int64_t k : kDimGrid) {
+      for (int64_t m : kDimGrid) {
+        const auto a = DenseInput(&rng, n * k, 0.4);
+        const auto b = DenseInput(&rng, (transposed_a ? n : k) * m, 0.1);
+        const auto c0 = DenseInput(&rng, (transposed_a ? k : n) * m, 0.2);
+        std::vector<float> expected = c0;
+        reference(a.data(), b.data(), expected.data(), n, k, m);
+        for (int32_t threads : {1, 2, 4}) {
+          core::SetNumThreads(threads);
+          std::vector<float> c = c0;
+          kernel(a.data(), b.data(), c.data(), n, k, m);
+          core::SetNumThreads(1);
+          const bool same = std::memcmp(c.data(), expected.data(),
+                                        c.size() * sizeof(float)) == 0;
+          EXPECT_TRUE(same) << name << " n=" << n << " k=" << k
+                            << " m=" << m << " threads=" << threads;
+          if (!same && ++failures >= 5) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(DenseProductTest, MatMulMatchesRoundingReference) {
+  ExpectMatchesReference("MatMul", false, tensor::kernels::MatMul,
+                         ReferenceMatMul);
+}
+
+TEST(DenseProductTest, MatMulNTMatchesRoundingReference) {
+  ExpectMatchesReference("MatMulNT", false, tensor::kernels::MatMulNT,
+                         ReferenceMatMulNT);
+}
+
+TEST(DenseProductTest, MatMulTNMatchesRoundingReference) {
+  ExpectMatchesReference("MatMulTN", true, tensor::kernels::MatMulTN,
+                         ReferenceMatMulTN);
+}
+
+/// Every element of c is the two-step reduction -1·p + q·q from c = 0
+/// with p = 1 + 2⁻¹¹ and q = 1 + 2⁻¹². The first product is exact; the
+/// second, 1 + 2⁻¹¹ + 2⁻²⁴, is not a float. Fused, it leaves 2⁻²⁴;
+/// rounded first, it cancels to 0. So c shows which rounding ran, in
+/// every tile shape: one column (the matrix-vector path), a full and a
+/// partial 64-column block, and a shorter last row tile.
+TEST(DenseProductTest, ContractionCanary) {
+  const float p = 1.0f + 0x1p-11f;
+  const float q = 1.0f + 0x1p-12f;
+  ASSERT_EQ(0x1p-24f, std::fma(q, q, -p));
+  ASSERT_EQ(0.0f, -p + RoundedProduct(q, q));
+#if defined(__FMA__)
+  const float fused_kernels = 0x1p-24f;
+#else
+  const float fused_kernels = 0.0f;
+#endif
+  for (int64_t rows : {1, 5, 90}) {
+    for (int64_t m : {1, 13, 64, 65}) {
+      for (int32_t threads : {1, 2}) {
+        core::SetNumThreads(threads);
+        const std::string shape = "rows=" + std::to_string(rows) +
+                                  " m=" + std::to_string(m) +
+                                  " threads=" + std::to_string(threads);
+        // MatMul and MatMulNT: a rows are (-1, q).
+        std::vector<float> a_rows;
+        for (int64_t i = 0; i < rows; ++i) a_rows.insert(a_rows.end(), {-1, q});
+        std::vector<float> b_nn(static_cast<size_t>(m), p);
+        b_nn.resize(static_cast<size_t>(2 * m), q);
+        std::vector<float> b_nt;
+        for (int64_t j = 0; j < m; ++j) b_nt.insert(b_nt.end(), {p, q});
+        std::vector<float> c(static_cast<size_t>(rows * m), 0.0f);
+        tensor::kernels::MatMul(a_rows.data(), b_nn.data(), c.data(), rows, 2,
+                                m);
+        for (float v : c) ASSERT_EQ(fused_kernels, v) << "MatMul " << shape;
+        std::fill(c.begin(), c.end(), 0.0f);
+        tensor::kernels::MatMulNT(a_rows.data(), b_nt.data(), c.data(), rows,
+                                  2, m);
+        for (float v : c) ASSERT_EQ(0.0f, v) << "MatMulNT " << shape;
+        // MatMulTN: a is [2, rows] with rows (-1, ...) and (q, ...).
+        std::vector<float> a_cols(static_cast<size_t>(rows), -1.0f);
+        a_cols.resize(static_cast<size_t>(2 * rows), q);
+        std::fill(c.begin(), c.end(), 0.0f);
+        tensor::kernels::MatMulTN(a_cols.data(), b_nn.data(), c.data(), 2,
+                                  rows, m);
+        for (float v : c) ASSERT_EQ(fused_kernels, v) << "MatMulTN " << shape;
+        core::SetNumThreads(1);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
