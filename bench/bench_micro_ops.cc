@@ -7,7 +7,8 @@
 // (the MLP decoder's dense products at the paper's training and serving
 // shapes, SegmentSoftmax, SegmentSum, IndexSelectRows, Relu) at 1, 2,
 // and 4 threads, verifying bit-identical outputs against the 1-thread
-// reference and writing machine-readable JSON to BENCH_micro_ops.json
+// reference, counting minor page faults and recycled tensor buffers
+// per iteration, and writing machine-readable JSON to BENCH_micro_ops.json
 // (override with --json_out=PATH), followed by a fused-vs-unfused
 // elementwise-chain comparison (dropout -> leaky-relu -> scale, forward
 // and backward) that reports wall time, executed-op count, and buffer
@@ -16,6 +17,7 @@
 // the google-benchmark suite below (plus any --benchmark_* flags).
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <cstring>
@@ -217,29 +219,53 @@ BENCHMARK(BM_BiasedRandomWalks);
 // Thread-scaling JSON harness (the repo's bench trajectory record)
 // ---------------------------------------------------------------------------
 
+/// Per-iteration cost of one timed configuration.
+struct IterCost {
+  double ns = 0.0;
+  double minflt = 0.0;    // minor page faults (getrusage ru_minflt)
+  double recycled = 0.0;  // tensor buffers served from held storage
+};
+
 /// One timed configuration of one op.
 struct ScalingResult {
   std::string op;
   int64_t rows = 0;
   int64_t cols = 0;
   int32_t threads = 0;
-  double ns_per_iter = 0.0;
+  IterCost cost;
   double speedup_vs_1t = 1.0;
   bool bit_identical = true;
 };
 
+int64_t MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
 /// Times `run` until ~200 ms of samples or 64 iterations, whichever
-/// first.
+/// first, and counts the page faults and recycled buffers of the timed
+/// iterations.
 template <typename Fn>
-double TimeNsPerIter(Fn run) {
+IterCost TimeIterations(Fn run) {
   run();  // warmup + first-touch
+  const int64_t faults = MinorFaults();
+  const uint64_t recycled = tensor::ExecStats().buffers_recycled;
   core::Stopwatch watch;
   int64_t iters = 0;
   do {
     run();
     ++iters;
   } while (watch.ElapsedSeconds() < 0.2 && iters < 64);
-  return watch.ElapsedSeconds() * 1e9 / static_cast<double>(iters);
+  const double seconds = watch.ElapsedSeconds();
+  const auto n = static_cast<double>(iters);
+  IterCost cost;
+  cost.ns = seconds * 1e9 / n;
+  cost.minflt = static_cast<double>(MinorFaults() - faults) / n;
+  cost.recycled =
+      static_cast<double>(tensor::ExecStats().buffers_recycled - recycled) /
+      n;
+  return cost;
 }
 
 /// Runs one op at 1/2/4 threads, timing `run` and comparing what
@@ -252,27 +278,28 @@ void SweepThreads(const std::string& op, int64_t rows, int64_t cols, Run run,
   double ns_1t = 0.0;
   for (int32_t threads : {1, 2, 4}) {
     core::SetNumThreads(threads);
-    const double ns = TimeNsPerIter(run);
+    const IterCost cost = TimeIterations(run);
     const std::vector<float> out = output();
     ScalingResult r;
     r.op = op;
     r.rows = rows;
     r.cols = cols;
     r.threads = threads;
-    r.ns_per_iter = ns;
+    r.cost = cost;
     if (threads == 1) {
       reference = out;
-      ns_1t = ns;
+      ns_1t = cost.ns;
     }
-    r.speedup_vs_1t = threads == 1 ? 1.0 : ns_1t / ns;
+    r.speedup_vs_1t = threads == 1 ? 1.0 : ns_1t / cost.ns;
     r.bit_identical = out.size() == reference.size() &&
                       std::memcmp(out.data(), reference.data(),
                                   out.size() * sizeof(float)) == 0;
     results->push_back(r);
     std::printf("%-22s %6lldx%-5lld threads=%d  %12.0f ns/iter  "
-                "x%.2f  %s\n",
+                "x%.2f  %9.1f minflt/iter  %4.1f recycled/iter  %s\n",
                 op.c_str(), static_cast<long long>(rows),
-                static_cast<long long>(cols), threads, ns, r.speedup_vs_1t,
+                static_cast<long long>(cols), threads, cost.ns,
+                r.speedup_vs_1t, cost.minflt, cost.recycled,
                 r.bit_identical ? "bit-identical" : "MISMATCH");
   }
   core::SetNumThreads(1);
@@ -506,10 +533,12 @@ int RunScalingHarness(const std::string& json_path) {
     std::fprintf(file,
                  "    {\"op\": \"%s\", \"rows\": %lld, \"cols\": %lld, "
                  "\"threads\": %d, \"ns_per_iter\": %.1f, "
-                 "\"speedup_vs_1t\": %.3f, \"bit_identical\": %s}%s\n",
+                 "\"speedup_vs_1t\": %.3f, \"minflt_per_iter\": %.1f, "
+                 "\"recycled_per_iter\": %.1f, \"bit_identical\": %s}%s\n",
                  r.op.c_str(), static_cast<long long>(r.rows),
-                 static_cast<long long>(r.cols), r.threads, r.ns_per_iter,
-                 r.speedup_vs_1t, r.bit_identical ? "true" : "false",
+                 static_cast<long long>(r.cols), r.threads, r.cost.ns,
+                 r.speedup_vs_1t, r.cost.minflt, r.cost.recycled,
+                 r.bit_identical ? "true" : "false",
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(file, "  ],\n  \"fused_chain\": [\n");

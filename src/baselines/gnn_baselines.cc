@@ -11,6 +11,7 @@
 #include "tensor/loss.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
+#include "tensor/tape.h"
 
 namespace hygnn::baselines {
 
@@ -119,6 +120,7 @@ tensor::Tensor TrainUnsupervisedEmbeddings(
     TwoLayerGnn* gnn, const BaselineInputs& inputs,
     const BaselineConfig& config, core::Rng* rng) {
   auto positives = data::PositivePairs(inputs.train);
+  const tensor::ReleaseHeldBuffersOnReturn release_held_buffers;
   tensor::Adam optimizer(gnn->Parameters(), config.learning_rate);
   for (int32_t epoch = 0; epoch < config.epochs; ++epoch) {
     std::vector<int32_t> left, right;

@@ -9,6 +9,7 @@
 #include "nn/mlp.h"
 #include "tensor/loss.h"
 #include "tensor/optimizer.h"
+#include "tensor/tape.h"
 
 namespace hygnn::baselines {
 
@@ -49,6 +50,7 @@ std::vector<float> RunNnClassifier(
     const std::vector<std::vector<float>>& test_features,
     const BaselineConfig& config, core::Rng* rng) {
   const int64_t dim = static_cast<int64_t>(train_features[0].size());
+  const tensor::ReleaseHeldBuffersOnReturn release_held_buffers;
   nn::Mlp mlp({dim, config.classifier_hidden_dim, 1}, rng);
   tensor::Adam optimizer(mlp.Parameters(), config.learning_rate);
 

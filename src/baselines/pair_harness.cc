@@ -4,6 +4,7 @@
 #include "tensor/loss.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
+#include "tensor/tape.h"
 
 namespace hygnn::baselines {
 
@@ -47,6 +48,7 @@ PairModelHarness::PairModelHarness(
 
 void PairModelHarness::Fit(const std::vector<data::LabeledPair>& train_pairs) {
   HYGNN_CHECK(!train_pairs.empty());
+  const tensor::ReleaseHeldBuffersOnReturn release_held_buffers;
   std::vector<tensor::Tensor> parameters = head_.Parameters();
   parameters.insert(parameters.end(), embed_params_.begin(),
                     embed_params_.end());

@@ -52,6 +52,7 @@ core::Result<float> HyGnnTrainer::TryFit(
     const HypergraphContext& context,
     const std::vector<data::LabeledPair>& train_pairs) {
   HYGNN_CHECK(!train_pairs.empty());
+  const tensor::ReleaseHeldBuffersOnReturn release_held_buffers;
   epoch_losses_.clear();
   val_losses_.clear();
   last_batch_loss_ = 0.0f;

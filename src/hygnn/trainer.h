@@ -109,7 +109,9 @@ class HyGnnTrainer {
 
   /// Fit with typed error reporting: resuming from a corrupt or
   /// mismatched checkpoint, or failing to create the checkpoint
-  /// directory, returns a Status instead of aborting.
+  /// directory, returns a Status instead of aborting. Every return
+  /// frees the tensor storage the steps left held for reuse
+  /// (tensor::ReleaseHeldBuffers).
   core::Result<float> TryFit(const HypergraphContext& context,
                              const std::vector<data::LabeledPair>& train_pairs);
 

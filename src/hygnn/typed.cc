@@ -6,6 +6,7 @@
 #include "tensor/loss.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
+#include "tensor/tape.h"
 
 namespace hygnn::model {
 
@@ -72,6 +73,7 @@ TypedTrainer::TypedTrainer(TypedHyGnnModel* model,
 float TypedTrainer::Fit(const HypergraphContext& context,
                         const std::vector<TypedPair>& train_pairs) {
   HYGNN_CHECK(!train_pairs.empty());
+  const tensor::ReleaseHeldBuffersOnReturn release_held_buffers;
   core::Rng rng(config_.seed);
   tensor::Adam optimizer(model_->Parameters(), config_.learning_rate, 0.9f,
                          0.999f, 1e-8f, config_.weight_decay);

@@ -23,7 +23,9 @@ class Rng;
 /// are therefore bit-identical at any thread count. Accumulating
 /// kernels (named *Accumulate, plus the MatMul family and Axpy) add
 /// into their destination; callers pass zero-filled buffers to get
-/// plain assignment.
+/// plain assignment. The tensor engine's buffers come from
+/// tensor::AssignZeros and TensorImpl::EnsureGrad: a buffer may be
+/// recycled storage, but it always arrives zero-filled.
 namespace hygnn::tensor::kernels {
 
 /// Chunk sizes for core::ParallelFor. Fixed constants — never derived

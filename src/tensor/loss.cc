@@ -28,7 +28,7 @@ Tensor BceWithLogitsLoss(const Tensor& logits,
   out->op = "BceWithLogitsLoss";
   out->rows = 1;
   out->cols = 1;
-  out->data.assign(1, 0.0f);
+  AssignZeros(out.get());
   out->requires_grad = zi->requires_grad && !InferenceModeEnabled();
   if (out->requires_grad) out->parents = {zi};
   obs::OpStart(out.get());
@@ -112,7 +112,7 @@ Tensor SoftmaxCrossEntropyLoss(const Tensor& logits,
   out->op = "SoftmaxCrossEntropyLoss";
   out->rows = 1;
   out->cols = 1;
-  out->data.assign(1, 0.0f);
+  AssignZeros(out.get());
   out->requires_grad = zi->requires_grad && !InferenceModeEnabled();
   if (out->requires_grad) out->parents = {zi};
   obs::OpStart(out.get());

@@ -79,7 +79,7 @@ Tensor SpMM(const std::shared_ptr<const CsrMatrix>& a, const Tensor& x) {
   auto out = std::make_shared<TensorImpl>();
   out->rows = n;
   out->cols = d;
-  out->data.assign(static_cast<size_t>(n * d), 0.0f);
+  AssignZeros(out.get());
   out->requires_grad = xi->requires_grad && !InferenceModeEnabled();
   a->MultiplyInto(xi->data.data(), d, out->data.data());
   if (out->requires_grad) {

@@ -15,6 +15,7 @@
 
 #include "core/flags.h"
 #include "core/logging.h"
+#include "core/mutex.h"
 #include "obs/optime.h"
 #include "tensor/debug.h"
 #include "tensor/fuse.h"
@@ -22,11 +23,118 @@
 
 namespace hygnn::tensor {
 
+namespace {
+
+/// Smallest buffer the recycler holds: glibc's dynamic mmap ceiling
+/// (mallopt(3), DEFAULT_MMAP_THRESHOLD_MAX, 32 MiB on 64-bit). malloc
+/// serves every block at or above it with a fresh mmap and hands it
+/// back with munmap on free, so each such buffer costs one page fault
+/// per 4 KiB on first touch; below it, malloc already reuses freed
+/// blocks from its own heap.
+constexpr size_t kRecycleFloorBytes = size_t{32} << 20;
+
+/// Freed tensor storage of at least kRecycleFloorBytes, waiting for a
+/// request of the same length. Tensors die on any thread (serving
+/// workers, pool threads), hence the lock; smaller buffers never take
+/// it.
+struct HeldBuffers {
+  core::Mutex mu;
+  std::vector<std::vector<float>> buffers HYGNN_GUARDED_BY(mu);
+};
+
+HeldBuffers& Held() {
+  // Never destroyed: tensors may still die during static destruction.
+  static HeldBuffers* held = new HeldBuffers();
+  return *held;
+}
+
+std::atomic<uint64_t> g_buffers_recycled{0};
+
+bool Recyclable(size_t floats) {
+  return floats * sizeof(float) >= kRecycleFloorBytes;
+}
+
+/// Moves storage of at least the floor into the held list; smaller
+/// storage stays put and is freed by its owner. Callers pass only
+/// storage that ZeroFill sized, so held plus live recyclable storage
+/// never exceeds the most of it the program had live at once: a drop
+/// or a hit moves a buffer between the two, and a miss empties the
+/// held list.
+void HoldIfLarge(std::vector<float>* buffer) {
+  if (!Recyclable(buffer->size())) return;
+  HeldBuffers& held = Held();
+  core::MutexLock lock(held.mu);
+  held.buffers.push_back(std::move(*buffer));
+}
+
+/// Takes a held buffer of exactly `n` floats. On a miss everything held
+/// is freed (outside the lock) before the caller allocates, so storage
+/// stays held only while the program keeps asking for the lengths it
+/// drops. Returns empty storage on a miss.
+std::vector<float> TakeHeld(size_t n) {
+  std::vector<std::vector<float>> evicted;
+  HeldBuffers& held = Held();
+  {
+    core::MutexLock lock(held.mu);
+    for (auto it = held.buffers.begin(); it != held.buffers.end(); ++it) {
+      if (it->size() == n) {
+        std::vector<float> hit = std::move(*it);
+        held.buffers.erase(it);
+        return hit;
+      }
+    }
+    evicted.swap(held.buffers);
+  }
+  return {};
+}
+
+/// Sizes `buffer` to `count` zeros, on held storage of exactly that
+/// length when there is one: the one zero-fill behind AssignZeros and
+/// EnsureGrad.
+void ZeroFill(std::vector<float>* buffer, size_t count) {
+  if (Recyclable(count)) {
+    std::vector<float> held = TakeHeld(count);
+    if (!held.empty()) {
+      *buffer = std::move(held);
+      g_buffers_recycled.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  // A constant zero lets the compiler fill with memset.
+  buffer->assign(count, 0.0f);
+}
+
+}  // namespace
+
 // OpRecord (and through it FusedGroup's shared_ptr) is complete here,
 // so the out-of-line special members keep tensor.h free of tape
 // internals.
 TensorImpl::TensorImpl() = default;
-TensorImpl::~TensorImpl() = default;
+
+TensorImpl::~TensorImpl() {
+  if (data_recyclable) HoldIfLarge(&data);
+  if (grad_recyclable) HoldIfLarge(&grad);
+}
+
+void TensorImpl::EnsureGrad() {
+  if (grad.size() != data.size()) {
+    ZeroFill(&grad, data.size());
+    grad_recyclable = true;
+  }
+}
+
+void AssignZeros(TensorImpl* node) {
+  ZeroFill(&node->data, static_cast<size_t>(node->size()));
+  node->data_recyclable = true;
+}
+
+void ReleaseHeldBuffers() {
+  // Declared before the lock, so the buffers are freed after it is
+  // released.
+  std::vector<std::vector<float>> evicted;
+  HeldBuffers& held = Held();
+  core::MutexLock lock(held.mu);
+  evicted.swap(held.buffers);
+}
 
 namespace {
 
@@ -39,10 +147,11 @@ std::atomic<uint64_t> g_ops_executed{0};
 std::atomic<uint64_t> g_fused_groups{0};
 std::atomic<uint64_t> g_buffers_allocated{0};
 
-/// Zero-fills the node's output buffer. Every kernel below either
-/// plain-assigns or accumulates into zero, matching the eager engine.
+/// Zero-fills the node's output buffer, recycled or fresh. Every
+/// kernel below either plain-assigns or accumulates into zero, matching
+/// the eager engine.
 void AllocateOutput(TensorImpl* node) {
-  node->data.assign(static_cast<size_t>(node->size()), 0.0f);
+  AssignZeros(node);
   g_buffers_allocated.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -542,6 +651,13 @@ ExecStatsSnapshot ExecStats() {
   snapshot.fused_groups = g_fused_groups.load(std::memory_order_relaxed);
   snapshot.buffers_allocated =
       g_buffers_allocated.load(std::memory_order_relaxed);
+  snapshot.buffers_recycled =
+      g_buffers_recycled.load(std::memory_order_relaxed);
+  HeldBuffers& held = Held();
+  core::MutexLock lock(held.mu);
+  for (const std::vector<float>& buffer : held.buffers) {
+    snapshot.bytes_held += buffer.size() * sizeof(float);
+  }
   return snapshot;
 }
 
@@ -549,6 +665,7 @@ void ResetExecStats() {
   g_ops_executed.store(0, std::memory_order_relaxed);
   g_fused_groups.store(0, std::memory_order_relaxed);
   g_buffers_allocated.store(0, std::memory_order_relaxed);
+  g_buffers_recycled.store(0, std::memory_order_relaxed);
 }
 
 bool IndicesInRange(const int32_t* v, int64_t n, int32_t lo, int32_t hi) {

@@ -119,15 +119,39 @@ void ExecuteNodeBackward(TensorImpl* node, bool time_ops);
 void SetFusionEnabled(bool enabled);
 bool FusionEnabled();
 
-/// Executor counters since the last ResetExecStats. Relaxed atomics —
-/// safe to read concurrently, intended for tests and benches.
+/// Executor counters since the last ResetExecStats, safe to read
+/// concurrently and intended for tests and benches. A buffer counted
+/// in buffers_allocated may be recycled storage (buffers_recycled
+/// counts those), but it always arrives zero-filled.
 struct ExecStatsSnapshot {
   uint64_t ops_executed = 0;       // kernel-level invocations (fused = 1)
   uint64_t fused_groups = 0;       // groups executed as one invocation
   uint64_t buffers_allocated = 0;  // output data buffers allocated
+  uint64_t buffers_recycled = 0;   // zero-fills (AssignZeros,
+                                   // EnsureGrad) served from held storage
+  uint64_t bytes_held = 0;  // storage held for reuse now; a level that
+                            // ResetExecStats leaves alone
 };
 ExecStatsSnapshot ExecStats();
 void ResetExecStats();
+
+/// Frees every buffer the recycler holds (see ~TensorImpl in tape.cc).
+void ReleaseHeldBuffers();
+
+/// Calls ReleaseHeldBuffers when it goes out of scope. Each of the
+/// library's training loops declares one before its first tensor, so
+/// it runs after every local tensor is gone: the loop returns by any
+/// path with nothing held, and a process that trains and then serves
+/// keeps no training-sized storage.
+class ReleaseHeldBuffersOnReturn {
+ public:
+  ReleaseHeldBuffersOnReturn() = default;
+  ~ReleaseHeldBuffersOnReturn() { ReleaseHeldBuffers(); }
+
+  ReleaseHeldBuffersOnReturn(const ReleaseHeldBuffersOnReturn&) = delete;
+  ReleaseHeldBuffersOnReturn& operator=(const ReleaseHeldBuffersOnReturn&) =
+      delete;
+};
 
 /// Bounds-check helper so the recording layer can validate indices
 /// without a raw kernel call (lint rule 13): true iff every v[i] is in

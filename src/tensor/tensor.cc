@@ -33,7 +33,14 @@ bool InferenceModeEnabled() {
 }
 
 Tensor Tensor::Zeros(int64_t rows, int64_t cols, bool requires_grad) {
-  return Full(rows, cols, 0.0f, requires_grad);
+  HYGNN_CHECK_GT(rows, 0);
+  HYGNN_CHECK_GT(cols, 0);
+  auto impl = std::make_shared<TensorImpl>();
+  impl->rows = rows;
+  impl->cols = cols;
+  AssignZeros(impl.get());
+  impl->requires_grad = requires_grad;
+  return Tensor(std::move(impl));
 }
 
 Tensor Tensor::Full(int64_t rows, int64_t cols, float value,

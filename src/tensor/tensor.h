@@ -51,16 +51,34 @@ struct TensorImpl {
   /// run backward, so inference graphs carry no tape state.
   std::unique_ptr<OpRecord> rec;
 
+  /// Set when AssignZeros sized `data` / EnsureGrad sized `grad`. Only
+  /// such storage goes back to the buffer recycler, so it never holds
+  /// more buffers than it handed out (a caller's vector is freed).
+  bool data_recyclable = false;
+  bool grad_recyclable = false;
+
   TensorImpl();   // defined in tape.cc (OpRecord is incomplete here)
-  ~TensorImpl();  // likewise
+  /// Also defined in tape.cc: hands recyclable `data` and `grad`
+  /// storage of at least 32 MiB to the buffer recycler instead of
+  /// freeing it.
+  ~TensorImpl();
 
   int64_t size() const { return rows * cols; }
 
-  /// Allocates (zero-filled) gradient storage if absent.
-  void EnsureGrad() {
-    if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);
-  }
+  /// Allocates gradient storage if absent, by the same path as
+  /// AssignZeros. The storage may be recycled, but it always arrives
+  /// zero-filled, so backward kernels accumulate into zero.
+  void EnsureGrad();  // defined in tape.cc
 };
+
+/// Sizes `node->data` to node->size() zeros: with EnsureGrad, the one
+/// path by which the tensor engine creates a zero-filled buffer (tape,
+/// loss and SpMM outputs, Tensor::Zeros). A request of at least 32 MiB
+/// first takes a held buffer of exactly that length, if the recycler
+/// has one (see ~TensorImpl in tape.cc); either way every element is
+/// then zeroed, so recycled storage is indistinguishable from fresh
+/// storage.
+void AssignZeros(TensorImpl* node);
 
 /// Executes the pending tape subgraph below `root`: linearizes it into
 /// topological order, runs the elementwise fusion pass (tensor/fuse.h)

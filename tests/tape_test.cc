@@ -6,11 +6,18 @@
 // allocations (ExecStats); (4) the obs attribution table names fused
 // groups by their constituent ops; (5) laziness semantics: pending
 // graphs lint clean, and an external handle on an intermediate breaks
-// fusion for that link without changing results.
+// fusion for that link without changing results; (6) the buffer
+// recycler: reused storage keeps every result bit, only buffers of at
+// least 32 MiB are held, a miss or a TryFit return frees what is held,
+// and concurrent drops and re-creations arrive zero-filled.
 
 #include "tensor/tape.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -330,6 +337,167 @@ TEST_F(TapeTest, TrainingBitIdenticalWithFusionOnOrOff) {
         << "trained weight bytes diverged, fuse=" << variant.fuse
         << " threads=" << variant.threads;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Buffer recycler (~TensorImpl holds storage of at least 32 MiB)
+// ---------------------------------------------------------------------------
+
+/// [65,536 x 128] floats is exactly the 32 MiB floor.
+constexpr int64_t kFloorRows = 65536;
+constexpr int64_t kCols = 128;
+constexpr uint64_t kFloorBytes = uint64_t{32} << 20;
+
+/// A bare node whose data comes from tensor::AssignZeros, as a tape
+/// output's does; dropping it hands the storage to the recycler.
+std::shared_ptr<tensor::TensorImpl> ZeroedNode(int64_t rows) {
+  auto node = std::make_shared<tensor::TensorImpl>();
+  node->rows = rows;
+  node->cols = kCols;
+  tensor::AssignZeros(node.get());
+  return node;
+}
+
+class BufferRecyclerTest : public TapeTest {
+ protected:
+  void SetUp() override {
+    tensor::ReleaseHeldBuffers();
+    tensor::ResetExecStats();
+  }
+  void TearDown() override {
+    tensor::ReleaseHeldBuffers();
+    TapeTest::TearDown();
+  }
+};
+
+/// Loss, output and gradients of sum(relu(x)) over a 32 MiB x.
+struct FloorPass {
+  float loss = 0.0f;
+  std::vector<float> y, y_grad, x_grad;
+};
+
+/// Runs the pass, copies its results, then overwrites the output and
+/// both gradients with NaN before they are dropped, so storage the
+/// next pass recycles arrives dirty unless the recycler zero-fills it.
+FloorPass RunFloorPass() {
+  tensor::Tensor x = SeededInput(kFloorRows, kCols);
+  tensor::Tensor y = tensor::Relu(x);
+  tensor::Tensor loss = tensor::ReduceSum(y);
+  loss.Backward();
+  FloorPass pass;
+  pass.loss = loss.item();
+  const auto n = static_cast<size_t>(y.size());
+  pass.y.assign(y.data(), y.data() + n);
+  pass.y_grad.assign(y.grad(), y.grad() + n);
+  pass.x_grad.assign(x.grad(), x.grad() + n);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::fill(y.data(), y.data() + n, nan);
+  std::fill(y.grad(), y.grad() + n, nan);
+  std::fill(x.grad(), x.grad() + n, nan);
+  return pass;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST_F(BufferRecyclerTest, ReusedStorageKeepsEveryBit) {
+  const FloorPass first = RunFloorPass();
+  // y's data and both gradients are held now; x's data is a caller's
+  // vector and was freed.
+  EXPECT_EQ(tensor::ExecStats().bytes_held, 3 * kFloorBytes);
+  EXPECT_EQ(tensor::ExecStats().buffers_recycled, 0u);
+  const FloorPass second = RunFloorPass();
+  // y's output, y's gradient and x's gradient came from held storage.
+  EXPECT_EQ(tensor::ExecStats().buffers_recycled, 3u);
+  EXPECT_EQ(std::memcmp(&first.loss, &second.loss, sizeof(float)), 0);
+  EXPECT_TRUE(SameBits(first.y, second.y));
+  EXPECT_TRUE(SameBits(first.y_grad, second.y_grad));
+  EXPECT_TRUE(SameBits(first.x_grad, second.x_grad));
+}
+
+TEST_F(BufferRecyclerTest, RepeatedPassesHoldOnePassOfStorage) {
+  // Each pass builds a new 32 MiB leaf from a vector; were the leaf's
+  // storage held too, every pass would leave one more buffer behind.
+  for (int32_t pass = 0; pass < 5; ++pass) {
+    RunFloorPass();
+    EXPECT_EQ(tensor::ExecStats().bytes_held, 3 * kFloorBytes)
+        << "after pass " << pass;
+  }
+  EXPECT_EQ(tensor::ExecStats().buffers_recycled, 4 * 3u);
+}
+
+TEST_F(BufferRecyclerTest, HoldsOnlyStorageItHandedOut) {
+  const auto large = [] {
+    return std::vector<float>(static_cast<size_t>(kFloorRows * kCols), 1.0f);
+  };
+  tensor::Tensor::FromVector(large(), kFloorRows, kCols);
+  tensor::Tensor::Full(kFloorRows, kCols, 0.0f);
+  EXPECT_EQ(tensor::ExecStats().bytes_held, 0u);
+
+  tensor::Tensor zeros = tensor::Tensor::Zeros(kFloorRows, kCols);
+  std::fill(zeros.data(), zeros.data() + zeros.size(), 2.0f);
+  // A copy's storage was never handed out, so it is freed.
+  zeros.Detach();
+  EXPECT_EQ(tensor::ExecStats().bytes_held, 0u);
+  zeros = tensor::Tensor();
+  EXPECT_EQ(tensor::ExecStats().bytes_held, kFloorBytes);
+
+  const tensor::Tensor again = tensor::Tensor::Zeros(kFloorRows, kCols);
+  EXPECT_EQ(tensor::ExecStats().buffers_recycled, 1u);
+  EXPECT_EQ(tensor::ExecStats().bytes_held, 0u);
+  EXPECT_TRUE(std::all_of(again.data(), again.data() + again.size(),
+                          [](float v) { return v == 0.0f; }));
+}
+
+TEST_F(BufferRecyclerTest, HoldsOnlyBuffersOfAtLeast32MiB) {
+  ZeroedNode(kFloorRows - 1);  // one row short of the floor
+  EXPECT_EQ(tensor::ExecStats().bytes_held, 0u);
+  ZeroedNode(kFloorRows);
+  EXPECT_EQ(tensor::ExecStats().bytes_held, kFloorBytes);
+}
+
+TEST_F(BufferRecyclerTest, MissFreesEverythingHeld) {
+  ZeroedNode(kFloorRows);
+  ASSERT_EQ(tensor::ExecStats().bytes_held, kFloorBytes);
+  {
+    const auto other = ZeroedNode(kFloorRows + 1);
+    EXPECT_EQ(tensor::ExecStats().bytes_held, 0u);
+    EXPECT_EQ(tensor::ExecStats().buffers_recycled, 0u);
+  }
+  EXPECT_EQ(tensor::ExecStats().bytes_held,
+            static_cast<uint64_t>((kFloorRows + 1) * kCols) * sizeof(float));
+}
+
+TEST_F(BufferRecyclerTest, TryFitReturnsWithNothingHeld) {
+  ZeroedNode(kFloorRows);
+  ASSERT_EQ(tensor::ExecStats().bytes_held, kFloorBytes);
+  const TrainArtifacts run = TrainOnce(/*fuse=*/true, /*threads=*/1);
+  EXPECT_FALSE(run.losses.empty());
+  EXPECT_EQ(tensor::ExecStats().bytes_held, 0u);
+}
+
+TEST_F(BufferRecyclerTest, ConcurrentDropsAndRecreationsArriveZeroFilled) {
+  // Two chunks on the pool, each dropping and re-creating a tensor of
+  // its own length: hits, misses and the frees a miss triggers race
+  // with the other chunk's drops.
+  core::SetNumThreads(4);
+  std::atomic<int32_t> dirty{0};
+  core::ParallelFor(0, 2, 1, [&](int64_t begin, int64_t) {
+    const int64_t rows = kFloorRows + begin;
+    for (int32_t round = 0; round < 6; ++round) {
+      const auto node = ZeroedNode(rows);
+      std::vector<float>& values = node->data;
+      if (std::any_of(values.begin(), values.end(),
+                      [](float v) { return v != 0.0f; })) {
+        dirty.fetch_add(1);
+      }
+      std::fill(values.begin(), values.end(),
+                std::numeric_limits<float>::quiet_NaN());
+    }
+  });
+  EXPECT_EQ(dirty.load(), 0);
 }
 
 }  // namespace
