@@ -9,19 +9,23 @@
 // and 4 threads, verifying bit-identical outputs against the 1-thread
 // reference, counting minor page faults and recycled tensor buffers
 // per iteration, and writing machine-readable JSON to BENCH_micro_ops.json
-// (override with --json_out=PATH), followed by a fused-vs-unfused
-// elementwise-chain comparison (dropout -> leaky-relu -> scale, forward
-// and backward) that reports wall time, executed-op count, and buffer
-// allocation count per iteration and verifies the two modes produce
-// bit-identical loss and gradients. Pass --gbench to additionally run
-// the google-benchmark suite below (plus any --benchmark_* flags).
+// (override with --json_out=PATH), followed by the decoder-glue rows:
+// PairConcat and BiasRelu, forward and backward at the paper's
+// 136,241 x 64 training shape, each timed against the op composition it
+// replaces (two IndexSelectRows and a ConcatCols; AddRowBroadcast and
+// Relu) and checked bit for bit against it. Exits 1 on any mismatch.
+// Pass --gbench to additionally run the google-benchmark suite below
+// (plus any --benchmark_* flags).
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "chem/espf.h"
@@ -325,6 +329,21 @@ void SweepOp(const std::string& op, int64_t rows, int64_t cols, Op make,
 // Dense products at the shapes that dominate training and serving
 // ---------------------------------------------------------------------------
 
+/// The paper's Table I training set: 136,241 pairs over 824 drugs.
+constexpr int64_t kPairs = 136241, kDrugs = 824;
+
+/// `n` uniformly drawn drug pairs, as the two index lists PairConcat
+/// takes.
+std::pair<std::vector<int32_t>, std::vector<int32_t>> RandomPairs(
+    int64_t n, int64_t drugs, core::Rng* rng) {
+  std::vector<int32_t> a(static_cast<size_t>(n)), b(a.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    a[i] = static_cast<int32_t>(rng->UniformInt(drugs));
+    b[i] = static_cast<int32_t>(rng->UniformInt(drugs));
+  }
+  return {std::move(a), std::move(b)};
+}
+
 /// The MLP decoder at the paper's Table I configuration, through the op
 /// API: layer 1 maps the 128-wide pair embedding of 136,241 training
 /// pairs to 64 hidden units, layer 2 maps the ReLU output to one logit
@@ -333,14 +352,15 @@ void SweepOp(const std::string& op, int64_t rows, int64_t cols, Op make,
 ///  - Decoder.L2 fwd: MatMul [136241x64]·[64x1] on a ReLU output.
 ///  - Decoder.L2 fwd+bwd: that forward, its sum, and the backward's
 ///    MatMulNT (k = 1) and MatMulTN (m = 1).
-///  - Decoder fwd+bwd: both layers and the ReLU, forward and backward,
-///    so all six products of a training step; layer 1's MatMulNT
-///    (k = 64) and MatMulTN are its share beyond the rows above.
+///  - Decoder fwd+bwd: the model's decoder op sequence, forward and
+///    backward: PairConcat of an 824-drug table, layer 1, BiasRelu,
+///    layer 2 and its bias, so all six products of a training step plus
+///    the glue around them.
 ///  - Serve.batch90 fwd: both layers over one 90-pair serving batch.
 /// The fwd+bwd rows zero the leaves' gradients each iteration, as the
 /// optimizer does each step, and check the loss and every gradient.
 void SweepDenseProducts(std::vector<ScalingResult>* results) {
-  constexpr int64_t kPairs = 136241, kIn = 128, kHidden = 64, kBatch = 90;
+  constexpr int64_t kIn = 128, kHidden = 64, kBatch = 90;
   core::Rng rng(1);
   tensor::Tensor x = tensor::NormalInit(kPairs, kIn, 1.0f, &rng, true);
   tensor::Tensor w1 = tensor::NormalInit(kIn, kHidden, 0.1f, &rng, true);
@@ -352,6 +372,11 @@ void SweepDenseProducts(std::vector<ScalingResult>* results) {
       /*requires_grad=*/true);
   const tensor::Tensor batch =
       tensor::NormalInit(kBatch, kIn, 1.0f, &rng, false);
+  tensor::Tensor table =
+      tensor::NormalInit(kDrugs, kIn / 2, 1.0f, &rng, true);
+  tensor::Tensor b1 = tensor::NormalInit(1, kHidden, 0.1f, &rng, true);
+  tensor::Tensor b2 = tensor::NormalInit(1, 1, 0.1f, &rng, true);
+  const auto pairs = RandomPairs(kPairs, kDrugs, &rng);
 
   SweepOp("Decoder.L1 fwd", kPairs, kHidden,
           [&] { return tensor::MatMul(x, w1); }, results);
@@ -380,14 +405,20 @@ void SweepDenseProducts(std::vector<ScalingResult>* results) {
   SweepThreads(
       "Decoder fwd+bwd", kPairs, 1,
       [&] {
-        x.ZeroGrad();
-        w1.ZeroGrad();
-        w2.ZeroGrad();
-        loss = tensor::ReduceSum(
-            tensor::MatMul(tensor::Relu(tensor::MatMul(x, w1)), w2));
+        for (tensor::Tensor leaf : {table, w1, b1, w2, b2}) leaf.ZeroGrad();
+        loss = tensor::ReduceSum(tensor::AddRowBroadcast(
+            tensor::MatMul(
+                tensor::BiasRelu(
+                    tensor::MatMul(tensor::PairConcat(table, pairs.first,
+                                                      pairs.second),
+                                   w1),
+                    b1),
+                w2),
+            b2));
         loss.Backward();
       },
-      [&] { return loss_and_grads(loss, {x, w1, w2}); }, results);
+      [&] { return loss_and_grads(loss, {table, w1, b1, w2, b2}); },
+      results);
 
   SweepOp("Serve.batch90 fwd", kBatch, 1,
           [&] {
@@ -398,83 +429,136 @@ void SweepDenseProducts(std::vector<ScalingResult>* results) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused-vs-unfused elementwise chain (tape fusion pass, DESIGN.md 12)
+// Decoder glue: the fused ops against the compositions they replace
 // ---------------------------------------------------------------------------
 
-/// One timed configuration of the dropout -> leaky-relu -> scale chain,
-/// forward and backward, with fusion on or off.
-struct FusionChainResult {
-  bool fused = false;
-  double ns_per_iter = 0.0;
-  double ops_per_iter = 0.0;     // tape executor kernel invocations
-  double allocs_per_iter = 0.0;  // output buffers allocated
-  int64_t fused_groups = 0;
-  bool bit_identical = true;  // vs the unfused run (loss + input grad)
-  std::vector<float> loss_and_grad;
+/// One glue op at one thread count: fused and composed cost per
+/// forward+backward iteration.
+struct GlueResult {
+  std::string op;
+  std::string composed_of;
+  int64_t rows = 0;
+  int64_t cols = 0;
+  int32_t threads = 0;
+  IterCost fused;
+  IterCost composed;
+  bool bit_identical = true;  // fused vs composed: output and gradients
 };
 
-FusionChainResult RunFusionChain(bool fused, const std::vector<float>& base,
-                                 int64_t n, int64_t d) {
-  tensor::SetFusionEnabled(fused);
-  FusionChainResult result;
-  result.fused = fused;
-  const auto step = [&] {
-    // Fresh leaf every iteration so gradients never accumulate across
-    // runs; re-seeding draws identical dropout masks in both modes.
-    tensor::Tensor x =
-        tensor::Tensor::FromVector(base, n, d, /*requires_grad=*/true);
-    core::Rng rng(17);
-    tensor::Tensor loss = tensor::ReduceMean(tensor::Scale(
-        tensor::LeakyRelu(tensor::Dropout(x, 0.3f, true, &rng), 0.1f),
-        0.5f));
-    loss.Backward();
-    std::vector<float> out;
-    out.reserve(1 + static_cast<size_t>(x.size()));
-    out.push_back(loss.item());
-    out.insert(out.end(), x.grad(), x.grad() + x.size());
-    return out;
-  };
-  result.loss_and_grad = step();  // warmup; output doubles as reference
-  tensor::ResetExecStats();
-  core::Stopwatch watch;
-  int64_t iters = 0;
-  do {
-    step();
-    ++iters;
-  } while (watch.ElapsedSeconds() < 0.2 && iters < 64);
-  const double seconds = watch.ElapsedSeconds();
-  const auto stats = tensor::ExecStats();
-  result.ns_per_iter = seconds * 1e9 / static_cast<double>(iters);
-  result.ops_per_iter =
-      static_cast<double>(stats.ops_executed) / static_cast<double>(iters);
-  result.allocs_per_iter = static_cast<double>(stats.buffers_allocated) /
-                           static_cast<double>(iters);
-  result.fused_groups = stats.fused_groups;
-  return result;
+/// Backward from a non-scalar `y` whose gradient is seeded with `g`, in
+/// the reverse post-order Tensor::Backward walks, so the timed backward
+/// is the glue's own kernels and nothing downstream of it.
+void BackwardFrom(const tensor::Tensor& y, const std::vector<float>& g) {
+  std::vector<tensor::TensorImpl*> order;
+  std::unordered_set<tensor::TensorImpl*> visited;
+  std::vector<std::pair<tensor::TensorImpl*, size_t>> stack;
+  stack.emplace_back(y.impl().get(), 0);
+  visited.insert(y.impl().get());
+  while (!stack.empty()) {
+    auto& [node, next] = stack.back();
+    if (next < node->parents.size()) {
+      tensor::TensorImpl* parent = node->parents[next++].get();
+      if (visited.insert(parent).second) stack.emplace_back(parent, 0);
+    } else {
+      order.push_back(node);
+      stack.pop_back();
+    }
+  }
+  y.impl()->EnsureGrad();
+  std::copy(g.begin(), g.end(), y.impl()->grad.begin());
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    tensor::ExecuteNodeBackward(*it, /*time_ops=*/false);
+  }
 }
 
-/// Runs the chain with fusion off then on and cross-checks bit-identity.
-std::vector<FusionChainResult> RunFusionComparison() {
-  const int64_t n = 4096, d = 64;
-  core::Rng rng(9);
-  std::vector<float> base(static_cast<size_t>(n * d));
-  for (auto& v : base) v = rng.UniformFloat() * 2.0f - 1.0f;
-  std::vector<FusionChainResult> results;
-  results.push_back(RunFusionChain(false, base, n, d));
-  results.push_back(RunFusionChain(true, base, n, d));
-  tensor::SetFusionEnabled(true);  // restore the default
-  const auto& reference = results[0].loss_and_grad;
-  for (auto& r : results) {
+using BuildFn = std::function<tensor::Tensor()>;
+
+/// Times `fused` and `composed` (each builds y from the leaves and
+/// returns it) forward and backward at 1/2/4 threads, and compares
+/// their outputs and leaf gradients bit for bit.
+void SweepGlue(const std::string& op, const std::string& composed_of,
+               std::vector<tensor::Tensor> leaves,
+               const std::vector<float>& g, const BuildFn& fused,
+               const BuildFn& composed, std::vector<GlueResult>* results) {
+  std::vector<float> out;
+  int64_t rows = 0, cols = 0;
+  const auto step = [&](const BuildFn& build) {
+    for (tensor::Tensor& leaf : leaves) leaf.ZeroGrad();
+    const tensor::Tensor y = build();
+    benchmark::DoNotOptimize(y.data());
+    BackwardFrom(y, g);
+    out.assign(y.data(), y.data() + y.size());
+    rows = y.rows();
+    cols = y.cols();
+  };
+  const auto captured = [&] {
+    std::vector<float> all = out;
+    for (const tensor::Tensor& leaf : leaves) {
+      all.insert(all.end(), leaf.grad(), leaf.grad() + leaf.size());
+    }
+    return all;
+  };
+  for (int32_t threads : {1, 2, 4}) {
+    core::SetNumThreads(threads);
+    GlueResult r;
+    r.op = op;
+    r.composed_of = composed_of;
+    r.threads = threads;
+    r.composed = TimeIterations([&] { step(composed); });
+    const std::vector<float> reference = captured();
+    r.fused = TimeIterations([&] { step(fused); });
+    const std::vector<float> got = captured();
+    r.rows = rows;
+    r.cols = cols;
     r.bit_identical =
-        r.loss_and_grad.size() == reference.size() &&
-        std::memcmp(r.loss_and_grad.data(), reference.data(),
-                    reference.size() * sizeof(float)) == 0;
-    std::printf("FusedChain %6lldx%-5lld fuse=%d  %12.0f ns/iter  "
-                "%5.1f ops/iter  %5.1f allocs/iter  %s\n",
-                static_cast<long long>(n), static_cast<long long>(d),
-                r.fused ? 1 : 0, r.ns_per_iter, r.ops_per_iter,
-                r.allocs_per_iter,
+        got.size() == reference.size() &&
+        std::memcmp(got.data(), reference.data(),
+                    got.size() * sizeof(float)) == 0;
+    std::printf("%-10s fwd+bwd threads=%d  %12.0f ns/iter  vs %s "
+                "%12.0f ns/iter  x%.2f  %s\n",
+                op.c_str(), threads, r.fused.ns, composed_of.c_str(),
+                r.composed.ns, r.composed.ns / r.fused.ns,
                 r.bit_identical ? "bit-identical" : "MISMATCH");
+    results->push_back(r);
+  }
+  core::SetNumThreads(1);
+}
+
+/// The two glue rows at the MLP decoder's training shape: 136,241 pairs
+/// over an 824-drug, 64-wide embedding table, and the [136241 x 64]
+/// hidden pre-activation. The incoming gradients are Gaussian.
+std::vector<GlueResult> SweepDecoderGlue() {
+  constexpr int64_t kD = 64;
+  core::Rng rng(11);
+  std::vector<GlueResult> results;
+  {
+    const tensor::Tensor table =
+        tensor::NormalInit(kDrugs, kD, 1.0f, &rng, true);
+    const auto pairs = RandomPairs(kPairs, kDrugs, &rng);
+    const std::vector<int32_t>& a = pairs.first;
+    const std::vector<int32_t>& b = pairs.second;
+    const tensor::Tensor g =
+        tensor::NormalInit(kPairs, 2 * kD, 1.0f, &rng, false);
+    SweepGlue(
+        "PairConcat", "2xIndexSelectRows+ConcatCols", {table},
+        std::vector<float>(g.data(), g.data() + g.size()),
+        [&] { return tensor::PairConcat(table, a, b); },
+        [&] {
+          return tensor::ConcatCols(tensor::IndexSelectRows(table, a),
+                                    tensor::IndexSelectRows(table, b));
+        },
+        &results);
+  }
+  {
+    const tensor::Tensor z = tensor::NormalInit(kPairs, kD, 1.0f, &rng, true);
+    const tensor::Tensor bias = tensor::NormalInit(1, kD, 0.1f, &rng, true);
+    const tensor::Tensor g = tensor::NormalInit(kPairs, kD, 1.0f, &rng, false);
+    SweepGlue(
+        "BiasRelu", "AddRowBroadcast+Relu", {z, bias},
+        std::vector<float>(g.data(), g.data() + g.size()),
+        [&] { return tensor::BiasRelu(z, bias); },
+        [&] { return tensor::Relu(tensor::AddRowBroadcast(z, bias)); },
+        &results);
   }
   return results;
 }
@@ -520,7 +604,7 @@ int RunScalingHarness(const std::string& json_path) {
     SweepOp("Relu", n, 1, [&] { return tensor::Relu(x); }, &results);
   }
 
-  const std::vector<FusionChainResult> fusion = RunFusionComparison();
+  const std::vector<GlueResult> glue = SweepDecoderGlue();
 
   std::FILE* file = std::fopen(json_path.c_str(), "w");
   if (file == nullptr) {
@@ -541,17 +625,20 @@ int RunScalingHarness(const std::string& json_path) {
                  r.bit_identical ? "true" : "false",
                  i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(file, "  ],\n  \"fused_chain\": [\n");
-  for (size_t i = 0; i < fusion.size(); ++i) {
-    const auto& r = fusion[i];
+  std::fprintf(file, "  ],\n  \"decoder_glue\": [\n");
+  for (size_t i = 0; i < glue.size(); ++i) {
+    const auto& r = glue[i];
     std::fprintf(file,
-                 "    {\"chain\": \"Dropout|LeakyRelu|Scale\", "
-                 "\"fused\": %s, \"ns_per_iter\": %.1f, "
-                 "\"ops_per_iter\": %.1f, \"allocs_per_iter\": %.1f, "
-                 "\"bit_identical\": %s}%s\n",
-                 r.fused ? "true" : "false", r.ns_per_iter, r.ops_per_iter,
-                 r.allocs_per_iter, r.bit_identical ? "true" : "false",
-                 i + 1 < fusion.size() ? "," : "");
+                 "    {\"op\": \"%s\", \"composed_of\": \"%s\", "
+                 "\"rows\": %lld, \"cols\": %lld, \"threads\": %d, "
+                 "\"ns_per_iter\": %.1f, \"composed_ns_per_iter\": %.1f, "
+                 "\"speedup_vs_composed\": %.3f, \"bit_identical\": %s}%s\n",
+                 r.op.c_str(), r.composed_of.c_str(),
+                 static_cast<long long>(r.rows),
+                 static_cast<long long>(r.cols), r.threads, r.fused.ns,
+                 r.composed.ns, r.composed.ns / r.fused.ns,
+                 r.bit_identical ? "true" : "false",
+                 i + 1 < glue.size() ? "," : "");
   }
   std::fprintf(file, "  ]\n}\n");
   std::fclose(file);
@@ -564,12 +651,11 @@ int RunScalingHarness(const std::string& json_path) {
       return 1;
     }
   }
-  for (const auto& r : fusion) {
+  for (const auto& r : glue) {
     if (!r.bit_identical) {
       std::fprintf(stderr,
-                   "FAIL: fused chain (fuse=%d) is not bit-identical to the "
-                   "unfused reference\n",
-                   r.fused ? 1 : 0);
+                   "FAIL: %s at %d threads is not bit-identical to %s\n",
+                   r.op.c_str(), r.threads, r.composed_of.c_str());
       return 1;
     }
   }

@@ -10,9 +10,6 @@
 //       [--threads N]        # kernel thread pool size (also via the
 //                            # HYGNN_NUM_THREADS env var; results are
 //                            # bit-identical at any thread count)
-//       [--fuse=0]           # disable the elementwise fusion pass
-//                            # (default on; HYGNN_FUSE=0 also vetoes it;
-//                            # fused and unfused runs are bit-identical)
 //       [--checkpoint_dir d] # durably checkpoint training into d
 //       [--checkpoint_every N]  # epochs between checkpoints (default 1)
 //       [--resume]           # continue from d's checkpoint, bit-identical
@@ -175,7 +172,7 @@ int CmdTrain(const core::FlagParser& flags) {
   // run from scratch is exactly the failure mode --resume exists to stop.
   if (auto s = flags.RequireKnown(KnownFlags(
           {"pairs_csv", "seed", "epochs", "numerics_guard", "threads",
-           "fuse", "model", "checkpoint_dir", "checkpoint_every", "resume",
+           "model", "checkpoint_dir", "checkpoint_every", "resume",
            "metrics_out"}));
       !s.ok()) {
     return Fail(s);
@@ -202,7 +199,6 @@ int CmdTrain(const core::FlagParser& flags) {
   train_config.log_every = 25;
   train_config.numerics_guard = flags.GetBool("numerics_guard", false);
   train_config.threads = static_cast<int32_t>(flags.GetInt("threads", 0));
-  train_config.fuse = flags.GetBool("fuse", true);
   train_config.checkpoint_dir = flags.GetString("checkpoint_dir", "");
   train_config.checkpoint_every =
       static_cast<int32_t>(flags.GetInt("checkpoint_every", 1));

@@ -51,8 +51,8 @@ ctest --preset "${PRESET}" -j "${JOBS}"
 # chunks score on pool workers; serve::Server batches requests across
 # submitter and scorer-worker threads), the obs layer (kernel-timer
 # slot table aggregates spans from pool workers with relaxed atomics),
-# and the tape executor (fused kernels run on pool workers; exec-stats
-# counters and the fused-name intern table are shared) are the
+# and the tape executor (kernels run on pool workers; exec-stats
+# counters and the held-buffer list are shared) are the
 # concurrent code in the repo, so their tests always get a
 # ThreadSanitizer pass, whatever preset the main suite ran under.
 # Binaries are run directly (not via ctest) so a targeted build

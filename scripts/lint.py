@@ -42,8 +42,8 @@ the bit-identity guarantee survives concurrent code):
  13. src/tensor/ops.cc never invokes the kernel layer directly (no
      `kernels::` calls, no `#include "tensor/kernels/...`) — ops only
      *record* tape nodes (tensor/tape.h); all kernel dispatch lives in
-     the tape executor, which is what lets the fusion pass rewrite
-     execution without touching the op API
+     the tape executor, which is what lets execution (threading,
+     kernel choice) change without touching the op API
 
 Exits 0 when clean, 1 with one line per violation otherwise.
 """

@@ -18,8 +18,7 @@ tensor::Tensor ConcatPairRows(const tensor::Tensor& embeddings,
     left.push_back(pair.a);
     right.push_back(pair.b);
   }
-  return tensor::ConcatCols(tensor::IndexSelectRows(embeddings, left),
-                            tensor::IndexSelectRows(embeddings, right));
+  return tensor::PairConcat(embeddings, left, right);
 }
 
 tensor::Tensor EmbeddingsToTensor(

@@ -5,20 +5,23 @@
 
 namespace hygnn::model {
 
-tensor::Tensor DotDecoder::Score(const tensor::Tensor& q_a,
-                                 const tensor::Tensor& q_b, bool /*training*/,
-                                 core::Rng* /*rng*/) const {
-  return tensor::RowwiseDot(q_a, q_b);
+tensor::Tensor DotDecoder::Score(const tensor::Tensor& embeddings,
+                                 const std::vector<int32_t>& a,
+                                 const std::vector<int32_t>& b,
+                                 bool /*training*/, core::Rng* /*rng*/) const {
+  return tensor::RowwiseDot(tensor::IndexSelectRows(embeddings, a),
+                            tensor::IndexSelectRows(embeddings, b));
 }
 
 MlpDecoder::MlpDecoder(int64_t embedding_dim, int64_t hidden_dim,
                        core::Rng* rng, float dropout)
     : mlp_({2 * embedding_dim, hidden_dim, 1}, rng, dropout) {}
 
-tensor::Tensor MlpDecoder::Score(const tensor::Tensor& q_a,
-                                 const tensor::Tensor& q_b, bool training,
+tensor::Tensor MlpDecoder::Score(const tensor::Tensor& embeddings,
+                                 const std::vector<int32_t>& a,
+                                 const std::vector<int32_t>& b, bool training,
                                  core::Rng* rng) const {
-  return mlp_.Forward(tensor::ConcatCols(q_a, q_b), training, rng);
+  return mlp_.Forward(tensor::PairConcat(embeddings, a, b), training, rng);
 }
 
 std::vector<tensor::Tensor> MlpDecoder::Parameters() const {

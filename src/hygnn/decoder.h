@@ -1,6 +1,7 @@
 #ifndef HYGNN_HYGNN_DECODER_H_
 #define HYGNN_HYGNN_DECODER_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -16,10 +17,12 @@ namespace hygnn::model {
 /// pipeline apply the sigmoid.
 class Decoder : public nn::Module {
  public:
-  /// `q_a`, `q_b` are [n, d'] embedding rows of the paired drugs;
-  /// returns [n, 1] logits.
-  virtual tensor::Tensor Score(const tensor::Tensor& q_a,
-                               const tensor::Tensor& q_b, bool training,
+  /// `embeddings` is an [N, d'] table of drug embeddings; pair i pairs
+  /// its rows a[i] and b[i] (a.size() == b.size()). Returns [n, 1]
+  /// logits.
+  virtual tensor::Tensor Score(const tensor::Tensor& embeddings,
+                               const std::vector<int32_t>& a,
+                               const std::vector<int32_t>& b, bool training,
                                core::Rng* rng) const = 0;
 };
 
@@ -27,21 +30,26 @@ class Decoder : public nn::Module {
 /// Parameter-free.
 class DotDecoder : public Decoder {
  public:
-  tensor::Tensor Score(const tensor::Tensor& q_a, const tensor::Tensor& q_b,
-                       bool training, core::Rng* rng) const override;
+  tensor::Tensor Score(const tensor::Tensor& embeddings,
+                       const std::vector<int32_t>& a,
+                       const std::vector<int32_t>& b, bool training,
+                       core::Rng* rng) const override;
 
   std::vector<tensor::Tensor> Parameters() const override { return {}; }
 };
 
 /// MLP decoder (eq. 11): gamma(q_x, q_y) = W2 phi(W1 (q_x || q_y)) with
-/// a ReLU phi, following the paper's predictor.
+/// a ReLU phi, following the paper's predictor. q_x || q_y is one
+/// PairConcat of the embedding table.
 class MlpDecoder : public Decoder {
  public:
   MlpDecoder(int64_t embedding_dim, int64_t hidden_dim, core::Rng* rng,
              float dropout = 0.0f);
 
-  tensor::Tensor Score(const tensor::Tensor& q_a, const tensor::Tensor& q_b,
-                       bool training, core::Rng* rng) const override;
+  tensor::Tensor Score(const tensor::Tensor& embeddings,
+                       const std::vector<int32_t>& a,
+                       const std::vector<int32_t>& b, bool training,
+                       core::Rng* rng) const override;
 
   std::vector<tensor::Tensor> Parameters() const override;
 

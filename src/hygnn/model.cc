@@ -34,9 +34,7 @@ tensor::Tensor HyGnnModel::ScorePairs(
     left.push_back(pair.a);
     right.push_back(pair.b);
   }
-  tensor::Tensor q_a = tensor::IndexSelectRows(drug_embeddings, left);
-  tensor::Tensor q_b = tensor::IndexSelectRows(drug_embeddings, right);
-  return decoder_->Score(q_a, q_b, training, rng);
+  return decoder_->Score(drug_embeddings, left, right, training, rng);
 }
 
 tensor::Tensor HyGnnModel::Forward(const HypergraphContext& context,

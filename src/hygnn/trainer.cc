@@ -61,11 +61,6 @@ core::Result<float> HyGnnTrainer::TryFit(
   // Kernel thread count: an explicit config wins; 0 leaves the global
   // pool as-is (HYGNN_NUM_THREADS or a prior SetNumThreads call).
   if (config_.threads > 0) core::SetNumThreads(config_.threads);
-  // Elementwise fusion: the config opts in (default on) and the
-  // HYGNN_FUSE environment flag can veto it for A/B runs. Either way
-  // the trained weights are bit-identical — fusion is purely a
-  // performance switch.
-  tensor::SetFusionEnabled(config_.fuse && core::EnvFlag("HYGNN_FUSE", true));
   core::Rng rng(config_.seed);
   tensor::Adam optimizer(model_->Parameters(), config_.learning_rate, 0.9f,
                          0.999f, 1e-8f, config_.weight_decay);

@@ -45,12 +45,6 @@ struct TrainConfig {
   /// or 1). Kernels are bit-deterministic, so the trained weights are
   /// identical at any thread count.
   int32_t threads = 0;
-  /// Runs the tape executor's elementwise fusion pass (DESIGN.md §12):
-  /// adjacent single-consumer elementwise ops execute as one fused
-  /// kernel invocation, forward and backward. Fused and unfused runs
-  /// are bit-identical, so this is purely a performance switch. Can be
-  /// vetoed globally with HYGNN_FUSE=0 (see core::EnvFlag).
-  bool fuse = true;
   /// When non-empty, TryFit durably writes a TrainCheckpoint into this
   /// directory every `checkpoint_every` epochs (and creates the
   /// directory if needed). A failed checkpoint write is logged and

@@ -33,10 +33,8 @@ tensor::Tensor TypedHyGnnModel::Forward(const HypergraphContext& context,
     left.push_back(pair.a);
     right.push_back(pair.b);
   }
-  tensor::Tensor features = tensor::ConcatCols(
-      tensor::IndexSelectRows(embeddings, left),
-      tensor::IndexSelectRows(embeddings, right));
-  return head_.Forward(features, training, rng);
+  return head_.Forward(tensor::PairConcat(embeddings, left, right), training,
+                       rng);
 }
 
 std::vector<int32_t> TypedHyGnnModel::PredictTypes(

@@ -19,6 +19,8 @@ class Linear : public Module {
   std::vector<tensor::Tensor> Parameters() const override;
 
   const tensor::Tensor& weight() const { return weight_; }
+  /// Undefined when the layer has no bias.
+  const tensor::Tensor& bias() const { return bias_; }
 
  private:
   tensor::Tensor weight_;

@@ -17,16 +17,16 @@ Mlp::Mlp(const std::vector<int64_t>& dims, core::Rng* rng, float dropout)
 tensor::Tensor Mlp::Forward(const tensor::Tensor& x, bool training,
                             core::Rng* rng) const {
   tensor::Tensor h = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i]->Forward(h);
-    if (i + 1 < layers_.size()) {
-      h = tensor::Relu(h);
-      if (dropout_ > 0.0f) {
-        h = tensor::Dropout(h, dropout_, training, rng);
-      }
+  for (size_t i = 0; i + 1 < layers_.size(); ++i) {
+    // Hidden layers: one BiasRelu in place of Linear's bias add and a
+    // Relu, bit-identical to them.
+    h = tensor::BiasRelu(tensor::MatMul(h, layers_[i]->weight()),
+                         layers_[i]->bias());
+    if (dropout_ > 0.0f) {
+      h = tensor::Dropout(h, dropout_, training, rng);
     }
   }
-  return h;
+  return layers_.back()->Forward(h);
 }
 
 tensor::Tensor Mlp::Forward(const tensor::Tensor& x) const {

@@ -18,9 +18,8 @@ namespace hygnn::obs {
 ///  - Backward: tensor::ExecuteNodeBackward (tensor/tape.cc) times
 ///    every node it runs, recorded or closure-based, and reports the
 ///    span through RecordBackward.
-///  - A fused group's forward and backward are one kernel call each,
-///    attributed to the group name (e.g. "Fused[Dropout|LeakyRelu]"),
-///    not to its member ops.
+///  - The fused ops PairConcat and BiasRelu are attributed under their
+///    own names, not under the ops they replace.
 /// Forward time is inclusive: a composite op that calls other ops
 /// between its own start and finish includes their time.
 ///

@@ -239,8 +239,8 @@ Result<int32_t> EmbeddingStore::AddDrugLocked(
     kernels::RowScaleAccumulate(y.data(), gathered.data(), weighted.data(),
                                 n_inc, hidden);
     std::vector<float> p(static_cast<size_t>(hidden), 0.0f);
-    kernels::SegmentSumAccumulate(weighted.data(), seg.data(), n_inc, hidden,
-                                  p.data(), 1);
+    kernels::SegmentSumAccumulate(weighted.data(), hidden, seg.data(), n_inc,
+                                  hidden, p.data(), 1);
     for (int64_t j = 0; j < hidden; ++j) {
       p[static_cast<size_t>(j)] = LeakyRelu(p[static_cast<size_t>(j)],
                                             slope);
@@ -279,8 +279,8 @@ Result<int32_t> EmbeddingStore::AddDrugLocked(
                               weighted.data(), n_members, out_dim);
   const int64_t dim = current->dim();
   std::vector<float> q_out(static_cast<size_t>(out_dim), 0.0f);
-  kernels::SegmentSumAccumulate(weighted.data(), seg.data(), n_members,
-                                out_dim, q_out.data(), 1);
+  kernels::SegmentSumAccumulate(weighted.data(), out_dim, seg.data(),
+                                n_members, out_dim, q_out.data(), 1);
   for (int64_t o = 0; o < out_dim; ++o) {
     q_out[static_cast<size_t>(o)] =
         LeakyRelu(q_out[static_cast<size_t>(o)], slope);

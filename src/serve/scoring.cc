@@ -4,6 +4,7 @@
 #include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/logging.h"
 #include "core/thread_pool.h"
@@ -118,23 +119,28 @@ std::vector<float> PairScorer::ScoreValidated(
   // calls inside the decoder kernels run inline on the worker.
   core::ParallelFor(0, n, kScoreChunkPairs, [&](int64_t lo, int64_t hi) {
     const int64_t m = hi - lo;
-    tensor::Tensor q_a = tensor::Tensor::Zeros(m, dim);
-    tensor::Tensor q_b = tensor::Tensor::Zeros(m, dim);
+    // The chunk's own rows, never the catalog: the a rows, then the b
+    // rows, so pair i is rows (i, m + i) of the block.
+    tensor::Tensor block = tensor::Tensor::Zeros(2 * m, dim);
+    std::vector<int32_t> a(static_cast<size_t>(m));
+    std::vector<int32_t> b(static_cast<size_t>(m));
     {
       // Per-stage spans record from pool workers concurrently; Observe
       // is one relaxed fetch_add, so no cross-worker synchronization.
       obs::ScopedTimer gather_span(record ? metrics->gather_us : nullptr);
       for (int64_t i = 0; i < m; ++i) {
         const auto& pair = pairs[static_cast<size_t>(lo + i)];
-        std::memcpy(q_a.data() + i * dim, snapshot.Row(pair.a),
+        std::memcpy(block.data() + i * dim, snapshot.Row(pair.a),
                     static_cast<size_t>(dim) * sizeof(float));
-        std::memcpy(q_b.data() + i * dim, snapshot.Row(pair.b),
+        std::memcpy(block.data() + (m + i) * dim, snapshot.Row(pair.b),
                     static_cast<size_t>(dim) * sizeof(float));
+        a[static_cast<size_t>(i)] = static_cast<int32_t>(i);
+        b[static_cast<size_t>(i)] = static_cast<int32_t>(m + i);
       }
     }
     obs::ScopedTimer decode_span(record ? metrics->decode_us : nullptr);
     const tensor::Tensor logits =
-        model_->decoder().Score(q_a, q_b, /*training=*/false, nullptr);
+        model_->decoder().Score(block, a, b, /*training=*/false, nullptr);
     for (int64_t i = 0; i < m; ++i) {
       scores[static_cast<size_t>(lo + i)] =
           model::StableSigmoid(logits.data()[i]);

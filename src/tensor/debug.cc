@@ -110,13 +110,9 @@ LintReport GraphLint(const Tensor& root) {
 
   for (TensorImpl* node : nodes) {
     const int64_t expected = node->rows * node->cols;
-    // Tape nodes legitimately carry empty data: pending ops have not
-    // executed yet, and fused interior members are never written (the
-    // chain recomputes them per element). Their shapes are validated
-    // when/if the buffer exists.
-    const bool tape_empty_ok =
-        !node->materialized || (node->rec != nullptr && node->rec->fused_member);
-    if (!tape_empty_ok &&
+    // Pending tape nodes legitimately carry empty data: they have not
+    // executed yet. Their shapes are validated once the buffer exists.
+    if (node->materialized &&
         (static_cast<int64_t>(node->data.size()) != expected ||
          (!node->grad.empty() &&
           static_cast<int64_t>(node->grad.size()) != expected))) {
@@ -228,24 +224,31 @@ void GuardOpResult(const std::shared_ptr<TensorImpl>& out) {
   GuardOpResult(out.get());
 }
 
-void GuardOpResult(TensorImpl* out) {
+void GuardOpResult(TensorImpl* out, const TensorImpl* input) {
   if (!g_enabled.load(std::memory_order_relaxed)) return;
   if (g_triggered.load(std::memory_order_acquire)) return;
 
-  const int64_t total = static_cast<int64_t>(out->data.size());
-  int64_t bad_index = -1;
-  for (int64_t i = 0; i < total; ++i) {
-    if (!std::isfinite(out->data[i])) {
-      bad_index = i;
-      break;
+  const auto first_non_finite = [](const TensorImpl* node) -> int64_t {
+    const int64_t total = static_cast<int64_t>(node->data.size());
+    for (int64_t i = 0; i < total; ++i) {
+      if (!std::isfinite(node->data[i])) return i;
     }
+    return -1;
+  };
+  const TensorImpl* bad = input;
+  int64_t bad_index = input != nullptr ? first_non_finite(input) : -1;
+  if (bad_index < 0) {
+    bad = out;
+    bad_index = first_non_finite(out);
   }
   if (bad_index < 0) return;
 
   std::ostringstream os;
-  os << "NumericsGuard: op '" << out->op << "' produced non-finite value "
-     << out->data[bad_index] << " at index " << bad_index << " of Tensor["
-     << out->rows << "x" << out->cols << "]";
+  os << "NumericsGuard: op '" << out->op << "' "
+     << (bad == out ? "produced" : "read") << " non-finite value "
+     << bad->data[bad_index] << " at index " << bad_index << " of "
+     << (bad == out ? "" : "input ") << "Tensor[" << bad->rows << "x"
+     << bad->cols << "]";
   if (!out->parents.empty()) {
     os << "\n  inputs:";
     for (const auto& parent : out->parents) {

@@ -113,9 +113,12 @@ class NumericsGuardScope {
 
 /// Hook called after an op's forward value is written (the tape
 /// executor for recorded ops, loss.cc for opaque eager ones). No-op
-/// unless NumericsGuard is enabled and has not yet triggered.
+/// unless NumericsGuard is enabled and has not yet triggered. `input`,
+/// when set, is an operand whose non-finite values the output can hide
+/// (BiasRelu's bias, under its ReLU): it is scanned first, and a hit is
+/// reported under the op's name.
 void GuardOpResult(const std::shared_ptr<TensorImpl>& out);
-void GuardOpResult(TensorImpl* out);
+void GuardOpResult(TensorImpl* out, const TensorImpl* input = nullptr);
 
 }  // namespace hygnn::tensor
 

@@ -2,7 +2,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/logging.h"
 #include "core/rng.h"
 #include "tensor/kernels/kernels.h"
 
@@ -54,10 +53,50 @@ void AddRowBroadcast(const float* x, const float* bias, float* out, int64_t n,
 }
 
 void ColumnSumAccumulate(const float* g, int64_t n, int64_t d, float* out) {
-  core::ParallelFor(0, d, kRowGrain, [&](int64_t lo, int64_t hi) {
+  core::ParallelFor(0, d, kLineGrain, [&](int64_t lo, int64_t hi) {
     for (int64_t i = 0; i < n; ++i) {
       const float* grow = g + i * d;
       for (int64_t j = lo; j < hi; ++j) out[j] += grow[j];
+    }
+  });
+}
+
+void BiasRelu(const float* x, const float* bias, float* out, int64_t n,
+              int64_t d) {
+  core::ParallelFor(0, n, kRowGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      for (int64_t j = 0; j < d; ++j) {
+        out[i * d + j] = ScalarRelu(x[i * d + j] + bias[j]);
+      }
+    }
+  });
+}
+
+void BiasReluBackward(const float* y, const float* g, int64_t n, int64_t d,
+                      float* dx, float* dbias) {
+  core::ParallelFor(0, d, kLineGrain, [&](int64_t lo, int64_t hi) {
+    // The inline paths hand over the whole range, so walk it one line
+    // of columns at a time: each line's bias sums stay in registers
+    // across the row walk, starting from dbias and adding rows in
+    // ascending order.
+    for (int64_t c0 = lo; c0 < hi; c0 += kLineGrain) {
+      const int64_t w = std::min(kLineGrain, hi - c0);
+      float sum[kLineGrain] = {};
+      if (dbias != nullptr) std::copy(dbias + c0, dbias + c0 + w, sum);
+      for (int64_t i = 0; i < n; ++i) {
+        const float* yr = y + i * d + c0;
+        const float* gr = g + i * d + c0;
+        float t[kLineGrain];
+        for (int64_t j = 0; j < w; ++j) {
+          t[j] = 0.0f + gr[j] * (yr[j] > 0.0f ? 1.0f : 0.0f);
+        }
+        if (dx != nullptr) {
+          float* dr = dx + i * d + c0;
+          for (int64_t j = 0; j < w; ++j) dr[j] += t[j];
+        }
+        for (int64_t j = 0; j < w; ++j) sum[j] += t[j];
+      }
+      if (dbias != nullptr) std::copy(sum, sum + w, dbias + c0);
     }
   });
 }
@@ -118,16 +157,15 @@ void GatherRows(const float* src, int64_t d, const int32_t* indices,
   });
 }
 
-void ScatterAddRows(const float* src, const int32_t* indices, int64_t n,
-                    int64_t d, float* dst) {
-  // Duplicate indices make row-parallelism racy, so chunk the columns:
-  // each destination element is owned by one chunk and accumulates over
-  // i ascending — the sequential order.
-  core::ParallelFor(0, d, kRowGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = 0; i < n; ++i) {
-      float* t = dst + static_cast<int64_t>(indices[i]) * d;
-      const float* s = src + i * d;
-      for (int64_t j = lo; j < hi; ++j) t[j] += s[j];
+void GatherRowPairs(const float* src, int64_t d, const int32_t* a,
+                    const int32_t* b, int64_t n, float* dst) {
+  core::ParallelFor(0, n, kRowGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const float* sa = src + static_cast<int64_t>(a[i]) * d;
+      const float* sb = src + static_cast<int64_t>(b[i]) * d;
+      float* t = dst + i * 2 * d;
+      for (int64_t j = 0; j < d; ++j) t[j] = sa[j];
+      for (int64_t j = 0; j < d; ++j) t[d + j] = sb[j];
     }
   });
 }
@@ -190,185 +228,6 @@ void RowSoftmax(const float* x, int64_t n, int64_t k, float* out) {
         denom += out[i * k + j];
       }
       for (int64_t j = 0; j < k; ++j) out[i * k + j] /= denom;
-    }
-  });
-}
-
-namespace {
-
-/// Elements of a fused chain processed per dispatch. The switch over
-/// FusedStep::Kind runs once per block (not once per element) so each
-/// kind's loop stays tight and auto-vectorizable; the backward scratch
-/// buffers are kBlock floats per link, small enough for the stack.
-constexpr int64_t kFusedBlock = 512;
-
-/// Applies one forward link of a fused chain to a block: dst[j] =
-/// f(src[j]) for j in [0, m), where base is the block's absolute offset
-/// into the [n, d] tensor (side inputs index by absolute element / row /
-/// column). src == dst is allowed. See kernels.h FusedStep for the exact
-/// per-kind semantics, including the accumulate-into-zero normalization.
-inline void FusedApplyBlock(const FusedStep& s, const float* src, float* dst,
-                            int64_t base, int64_t m, int64_t d) {
-  switch (s.kind) {
-    case FusedStep::Kind::kRelu:
-      for (int64_t j = 0; j < m; ++j) dst[j] = ScalarRelu(src[j]);
-      break;
-    case FusedStep::Kind::kLeakyRelu:
-      for (int64_t j = 0; j < m; ++j) dst[j] = ScalarLeakyRelu(src[j], s.alpha);
-      break;
-    case FusedStep::Kind::kSigmoid:
-      for (int64_t j = 0; j < m; ++j) dst[j] = ScalarSigmoid(src[j]);
-      break;
-    case FusedStep::Kind::kTanh:
-      for (int64_t j = 0; j < m; ++j) dst[j] = ScalarTanh(src[j]);
-      break;
-    case FusedStep::Kind::kExp:
-      for (int64_t j = 0; j < m; ++j) dst[j] = ScalarExp(src[j]);
-      break;
-    case FusedStep::Kind::kLog:
-      for (int64_t j = 0; j < m; ++j) dst[j] = ScalarLog(src[j], s.alpha);
-      break;
-    case FusedStep::Kind::kScale:
-      for (int64_t j = 0; j < m; ++j) dst[j] = 0.0f + s.alpha * src[j];
-      break;
-    case FusedStep::Kind::kMul:
-      for (int64_t j = 0; j < m; ++j) dst[j] = 0.0f + src[j] * s.side[base + j];
-      break;
-    case FusedStep::Kind::kAdd:
-      for (int64_t j = 0; j < m; ++j) dst[j] = src[j] + s.side[base + j];
-      break;
-    case FusedStep::Kind::kSub:
-      for (int64_t j = 0; j < m; ++j) dst[j] = src[j] - s.side[base + j];
-      break;
-    case FusedStep::Kind::kSubFrom:
-      for (int64_t j = 0; j < m; ++j) dst[j] = s.side[base + j] - src[j];
-      break;
-    case FusedStep::Kind::kAddRowBias: {
-      int64_t col = base % d;
-      for (int64_t j = 0; j < m; ++j) {
-        dst[j] = src[j] + s.side[col];
-        if (++col == d) col = 0;
-      }
-      break;
-    }
-    case FusedStep::Kind::kMulRowScale: {
-      int64_t row = base / d;
-      int64_t col = base - row * d;
-      for (int64_t j = 0; j < m; ++j) {
-        dst[j] = 0.0f + s.side[row] * src[j];
-        if (++col == d) {
-          col = 0;
-          ++row;
-        }
-      }
-      break;
-    }
-  }
-}
-
-/// Applies one backward link to a block of incoming grads in place:
-/// t[j] *= the link's local derivative, with multiplication operands in
-/// the same order as the standalone backward kernels (g * dydx for
-/// RowwiseMap links, alpha * g for Axpy-style links, s[row] * g for
-/// RowScaleAccumulate). vin / vout are the link's recomputed input and
-/// output values for the block.
-inline void FusedGradBlock(const FusedStep& s, float* t, const float* vin,
-                           const float* vout, int64_t base, int64_t m,
-                           int64_t d) {
-  switch (s.kind) {
-    case FusedStep::Kind::kRelu:
-      for (int64_t j = 0; j < m; ++j) t[j] = t[j] * ScalarReluGrad(vin[j]);
-      break;
-    case FusedStep::Kind::kLeakyRelu:
-      for (int64_t j = 0; j < m; ++j) {
-        t[j] = t[j] * ScalarLeakyReluGrad(vin[j], s.alpha);
-      }
-      break;
-    case FusedStep::Kind::kSigmoid:
-      for (int64_t j = 0; j < m; ++j) t[j] = t[j] * ScalarSigmoidGrad(vout[j]);
-      break;
-    case FusedStep::Kind::kTanh:
-      for (int64_t j = 0; j < m; ++j) t[j] = t[j] * ScalarTanhGrad(vout[j]);
-      break;
-    case FusedStep::Kind::kExp:
-      for (int64_t j = 0; j < m; ++j) t[j] = t[j] * vout[j];
-      break;
-    case FusedStep::Kind::kLog:
-      for (int64_t j = 0; j < m; ++j) {
-        t[j] = t[j] * ScalarLogGrad(vin[j], s.alpha);
-      }
-      break;
-    case FusedStep::Kind::kScale:
-      for (int64_t j = 0; j < m; ++j) t[j] = s.alpha * t[j];
-      break;
-    case FusedStep::Kind::kMul:
-      for (int64_t j = 0; j < m; ++j) t[j] = t[j] * s.side[base + j];
-      break;
-    case FusedStep::Kind::kAdd:
-    case FusedStep::Kind::kSub:
-    case FusedStep::Kind::kAddRowBias:
-      for (int64_t j = 0; j < m; ++j) t[j] = 1.0f * t[j];
-      break;
-    case FusedStep::Kind::kSubFrom:
-      for (int64_t j = 0; j < m; ++j) t[j] = -1.0f * t[j];
-      break;
-    case FusedStep::Kind::kMulRowScale: {
-      int64_t row = base / d;
-      int64_t col = base - row * d;
-      for (int64_t j = 0; j < m; ++j) {
-        t[j] = s.side[row] * t[j];
-        if (++col == d) {
-          col = 0;
-          ++row;
-        }
-      }
-      break;
-    }
-  }
-}
-
-}  // namespace
-
-void FusedChainForward(const float* x, float* out, int64_t n, int64_t d,
-                       const FusedStep* steps, int32_t num_steps) {
-  HYGNN_CHECK(num_steps >= 1 && num_steps <= kMaxFusedChain);
-  core::ParallelFor(0, n * d, kElementGrain, [&](int64_t lo, int64_t hi) {
-    // First link reads x into out, the rest run in place; one dispatch
-    // per link per grain chunk.
-    FusedApplyBlock(steps[0], x + lo, out + lo, lo, hi - lo, d);
-    for (int32_t k = 1; k < num_steps; ++k) {
-      FusedApplyBlock(steps[k], out + lo, out + lo, lo, hi - lo, d);
-    }
-  });
-}
-
-void FusedChainBackward(const float* x, const float* g, int64_t n, int64_t d,
-                        const FusedStep* steps, int32_t num_steps, float* dx) {
-  HYGNN_CHECK(num_steps >= 1 && num_steps <= kMaxFusedChain);
-  core::ParallelFor(0, n * d, kElementGrain, [&](int64_t lo, int64_t hi) {
-    // vals[k] holds link k's recomputed output for the current block
-    // (vals[0] is unused: link 0 reads x directly).
-    float vals[kMaxFusedChain + 1][kFusedBlock];
-    float t[kFusedBlock];
-    for (int64_t base = lo; base < hi; base += kFusedBlock) {
-      const int64_t m = std::min(kFusedBlock, hi - base);
-      // Backward needs every link's input and output; recompute the
-      // forward chain for this block rather than storing n*d floats per
-      // skipped intermediate.
-      FusedApplyBlock(steps[0], x + base, vals[1], base, m, d);
-      for (int32_t k = 1; k < num_steps; ++k) {
-        FusedApplyBlock(steps[k], vals[k], vals[k + 1], base, m, d);
-      }
-      // Walk the chain rule tail-to-head. Interior grads normalize
-      // through `0.0f + ...` because the unfused path materializes each
-      // intermediate gradient by accumulating into a zero buffer.
-      for (int64_t j = 0; j < m; ++j) t[j] = g[base + j];
-      for (int32_t k = num_steps - 1; k > 0; --k) {
-        FusedGradBlock(steps[k], t, vals[k], vals[k + 1], base, m, d);
-        for (int64_t j = 0; j < m; ++j) t[j] = 0.0f + t[j];
-      }
-      FusedGradBlock(steps[0], t, x + base, vals[1], base, m, d);
-      for (int64_t j = 0; j < m; ++j) dx[base + j] += t[j];
     }
   });
 }

@@ -21,9 +21,9 @@ class Rng;
 /// output element is written by exactly one chunk and accumulated in
 /// the same order as the sequential (threads = 1) execution. Results
 /// are therefore bit-identical at any thread count. Accumulating
-/// kernels (named *Accumulate, plus the MatMul family and Axpy) add
-/// into their destination; callers pass zero-filled buffers to get
-/// plain assignment. The tensor engine's buffers come from
+/// kernels (named *Accumulate or *Backward, plus the MatMul family and
+/// Axpy) add into their destination; callers pass zero-filled buffers
+/// to get plain assignment. The tensor engine's buffers come from
 /// tensor::AssignZeros and TensorImpl::EnsureGrad: a buffer may be
 /// recycled storage, but it always arrives zero-filled.
 namespace hygnn::tensor::kernels {
@@ -34,6 +34,9 @@ namespace hygnn::tensor::kernels {
 inline constexpr int64_t kElementGrain = 4096;  // cheap per-element maps
 inline constexpr int64_t kRowGrain = 4;         // O(cols)+ work per row
 inline constexpr int64_t kSegmentGrain = 16;    // per-segment reductions
+/// Columns per chunk of a column-parallel reduction: 16 floats are one
+/// 64-byte cache line, so each chunk reads whole lines of every row.
+inline constexpr int64_t kLineGrain = 16;
 
 // ---------------------------------------------------------------------------
 // matmul.cc — dense products and layout transforms
@@ -107,9 +110,26 @@ float Sum(const float* x, int64_t n);
 void AddRowBroadcast(const float* x, const float* bias, float* out, int64_t n,
                      int64_t d);
 
-/// out[j] += sum_i g[i,j] for g[n,d]. Parallel over columns; each
-/// column accumulates over i ascending (sequential order).
+/// out[j] += sum_i g[i,j] for g[n,d]. Parallel over chunks of
+/// kLineGrain columns, each walking every row; each column accumulates
+/// over i ascending (sequential order).
 void ColumnSumAccumulate(const float* g, int64_t n, int64_t d, float* out);
+
+/// out[i,j] = ScalarRelu(x[i,j] + bias[j]) for x[n,d], bias[1,d]: the
+/// values AddRowBroadcast and then Relu write. Parallel rows.
+void BiasRelu(const float* x, const float* bias, float* out, int64_t n,
+              int64_t d);
+
+/// Backward of BiasRelu from its output y[n,d] and incoming gradient
+/// g[n,d], in one pass. The masked gradient t = 0 + g * (y > 0 ? 1 : 0)
+/// is the value Relu's backward writes into AddRowBroadcast's zeroed
+/// gradient: y > 0 exactly where ScalarReluGrad of the pre-activation
+/// is 1, ±0 and NaN included. Then dx[i,j] += t and dbias[j] += t over
+/// i ascending, as AddRowBroadcast's backward adds it; either output
+/// may be null. Parallel over chunks of kLineGrain columns, each
+/// walking every row.
+void BiasReluBackward(const float* y, const float* g, int64_t n, int64_t d,
+                      float* dx, float* dbias);
 
 /// out[i,j] += s[i] * x[i,j] for x[n,d], s[n,1]. Parallel rows. Serves
 /// MulColumnBroadcast forward (zeroed out) and its / RowwiseDot's
@@ -136,11 +156,11 @@ void AccumulateColumnBlock(const float* src, int64_t n, int64_t src_d,
 void GatherRows(const float* src, int64_t d, const int32_t* indices,
                 int64_t n, float* dst);
 
-/// dst[indices[i]] += src[i] (row scatter-add, d columns). Indices may
-/// repeat, so this parallelizes over column blocks instead of rows:
-/// each destination element accumulates over i ascending.
-void ScatterAddRows(const float* src, const int32_t* indices, int64_t n,
-                    int64_t d, float* dst);
+/// dst[i] = src[a[i]] ‖ src[b[i]] for dst[n, 2d]: PairConcat's forward,
+/// both rows of a pair gathered into one output row. Parallel rows. The
+/// backward is SegmentSumAccumulate over each half (see tape.cc).
+void GatherRowPairs(const float* src, int64_t d, const int32_t* a,
+                    const int32_t* b, int64_t n, float* dst);
 
 /// True iff every v[i] is in [lo, hi). Validation helper so the
 /// autograd layer can bounds-check indices without its own loop.
@@ -190,9 +210,8 @@ void RowwiseMapGradAccumulate(const float* x, const float* y, const float* g,
 }
 
 // ---------------------------------------------------------------------------
-// Scalar activation bodies — shared by the standalone RowwiseMap path
-// and the fused-chain kernels below. Both paths calling the exact same
-// functions is what makes fused and unfused execution bit-identical.
+// Scalar activation bodies — shared by the RowwiseMap ops and BiasRelu,
+// so the one-op and the two-op forms round alike.
 // ---------------------------------------------------------------------------
 
 inline float ScalarRelu(float v) { return v > 0.0f ? v : 0.0f; }
@@ -230,69 +249,6 @@ inline float ScalarLogGrad(float x, float eps) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused elementwise chains (tensor/fuse.h groups execute through these)
-// ---------------------------------------------------------------------------
-
-/// Longest op chain one fused kernel invocation may cover. Small enough
-/// for a stack-resident recompute buffer in the backward pass.
-inline constexpr int32_t kMaxFusedChain = 8;
-
-/// One link of a fused elementwise chain, describing how the chained
-/// value v transforms at that op. `side` points at the non-chain
-/// operand's materialized data for binary/broadcast links (the dropout
-/// mask for kMul links produced by Dropout); `alpha` carries the Scale
-/// factor, LeakyRelu slope, or Log epsilon.
-///
-/// Forward semantics reproduce what each standalone kernel writes into
-/// its zero-initialized output, including the `0.0f + ...`
-/// normalization of accumulate-into-zero kernels (Axpy, MulAccumulate,
-/// RowScaleAccumulate add into a zero buffer, which flushes a negative
-/// zero product to +0.0f — the fused path must match bit-for-bit):
-///   kRelu/kLeakyRelu/kSigmoid/kTanh/kExp/kLog: Scalar*(v)
-///   kScale:       0.0f + alpha * v
-///   kMul:         0.0f + v * side[i]
-///   kAdd:         v + side[i]
-///   kSub:         v - side[i]            (chain is the minuend)
-///   kSubFrom:     side[i] - v            (chain is the subtrahend)
-///   kAddRowBias:  v + side[col]          (side is [1, d])
-///   kMulRowScale: 0.0f + side[row] * v   (side is [n, 1])
-struct FusedStep {
-  enum class Kind : uint8_t {
-    kRelu,
-    kLeakyRelu,
-    kSigmoid,
-    kTanh,
-    kExp,
-    kLog,
-    kScale,
-    kMul,
-    kAdd,
-    kSub,
-    kSubFrom,
-    kAddRowBias,
-    kMulRowScale,
-  };
-  Kind kind = Kind::kRelu;
-  float alpha = 0.0f;
-  const float* side = nullptr;
-};
-
-/// out[i] = (step[num_steps-1] ∘ ... ∘ step[0])(x[i]) for an [n, d]
-/// tensor, one pass over the elements with no intermediate buffers.
-/// Parallel over elements with the standard kElementGrain chunking.
-void FusedChainForward(const float* x, float* out, int64_t n, int64_t d,
-                       const FusedStep* steps, int32_t num_steps);
-
-/// dx[i] += d(chain)/dx[i] * g[i], recomputing the chain's intermediate
-/// values per element. Each link's gradient factor is applied in the
-/// same operand order — and with the same accumulate-into-zero
-/// normalization for interior links — as the standalone backward
-/// kernels, so the result is bit-identical to running the unfused
-/// backward chain. num_steps must be <= kMaxFusedChain.
-void FusedChainBackward(const float* x, const float* g, int64_t n, int64_t d,
-                        const FusedStep* steps, int32_t num_steps, float* dx);
-
-// ---------------------------------------------------------------------------
 // segment.cc — per-segment attention primitives
 // ---------------------------------------------------------------------------
 
@@ -311,11 +267,15 @@ void SegmentSoftmaxBackward(const float* g, const float* y,
                             const int32_t* seg, int64_t n,
                             int64_t num_segments, float* dscores);
 
-/// out[s] += sum_{i: seg[i]==s} x[i] for x[n,d], out[num_segments,d].
-/// Parallel over segments; rows of a segment accumulate in ascending
-/// row order.
-void SegmentSumAccumulate(const float* x, const int32_t* seg, int64_t n,
-                          int64_t d, float* out, int64_t num_segments);
+/// out[s] += sum_{i: seg[i]==s} x[i] for n rows of d floats, row i at
+/// x + i * x_stride (x_stride >= d), and out[num_segments,d]. Parallel
+/// over segments; rows of a segment accumulate in ascending row order.
+/// With seg = gather indices it is the gather's backward: every source
+/// row accumulates in the sequential scatter order, dst[idx[i]] +=
+/// src[i] for i ascending.
+void SegmentSumAccumulate(const float* x, int64_t x_stride,
+                          const int32_t* seg, int64_t n, int64_t d,
+                          float* out, int64_t num_segments);
 
 /// dx[i] += g[seg[i]] (broadcast of the segment gradient back to every
 /// member row). Parallel over rows — writes are disjoint.

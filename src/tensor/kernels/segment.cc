@@ -83,15 +83,16 @@ void SegmentSoftmaxBackward(const float* g, const float* y,
   });
 }
 
-void SegmentSumAccumulate(const float* x, const int32_t* seg, int64_t n,
-                          int64_t d, float* out, int64_t num_segments) {
+void SegmentSumAccumulate(const float* x, int64_t x_stride,
+                          const int32_t* seg, int64_t n, int64_t d,
+                          float* out, int64_t num_segments) {
   const SegmentGroups groups = GroupBySegment(seg, n, num_segments);
   core::ParallelFor(0, num_segments, kSegmentGrain,
                     [&](int64_t lo, int64_t hi) {
     for (int64_t s = lo; s < hi; ++s) {
       float* dst = out + s * d;
       for (int64_t r = groups.offsets[s]; r < groups.offsets[s + 1]; ++r) {
-        const float* src = x + groups.rows[r] * d;
+        const float* src = x + groups.rows[r] * x_stride;
         for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
       }
     }

@@ -4,7 +4,7 @@
 // backward. scripts/lint.py enforces both halves of the seam: this
 // file contains no raw compute loops (rule 6) and no direct kernel
 // invocations (rule 13), which keeps the backend seam (threading,
-// SIMD, fusion, alternative kernels) entirely below the op API.
+// SIMD, fused ops, alternative kernels) entirely below the op API.
 
 #include "tensor/ops.h"
 
@@ -97,6 +97,24 @@ Tensor IndexSelectRows(const Tensor& x, const std::vector<int32_t>& indices) {
   return FinishRecord(std::move(out));
 }
 
+Tensor PairConcat(const Tensor& x, const std::vector<int32_t>& a,
+                  const std::vector<int32_t>& b) {
+  HYGNN_CHECK(x.defined());
+  const int64_t n = static_cast<int64_t>(a.size());
+  HYGNN_CHECK_GT(n, 0);
+  HYGNN_CHECK_EQ(static_cast<int64_t>(b.size()), n);
+  const auto rows = static_cast<int32_t>(x.rows());
+  HYGNN_CHECK(IndicesInRange(a.data(), n, 0, rows) &&
+              IndicesInRange(b.data(), n, 0, rows))
+      << "PairConcat index out of range [0, " << x.rows() << ")";
+  auto out = RecordOp("PairConcat", OpKind::kPairConcat, n, 2 * x.cols(),
+                      {x.impl()});
+  out->rec->ibuf.reserve(static_cast<size_t>(2 * n));
+  out->rec->ibuf.assign(a.begin(), a.end());
+  out->rec->ibuf.insert(out->rec->ibuf.end(), b.begin(), b.end());
+  return FinishRecord(std::move(out));
+}
+
 Tensor SegmentSoftmax(const Tensor& scores,
                       const std::vector<int32_t>& segment_ids,
                       int64_t num_segments) {
@@ -154,6 +172,18 @@ Tensor Relu(const Tensor& x) {
   return FinishRecord(std::move(out));
 }
 
+Tensor BiasRelu(const Tensor& z, const Tensor& bias) {
+  HYGNN_CHECK(z.defined() && bias.defined());
+  HYGNN_CHECK_EQ(bias.rows(), 1);
+  HYGNN_CHECK_EQ(bias.cols(), z.cols());
+  // The backward writes z's and the bias's gradients in one pass, which
+  // needs two buffers.
+  HYGNN_CHECK(z.impl() != bias.impl()) << "BiasRelu of a tensor with itself";
+  auto out = RecordOp("BiasRelu", OpKind::kBiasRelu, z.rows(), z.cols(),
+                      {z.impl(), bias.impl()});
+  return FinishRecord(std::move(out));
+}
+
 Tensor LeakyRelu(const Tensor& x, float slope) {
   HYGNN_CHECK(x.defined());
   HYGNN_DCHECK(std::isfinite(slope));
@@ -201,7 +231,7 @@ Tensor Dropout(const Tensor& x, float p, bool training, core::Rng* rng) {
   const float keep_scale = 1.0f / (1.0f - p);
   // The mask is drawn NOW, at record time, so the RNG stream advances
   // in program order — identical draws whether or not execution is
-  // deferred or fused, at any thread count.
+  // deferred, at any thread count.
   out->rec->fbuf = std::make_shared<std::vector<float>>(
       static_cast<size_t>(total), 0.0f);
   DrawDropoutMask(rng, p, keep_scale, out->rec->fbuf->data(), total);

@@ -47,6 +47,14 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b);
 /// Gathers rows: out[i] = x[indices[i]]. Gradients scatter-add back.
 Tensor IndexSelectRows(const Tensor& x, const std::vector<int32_t>& indices);
 
+/// Gathers a pair of rows into one: out[i] = x[a[i]] ‖ x[b[i]], giving
+/// [n, 2d] for n = a.size() = b.size(). Values and gradients are
+/// bit-identical to ConcatCols(IndexSelectRows(x, a),
+/// IndexSelectRows(x, b)), without the two [n, d] intermediates. The
+/// pair decoders' input.
+Tensor PairConcat(const Tensor& x, const std::vector<int32_t>& a,
+                  const std::vector<int32_t>& b);
+
 /// Softmax of a [n,1] score column computed independently within each
 /// segment: out_i = exp(s_i) / sum_{j: seg[j]==seg[i]} exp(s_j).
 /// Numerically stabilized by per-segment max subtraction. Empty segments
@@ -71,6 +79,12 @@ Tensor ReduceMean(const Tensor& x);
 
 /// Elementwise max(x, 0).
 Tensor Relu(const Tensor& x);
+
+/// Relu(AddRowBroadcast(z, bias)) as one op, for a [1,d] bias: one pass
+/// forward and one backward, which also sums the bias gradient. Values
+/// and gradients are bit-identical to the two-op form. z and bias must
+/// be different tensors.
+Tensor BiasRelu(const Tensor& z, const Tensor& bias);
 
 /// Elementwise x >= 0 ? x : slope * x.
 Tensor LeakyRelu(const Tensor& x, float slope = 0.01f);

@@ -13,12 +13,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/flags.h"
 #include "core/logging.h"
 #include "core/mutex.h"
 #include "obs/optime.h"
 #include "tensor/debug.h"
-#include "tensor/fuse.h"
 #include "tensor/kernels/kernels.h"
 
 namespace hygnn::tensor {
@@ -105,9 +103,8 @@ void ZeroFill(std::vector<float>* buffer, size_t count) {
 
 }  // namespace
 
-// OpRecord (and through it FusedGroup's shared_ptr) is complete here,
-// so the out-of-line special members keep tensor.h free of tape
-// internals.
+// OpRecord is complete here, so the out-of-line special members keep
+// tensor.h free of tape internals.
 TensorImpl::TensorImpl() = default;
 
 TensorImpl::~TensorImpl() {
@@ -138,11 +135,6 @@ void ReleaseHeldBuffers() {
 
 namespace {
 
-/// Tri-state fusion flag: -1 = unset (first FusionEnabled() call reads
-/// HYGNN_FUSE, default on), else 0/1. Relaxed atomics: toggled on the
-/// coordinating thread before any materialization fan-out.
-std::atomic<int32_t> g_fusion_state{-1};
-
 std::atomic<uint64_t> g_ops_executed{0};
 std::atomic<uint64_t> g_fused_groups{0};
 std::atomic<uint64_t> g_buffers_allocated{0};
@@ -155,8 +147,8 @@ void AllocateOutput(TensorImpl* node) {
   g_buffers_allocated.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// Dispatches one standalone (non-fused) op to the kernel layer. The
-/// kernel names and argument order mirror the eager ops.cc exactly.
+/// Dispatches one op to the kernel layer. The kernel names and argument
+/// order mirror the eager ops.cc exactly.
 void DispatchForward(TensorImpl* node, OpRecord* rec) {
   float* out = node->data.data();
   const int64_t total = node->size();
@@ -200,13 +192,17 @@ void DispatchForward(TensorImpl* node, OpRecord* rec) {
     case OpKind::kIndexSelectRows:
       kernels::GatherRows(x, node->cols, rec->ibuf.data(), node->rows, out);
       break;
+    case OpKind::kPairConcat:
+      kernels::GatherRowPairs(x, p0->cols, rec->ibuf.data(),
+                              rec->ibuf.data() + node->rows, node->rows, out);
+      break;
     case OpKind::kSegmentSoftmax:
       kernels::SegmentSoftmax(x, rec->ibuf.data(), node->rows,
                               rec->num_segments, out);
       break;
     case OpKind::kSegmentSum:
-      kernels::SegmentSumAccumulate(x, rec->ibuf.data(), p0->rows, node->cols,
-                                    out, rec->num_segments);
+      kernels::SegmentSumAccumulate(x, node->cols, rec->ibuf.data(), p0->rows,
+                                    node->cols, out, rec->num_segments);
       break;
     case OpKind::kRowwiseDot:
       kernels::RowwiseDotAccumulate(x, node->parents[1]->data.data(), out,
@@ -218,6 +214,10 @@ void DispatchForward(TensorImpl* node, OpRecord* rec) {
     case OpKind::kRelu:
       kernels::RowwiseMap(x, out, total,
                           [](float v) { return kernels::ScalarRelu(v); });
+      break;
+    case OpKind::kBiasRelu:
+      kernels::BiasRelu(x, node->parents[1]->data.data(), out, node->rows,
+                        node->cols);
       break;
     case OpKind::kLeakyRelu:
       kernels::RowwiseMap(x, out, total, [slope = rec->alpha](float v) {
@@ -261,46 +261,25 @@ void DispatchForward(TensorImpl* node, OpRecord* rec) {
   }
 }
 
-/// Executes a fused group when the tape reaches its tail: one kernel
-/// invocation, one output allocation, no intermediates.
-void ExecuteFusedGroup(TensorImpl* tail) {
-  const FusedGroup& group = *tail->rec->group;
-  obs::OpStart(tail);
-  AllocateOutput(tail);
-  std::vector<kernels::FusedStep> steps;
-  BuildFusedSteps(group, &steps);
-  kernels::FusedChainForward(group.head_input->data.data(),
-                             tail->data.data(), tail->rows, tail->cols,
-                             steps.data(), static_cast<int32_t>(steps.size()));
-  g_ops_executed.fetch_add(1, std::memory_order_relaxed);
-  g_fused_groups.fetch_add(1, std::memory_order_relaxed);
-  tail->materialized = true;
-  obs::OpFinish(tail, group.name);
-  GuardOpResult(tail);
-}
-
 /// Executes one tape node: allocates its output, runs the kernel, and
-/// reports to obs / NumericsGuard. Fused interior members are skipped
-/// (their group runs at the tail); they are marked materialized with
-/// intentionally-empty data.
+/// reports to obs / NumericsGuard.
 void ExecuteNodeForward(TensorImpl* node) {
   OpRecord* rec = node->rec.get();
   HYGNN_DCHECK(rec != nullptr) << "pending node without a tape record";
-  if (rec->fused_member) {
-    node->materialized = true;
-    return;
-  }
-  if (rec->group != nullptr) {
-    ExecuteFusedGroup(node);
-    return;
-  }
   obs::OpStart(node);
   AllocateOutput(node);
   DispatchForward(node, rec);
   g_ops_executed.fetch_add(1, std::memory_order_relaxed);
+  const bool fused =
+      rec->kind == OpKind::kPairConcat || rec->kind == OpKind::kBiasRelu;
+  if (fused) g_fused_groups.fetch_add(1, std::memory_order_relaxed);
   node->materialized = true;
   obs::OpFinish(node, node->op);
-  GuardOpResult(node);
+  // BiasRelu's ReLU maps a NaN sum to 0, so its output alone would hide
+  // a non-finite bias; the guard reads the bias too.
+  GuardOpResult(node, rec->kind == OpKind::kBiasRelu
+                          ? node->parents[1].get()
+                          : nullptr);
 }
 
 /// Gradient dispatch for one recorded op — a line-for-line mirror of
@@ -308,6 +287,7 @@ void ExecuteNodeForward(TensorImpl* node) {
 /// order, same NeedsGrad gating), driven by OpKind instead of a
 /// captured lambda.
 void DispatchBackward(TensorImpl* node, OpRecord* rec) {
+  if (node->grad.empty()) return;  // no gradient reached this node
   const float* g = node->grad.data();
   const int64_t total = node->size();
   TensorImpl* p0 = node->parents[0].get();
@@ -413,10 +393,26 @@ void DispatchBackward(TensorImpl* node, OpRecord* rec) {
       break;
     }
     case OpKind::kIndexSelectRows:
+      // The gather's backward is a segment sum keyed by the indices: each
+      // source row adds its gathered rows in ascending order.
       p0->EnsureGrad();
-      kernels::ScatterAddRows(g, rec->ibuf.data(), node->rows, node->cols,
-                              p0->grad.data());
+      kernels::SegmentSumAccumulate(g, node->cols, rec->ibuf.data(),
+                                    node->rows, node->cols, p0->grad.data(),
+                                    p0->rows);
       break;
+    case OpKind::kPairConcat: {
+      // The b half first, then the a half: the order in which the tape
+      // runs the backward of IndexSelectRows(x, b) and then of
+      // IndexSelectRows(x, a) under ConcatCols, so every row of x sums
+      // its gradients in the same order.
+      const int64_t d = p0->cols, n = node->rows;
+      p0->EnsureGrad();
+      kernels::SegmentSumAccumulate(g + d, 2 * d, rec->ibuf.data() + n, n, d,
+                                    p0->grad.data(), p0->rows);
+      kernels::SegmentSumAccumulate(g, 2 * d, rec->ibuf.data(), n, d,
+                                    p0->grad.data(), p0->rows);
+      break;
+    }
     case OpKind::kSegmentSoftmax:
       p0->EnsureGrad();
       kernels::SegmentSoftmaxBackward(g, node->data.data(), rec->ibuf.data(),
@@ -452,6 +448,22 @@ void DispatchBackward(TensorImpl* node, OpRecord* rec) {
           p0->data.data(), node->data.data(), g, p0->grad.data(), total,
           [](float v, float) { return kernels::ScalarReluGrad(v); });
       break;
+    case OpKind::kBiasRelu: {
+      TensorImpl* p1 = node->parents[1].get();
+      float* dx = nullptr;
+      float* dbias = nullptr;
+      if (p0->requires_grad) {
+        p0->EnsureGrad();
+        dx = p0->grad.data();
+      }
+      if (p1->requires_grad) {
+        p1->EnsureGrad();
+        dbias = p1->grad.data();
+      }
+      kernels::BiasReluBackward(node->data.data(), g, node->rows, node->cols,
+                                dx, dbias);
+      break;
+    }
     case OpKind::kLeakyRelu:
       p0->EnsureGrad();
       kernels::RowwiseMapGradAccumulate(
@@ -505,31 +517,6 @@ void DispatchBackward(TensorImpl* node, OpRecord* rec) {
       // Recorded detached; never reached with requires_grad set.
       break;
   }
-}
-
-/// Backward of a fused group (runs when the tail's turn comes in the
-/// reverse-topological sweep — by then the tail's grad has accumulated
-/// every consumer contribution, exactly like the unfused path).
-void FusedGroupBackward(TensorImpl* tail) {
-  const FusedGroup& group = *tail->rec->group;
-  TensorImpl* head = group.head_input;
-  if (!head->requires_grad) return;
-  head->EnsureGrad();
-  std::vector<kernels::FusedStep> steps;
-  BuildFusedSteps(group, &steps);
-  kernels::FusedChainBackward(head->data.data(), tail->grad.data(),
-                              tail->rows, tail->cols, steps.data(),
-                              static_cast<int32_t>(steps.size()),
-                              head->grad.data());
-}
-
-void RunRecordBackward(TensorImpl* node, OpRecord* rec) {
-  if (node->grad.empty()) return;
-  if (rec->group != nullptr) {
-    FusedGroupBackward(node);
-    return;
-  }
-  DispatchBackward(node, rec);
 }
 
 }  // namespace
@@ -587,12 +574,10 @@ void MaterializeTensor(const std::shared_ptr<TensorImpl>& root) {
       stack.pop_back();
     }
   }
-  if (FusionEnabled()) FuseEligibleChains(order);
   for (TensorImpl* node : order) ExecuteNodeForward(node);
   // Nodes that will never run backward keep neither graph edges nor
   // tape state — inference forwards end up as plain value nodes (the
-  // serve tests pin this with GraphLint), and skipped fused
-  // intermediates are freed here with their data never allocated.
+  // serve tests pin this with GraphLint).
   for (TensorImpl* node : order) {
     if (!node->requires_grad) {
       node->parents.clear();
@@ -618,31 +603,13 @@ void ExecuteNodeBackward(TensorImpl* node, bool time_ops) {
   OpRecord* rec = node->rec.get();
   if (rec == nullptr || !node->requires_grad) return;
   ++node->backward_runs;
-  // Interior members of a fused group have no work of their own — the
-  // tail's FusedChainBackward covers the whole chain. The run counter
-  // still advances so GraphLint's double-backward detection sees them.
-  if (rec->fused_member) return;
   if (time_ops) {
     const uint64_t start = obs::NowNanos();
-    RunRecordBackward(node, rec);
-    obs::RecordBackward(rec->group != nullptr ? rec->group->name : node->op,
-                        obs::NowNanos() - start);
+    DispatchBackward(node, rec);
+    obs::RecordBackward(node->op, obs::NowNanos() - start);
   } else {
-    RunRecordBackward(node, rec);
+    DispatchBackward(node, rec);
   }
-}
-
-void SetFusionEnabled(bool enabled) {
-  g_fusion_state.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool FusionEnabled() {
-  int32_t state = g_fusion_state.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = core::EnvFlag("HYGNN_FUSE", true) ? 1 : 0;
-    g_fusion_state.store(state, std::memory_order_relaxed);
-  }
-  return state == 1;
 }
 
 ExecStatsSnapshot ExecStats() {

@@ -23,20 +23,16 @@ namespace hygnn::tensor {
 ///
 ///   1. *linearizes* the pending subgraph into a topologically-ordered
 ///      op tape (the same post-order DFS Tensor::Backward uses, so the
-///      execution order is deterministic and independent of fusion);
-///   2. runs the *fusion pass* (tensor/fuse.h) when enabled, merging
-///      adjacent single-consumer elementwise ops into fused groups;
-///   3. *executes* the tape through the kernel layer, one kernel
-///      invocation per op — or per fused group.
+///      execution order is deterministic);
+///   2. *executes* the tape through the kernel layer, one kernel
+///      invocation per op.
 ///
-/// Fused and unfused execution are bit-identical by construction: the
-/// fused kernels chain the exact per-element scalar functions the
-/// standalone kernels use, normalizing accumulate-into-zero writes the
-/// same way (see kernels.h FusedChainForward). The backward pass keeps
-/// the seed engine's node order and kernel calls exactly, so gradients
-/// are memcmp-equal with fusion on or off, at any thread count.
-
-struct FusedGroup;  // tensor/fuse.h
+/// Two ops stand for a composition of others on the decoder's hot path:
+/// PairConcat for ConcatCols of two IndexSelectRows of one table, and
+/// BiasRelu for Relu of AddRowBroadcast. Their kernels write the same
+/// bits, values and gradients, as the compositions they replace (see
+/// DESIGN.md §12). The backward pass keeps the seed engine's node order,
+/// so gradients are memcmp-equal at any thread count.
 
 /// Operator kinds the executor dispatches on — one per op in
 /// tensor/ops.h that records a tape node.
@@ -50,11 +46,13 @@ enum class OpKind : uint8_t {
   kMulColumnBroadcast,
   kConcatCols,
   kIndexSelectRows,
+  kPairConcat,
   kSegmentSoftmax,
   kSegmentSum,
   kRowwiseDot,
   kReduceSum,
   kRelu,
+  kBiasRelu,
   kLeakyRelu,
   kSigmoid,
   kTanh,
@@ -73,20 +71,14 @@ struct OpRecord {
   /// Scalar parameter: Scale factor, LeakyRelu slope, Log /
   /// L2NormalizeRows epsilon. Unused otherwise.
   float alpha = 0.0f;
-  /// Integer payload: IndexSelectRows indices, Segment* segment ids.
+  /// Integer payload: IndexSelectRows indices, PairConcat's a indices
+  /// followed by its b indices, Segment* segment ids.
   std::vector<int32_t> ibuf;
   /// Float payload: the Dropout mask (drawn at record time so the RNG
   /// stream order matches eager execution), or the L2NormalizeRows
   /// norms cache (filled at execution time for the backward pass).
   std::shared_ptr<std::vector<float>> fbuf;
   int64_t num_segments = 0;
-  /// Set on the tail node of a fused group; the executor runs the whole
-  /// chain as one kernel invocation when it reaches the tail.
-  std::shared_ptr<FusedGroup> group;
-  /// True on non-tail members of a fused group: the node's value is
-  /// never written (its data stays empty) because the chain recomputes
-  /// intermediates per element.
-  bool fused_member = false;
 };
 
 /// Allocates a pending tape node: shape, static op name, kind, and
@@ -101,31 +93,26 @@ std::shared_ptr<TensorImpl> RecordOp(
 /// Final step of every recorded op: wraps the node into a Tensor. When
 /// NumericsGuard is enabled the node is materialized immediately so the
 /// guard attributes the first NaN/Inf to the op in program order, the
-/// same behavior the eager engine had (fusion is effectively disabled
-/// under the guard — each op materializes alone).
+/// same behavior the eager engine had.
 Tensor FinishRecord(std::shared_ptr<TensorImpl> out);
 
 /// Runs one node's backward step: the legacy backward_fn closure when
-/// present, otherwise the OpRecord kind dispatch (or the fused-chain
-/// backward on a group tail). Called by Tensor::Backward in reverse
-/// topological order; `time_ops` routes per-node wall time into the obs
-/// per-op attribution table (fused groups report under their
-/// constituent-op name, e.g. "Fused[Dropout|Relu|Scale]").
+/// present, otherwise the OpRecord kind dispatch. Called by
+/// Tensor::Backward in reverse topological order; `time_ops` routes
+/// per-node wall time into the obs per-op attribution table.
 void ExecuteNodeBackward(TensorImpl* node, bool time_ops);
 
-/// Enables/disables the elementwise fusion pass process-wide. Defaults
-/// to the HYGNN_FUSE environment flag (itself defaulting on); the
-/// trainer overrides it from TrainConfig::fuse / --fuse.
-void SetFusionEnabled(bool enabled);
-bool FusionEnabled();
+/// Always true: PairConcat and BiasRelu, the engine's fused ops, have
+/// no unfused mode. Kept for the benchmark's run header.
+inline bool FusionEnabled() { return true; }
 
 /// Executor counters since the last ResetExecStats, safe to read
 /// concurrently and intended for tests and benches. A buffer counted
 /// in buffers_allocated may be recycled storage (buffers_recycled
 /// counts those), but it always arrives zero-filled.
 struct ExecStatsSnapshot {
-  uint64_t ops_executed = 0;       // kernel-level invocations (fused = 1)
-  uint64_t fused_groups = 0;       // groups executed as one invocation
+  uint64_t ops_executed = 0;       // kernel-level invocations
+  uint64_t fused_groups = 0;       // PairConcat and BiasRelu forwards
   uint64_t buffers_allocated = 0;  // output data buffers allocated
   uint64_t buffers_recycled = 0;   // zero-fills (AssignZeros,
                                    // EnsureGrad) served from held storage

@@ -92,7 +92,7 @@ void Tensor::Backward() {
   HYGNN_CHECK(defined());
   HYGNN_CHECK_EQ(size(), 1);
   // Forward values must exist before gradients flow; a pending root
-  // materializes (linearize -> fuse -> execute) right here.
+  // materializes (linearize -> execute) right here.
   MaterializeTensor(impl_);
   // Topological order by iterative post-order DFS over parents.
   std::vector<TensorImpl*> order;

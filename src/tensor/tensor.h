@@ -81,8 +81,7 @@ struct TensorImpl {
 void AssignZeros(TensorImpl* node);
 
 /// Executes the pending tape subgraph below `root`: linearizes it into
-/// topological order, runs the elementwise fusion pass (tensor/fuse.h)
-/// when enabled, and dispatches every op to the kernel layer. No-op
+/// topological order and dispatches every op to the kernel layer. No-op
 /// when `root` is already materialized. Declared here so Tensor's
 /// accessors can trigger it; implementation in tensor/tape.cc.
 void MaterializeTensor(const std::shared_ptr<TensorImpl>& root);

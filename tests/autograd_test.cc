@@ -134,6 +134,45 @@ TEST(GradCheckTest, IndexSelectRows) {
       });
 }
 
+TEST(GradCheckTest, PairConcat) {
+  // Row 1 is in both halves, row 3 in none.
+  const std::vector<int32_t> a{0, 1, 2, 1};
+  const std::vector<int32_t> b{1, 2, 1, 0};
+  Tensor scale = FixedRandom(6, 1, 90, false);
+  ExpectGradMatchesNumeric(
+      [] { return FixedRandom(4, 3, 15); },
+      [&](const Tensor& x) {
+        Tensor pairs = PairConcat(x, a, b);
+        return ReduceSum(MatMul(Mul(pairs, pairs), scale));
+      });
+}
+
+TEST(GradCheckTest, BiasReluBothInputs) {
+  // Pre-activations kept away from 0, where ReLU is non-differentiable.
+  const auto away_from_kink = [](Tensor t) {
+    for (int64_t i = 0; i < t.size(); ++i) {
+      if (std::fabs(t.data()[i]) < 0.1f) t.data()[i] = 0.3f;
+    }
+    return t;
+  };
+  Tensor bias = Tensor::FromVector({0.01f, -0.02f, 0.015f, 0.0f}, 1, 4);
+  ExpectGradMatchesNumeric(
+      [&] { return away_from_kink(FixedRandom(3, 4, 16)); },
+      [&bias](const Tensor& z) {
+        Tensor y = BiasRelu(z, bias);
+        return ReduceSum(Mul(y, y));
+      });
+  Tensor z = away_from_kink(FixedRandom(3, 4, 17, false));
+  ExpectGradMatchesNumeric(
+      [] {
+        return Tensor::FromVector({0.02f, -0.01f, 0.0f, 0.03f}, 1, 4, true);
+      },
+      [&z](const Tensor& b) {
+        Tensor y = BiasRelu(z, b);
+        return ReduceSum(Mul(y, y));
+      });
+}
+
 TEST(GradCheckTest, SegmentSoftmax) {
   std::vector<int32_t> segments{0, 0, 1, 1, 1};
   Tensor mix = FixedRandom(5, 1, 90, false);

@@ -6,11 +6,13 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "nn/mlp.h"
 #include "tensor/loss.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
@@ -182,6 +184,29 @@ TEST_F(NumericsGuardTest, ReportsInsideSmallTrainingStep) {
   EXPECT_NE(report.find("'MatMul'"), std::string::npos) << report;
   EXPECT_NE(report.find("already non-finite"), std::string::npos) << report;
   EXPECT_NE(report.find("leaf"), std::string::npos) << report;
+}
+
+TEST_F(NumericsGuardTest, NamesBiasReluForNonFiniteHiddenBias) {
+  // An MLP whose hidden bias holds a NaN. BiasRelu's ReLU maps the NaN
+  // sum to 0, so its output and the loss stay finite; the guard still
+  // names BiasRelu, which read the bias.
+  core::Rng rng(3);
+  nn::Mlp mlp({4, 3, 1}, &rng);
+  Tensor hidden_bias = mlp.Parameters()[1];
+  ASSERT_EQ(hidden_bias.rows(), 1);
+  ASSERT_EQ(hidden_bias.cols(), 3);
+  hidden_bias.data()[0] = std::numeric_limits<float>::quiet_NaN();
+  NumericsGuardScope scope;
+  Tensor x = Tensor::Full(2, 4, 0.5f);
+  Tensor loss = BceWithLogitsLoss(mlp.Forward(x), {1.0f, 0.0f});
+  EXPECT_TRUE(std::isfinite(loss.item()));
+  ASSERT_TRUE(NumericsGuard::triggered());
+  const std::string report = NumericsGuard::report();
+  EXPECT_NE(report.find("op 'BiasRelu' read non-finite value nan at index 0"
+                        " of input Tensor[1x3]"),
+            std::string::npos)
+      << report;
+  EXPECT_EQ(report.find("AddRowBroadcast"), std::string::npos) << report;
 }
 
 TEST_F(NumericsGuardTest, ScopeRestoresPreviousState) {

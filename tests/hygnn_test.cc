@@ -118,10 +118,11 @@ TEST(EncoderTest, DrugsWithSharedSubstructuresMoreSimilar) {
 }
 
 TEST(DecoderTest, DotDecoder) {
-  tensor::Tensor a = tensor::Tensor::FromVector({1, 2, 3, 4}, 2, 2);
-  tensor::Tensor b = tensor::Tensor::FromVector({5, 6, 7, 8}, 2, 2);
+  // Rows 0-1 are the a side, rows 2-3 the b side.
+  tensor::Tensor table =
+      tensor::Tensor::FromVector({1, 2, 3, 4, 5, 6, 7, 8}, 4, 2);
   DotDecoder decoder;
-  tensor::Tensor score = decoder.Score(a, b, false, nullptr);
+  tensor::Tensor score = decoder.Score(table, {0, 1}, {2, 3}, false, nullptr);
   EXPECT_EQ(score.At(0, 0), 17.0f);
   EXPECT_TRUE(decoder.Parameters().empty());
 }
@@ -129,9 +130,9 @@ TEST(DecoderTest, DotDecoder) {
 TEST(DecoderTest, MlpDecoderShapeAndParams) {
   core::Rng rng(5);
   MlpDecoder decoder(8, 16, &rng);
-  tensor::Tensor a = tensor::Tensor::Full(3, 8, 0.5f);
-  tensor::Tensor b = tensor::Tensor::Full(3, 8, -0.5f);
-  tensor::Tensor score = decoder.Score(a, b, false, nullptr);
+  tensor::Tensor table = tensor::Tensor::Full(6, 8, 0.5f);
+  tensor::Tensor score =
+      decoder.Score(table, {0, 1, 2}, {3, 4, 5}, false, nullptr);
   EXPECT_EQ(score.rows(), 3);
   EXPECT_EQ(score.cols(), 1);
   EXPECT_EQ(decoder.Parameters().size(), 4u);

@@ -1,14 +1,18 @@
 // Kernel-layer tests: (1) threaded execution is bit-identical to the
 // threads=1 reference for every parallelized op, forward AND backward;
 // (2) the dense products match scalar references that spell out each
-// rounding, bit for bit, at 1/2/4 threads; (3) gradcheck still passes
-// with a 4-thread pool; (4) two seeded training runs produce identical
-// per-epoch losses at any thread count.
+// rounding, bit for bit, at 1/2/4 threads; (3) the gather backward,
+// the column sums and the fused decoder kernels match scalar references
+// or the kernel compositions they replace, bit for bit, at 1/2/4
+// threads; (4) gradcheck still passes with a 4-thread pool; (5) two
+// seeded training runs produce identical per-epoch losses at any thread
+// count.
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +30,7 @@
 #include "tensor/init.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
+#include "tensor/tape.h"
 #include "tensor/tensor.h"
 #include "tests/gradcheck.h"
 
@@ -147,6 +152,23 @@ TEST(KernelParityTest, ConcatAndGather) {
       indices.push_back(3);
     }
     return tensor::IndexSelectRows(x, indices);
+  });
+}
+
+TEST(KernelParityTest, PairConcatAndBiasRelu) {
+  ExpectThreadParity("PairConcat", [](std::vector<tensor::Tensor>* inputs) {
+    auto x = MakeLeaf(inputs, 28, kRows, kCols);
+    std::vector<int32_t> a, b;
+    for (int32_t i = 0; i < 64; ++i) {
+      a.push_back((i * 5) % static_cast<int32_t>(kRows));
+      b.push_back(i % 2 == 0 ? 3 : (i * 11) % static_cast<int32_t>(kRows));
+    }
+    return tensor::PairConcat(x, a, b);
+  });
+  ExpectThreadParity("BiasRelu", [](std::vector<tensor::Tensor>* inputs) {
+    auto z = MakeLeaf(inputs, 29, kRows, 41);  // three line-wide chunks
+    auto bias = MakeLeaf(inputs, 30, 1, 41);
+    return tensor::BiasRelu(z, bias);
   });
 }
 
@@ -415,6 +437,207 @@ TEST(DenseProductTest, ContractionCanary) {
         core::SetNumThreads(1);
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Gather backward, column sums and the fused decoder kernels against
+// references
+// ---------------------------------------------------------------------------
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Mixed magnitudes, so a column or row sum rounds differently in any
+/// other order, plus NaN, ±inf and ±0 at fixed positions.
+std::vector<float> OrderSensitive(int64_t n, uint64_t seed) {
+  core::Rng rng(seed);
+  std::vector<float> v(static_cast<size_t>(n));
+  for (size_t i = 0; i < v.size(); ++i) {
+    const float u = rng.UniformFloat() * 2.0f - 1.0f;
+    v[i] = i % 3 == 0 ? u * 1e8f : u;
+  }
+  if (n > 40) {
+    v[4] = std::numeric_limits<float>::quiet_NaN();
+    v[11] = std::numeric_limits<float>::infinity();
+    v[23] = -std::numeric_limits<float>::infinity();
+    v[31] = 0.0f;
+    v[37] = -0.0f;
+  }
+  return v;
+}
+
+/// The scatter the gather's backward stood for before it became a
+/// segment sum: dst[idx[i]] += src[i], i ascending.
+void ScalarScatterAdd(const float* src, int64_t src_stride,
+                      const std::vector<int32_t>& idx, int64_t d,
+                      float* dst) {
+  for (size_t i = 0; i < idx.size(); ++i) {
+    for (int64_t j = 0; j < d; ++j) {
+      dst[idx[i] * d + j] += src[static_cast<int64_t>(i) * src_stride + j];
+    }
+  }
+}
+
+/// 30 gather indices into 9 rows: row 7 is never gathered, row 3 and 0
+/// repeat.
+const std::vector<int32_t> kGatherA = {3, 0, 8, 3, 1, 0, 5, 3, 2, 6,
+                                       0, 4, 3, 8, 1, 0, 3, 6, 5, 2,
+                                       3, 0, 1, 4, 3, 8, 0, 6, 3, 2};
+const std::vector<int32_t> kGatherB = {0, 3, 3, 6, 0, 2, 3, 8, 0, 1,
+                                       3, 5, 0, 4, 3, 6, 0, 2, 3, 8,
+                                       1, 3, 0, 5, 6, 3, 2, 0, 4, 3};
+constexpr int64_t kTableRows = 9;
+
+TEST(GatherBackwardTest, IndexSelectRowsMatchesScalarScatter) {
+  constexpr int64_t kD = 21;
+  const auto n = static_cast<int64_t>(kGatherA.size());
+  const std::vector<float> g = OrderSensitive(n * kD, 40);
+  std::vector<float> reference(static_cast<size_t>(kTableRows * kD), 0.0f);
+  ScalarScatterAdd(g.data(), kD, kGatherA, kD, reference.data());
+  for (const int32_t threads : {1, 2, 4}) {
+    core::SetNumThreads(threads);
+    tensor::Tensor h = tensor::Tensor::Zeros(kTableRows, kD, true);
+    tensor::Tensor y = tensor::IndexSelectRows(h, kGatherA);
+    // The incoming gradient is g itself: y's gradient buffer is seeded
+    // directly, then only the gather's backward runs.
+    (void)y.data();
+    y.impl()->EnsureGrad();
+    std::copy(g.begin(), g.end(), y.grad());
+    tensor::ExecuteNodeBackward(y.impl().get(), /*time_ops=*/false);
+    core::SetNumThreads(1);
+    EXPECT_TRUE(SameBits(std::vector<float>(h.grad(), h.grad() + h.size()),
+                         reference))
+        << threads << " threads";
+  }
+}
+
+TEST(GatherBackwardTest, PairConcatMatchesScalarScatterBThenA) {
+  constexpr int64_t kD = 19;
+  const auto n = static_cast<int64_t>(kGatherA.size());
+  const std::vector<float> g = OrderSensitive(n * 2 * kD, 41);
+  // The b half first, then the a half: the order the tape ran the
+  // backward of the two gathers that PairConcat replaces.
+  std::vector<float> reference(static_cast<size_t>(kTableRows * kD), 0.0f);
+  ScalarScatterAdd(g.data() + kD, 2 * kD, kGatherB, kD, reference.data());
+  ScalarScatterAdd(g.data(), 2 * kD, kGatherA, kD, reference.data());
+  for (const int32_t threads : {1, 2, 4}) {
+    core::SetNumThreads(threads);
+    tensor::Tensor h = tensor::Tensor::Zeros(kTableRows, kD, true);
+    tensor::Tensor y = tensor::PairConcat(h, kGatherA, kGatherB);
+    (void)y.data();
+    y.impl()->EnsureGrad();
+    std::copy(g.begin(), g.end(), y.grad());
+    tensor::ExecuteNodeBackward(y.impl().get(), /*time_ops=*/false);
+    core::SetNumThreads(1);
+    EXPECT_TRUE(SameBits(std::vector<float>(h.grad(), h.grad() + h.size()),
+                         reference))
+        << threads << " threads";
+  }
+}
+
+TEST(ColumnSumTest, MatchesSequentialColumnOrderAtEveryWidth) {
+  constexpr int64_t kN = 53;
+  for (const int64_t d : {1, 15, 16, 17, 64, 65}) {
+    const std::vector<float> g = OrderSensitive(kN * d, 42 + d);
+    std::vector<float> reference(static_cast<size_t>(d), 0.5f);
+    for (int64_t i = 0; i < kN; ++i) {
+      for (int64_t j = 0; j < d; ++j) reference[j] += g[i * d + j];
+    }
+    for (const int32_t threads : {1, 2, 4}) {
+      core::SetNumThreads(threads);
+      std::vector<float> out(static_cast<size_t>(d), 0.5f);
+      tensor::kernels::ColumnSumAccumulate(g.data(), kN, d, out.data());
+      core::SetNumThreads(1);
+      EXPECT_TRUE(SameBits(out, reference))
+          << "d = " << d << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(FusedKernelTest, GatherRowPairsMatchesGatherAndCopy) {
+  constexpr int64_t kD = 23;
+  const std::vector<float> table = OrderSensitive(kTableRows * kD, 43);
+  const auto n = static_cast<int64_t>(kGatherA.size());
+  std::vector<float> q_a(static_cast<size_t>(n * kD));
+  std::vector<float> q_b(q_a.size());
+  tensor::kernels::GatherRows(table.data(), kD, kGatherA.data(), n,
+                              q_a.data());
+  tensor::kernels::GatherRows(table.data(), kD, kGatherB.data(), n,
+                              q_b.data());
+  std::vector<float> reference(static_cast<size_t>(n * 2 * kD));
+  tensor::kernels::CopyColumnBlock(q_a.data(), n, kD, 0, reference.data(),
+                                   2 * kD, 0, kD);
+  tensor::kernels::CopyColumnBlock(q_b.data(), n, kD, 0, reference.data(),
+                                   2 * kD, kD, kD);
+  for (const int32_t threads : {1, 2, 4}) {
+    core::SetNumThreads(threads);
+    std::vector<float> out(reference.size(), 0.0f);
+    tensor::kernels::GatherRowPairs(table.data(), kD, kGatherA.data(),
+                                    kGatherB.data(), n, out.data());
+    core::SetNumThreads(1);
+    EXPECT_TRUE(SameBits(out, reference)) << threads << " threads";
+  }
+}
+
+/// BiasRelu's two kernels against the kernels of AddRowBroadcast and
+/// Relu, forward and backward, on inputs that hold NaN, ±inf and ±0 in
+/// x, the bias and the incoming gradient (-0 included, which no tape
+/// backward can hand over), and an x + b that is exactly -0. The
+/// gradients accumulate into buffers that already hold values and -0,
+/// where the masked gradient's `0 +` decides the sign of a zero sum.
+TEST(FusedKernelTest, BiasReluMatchesAddRowBroadcastThenRelu) {
+  constexpr int64_t kN = 45, kD = 37;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> x = OrderSensitive(kN * kD, 44);
+  std::vector<float> bias = OrderSensitive(kD, 45);
+  const std::vector<float> g = OrderSensitive(kN * kD, 46);
+  x[0] = -0.0f;
+  bias[0] = -0.0f;  // x + b = -0 at (0, 0)
+  x[1] = 0.0f;
+  x[kD + 2] = -0.0f;
+  bias[5] = nan;
+  bias[9] = inf;
+  bias[10] = -inf;
+  bias[12] = 0.0f;
+  // Reference: AddRowBroadcast, Relu, then their backward kernels as
+  // the tape ran them, into zeroed gradients.
+  const auto total = static_cast<size_t>(kN * kD);
+  std::vector<float> sum(total), y_ref(total);
+  tensor::kernels::AddRowBroadcast(x.data(), bias.data(), sum.data(), kN, kD);
+  tensor::kernels::RowwiseMap(sum.data(), y_ref.data(), kN * kD, [](float v) {
+    return tensor::kernels::ScalarRelu(v);
+  });
+  std::vector<float> sum_grad(total, 0.0f);
+  tensor::kernels::RowwiseMapGradAccumulate(
+      sum.data(), y_ref.data(), g.data(), sum_grad.data(), kN * kD,
+      [](float v, float) { return tensor::kernels::ScalarReluGrad(v); });
+  std::vector<float> dx_start = OrderSensitive(kN * kD, 47);
+  std::vector<float> dbias_start = OrderSensitive(kD, 48);
+  for (size_t i = 0; i < dx_start.size(); i += 2) dx_start[i] = -0.0f;
+  for (size_t j = 0; j < dbias_start.size(); j += 3) dbias_start[j] = -0.0f;
+  std::vector<float> dx_ref = dx_start;
+  std::vector<float> dbias_ref = dbias_start;
+  tensor::kernels::Axpy(1.0f, sum_grad.data(), dx_ref.data(), kN * kD);
+  tensor::kernels::ColumnSumAccumulate(sum_grad.data(), kN, kD,
+                                       dbias_ref.data());
+  for (const int32_t threads : {1, 2, 4}) {
+    core::SetNumThreads(threads);
+    std::vector<float> y(total, 0.0f), dx = dx_start, dbias = dbias_start;
+    tensor::kernels::BiasRelu(x.data(), bias.data(), y.data(), kN, kD);
+    tensor::kernels::BiasReluBackward(y.data(), g.data(), kN, kD, dx.data(),
+                                      dbias.data());
+    std::vector<float> dx_only = dx_start;
+    tensor::kernels::BiasReluBackward(y.data(), g.data(), kN, kD,
+                                      dx_only.data(), nullptr);
+    core::SetNumThreads(1);
+    EXPECT_TRUE(SameBits(y, y_ref)) << threads << " threads";
+    EXPECT_TRUE(SameBits(dx, dx_ref)) << threads << " threads";
+    EXPECT_TRUE(SameBits(dbias, dbias_ref)) << threads << " threads";
+    EXPECT_TRUE(SameBits(dx_only, dx_ref)) << threads << " threads";
   }
 }
 

@@ -1,12 +1,12 @@
-// Tape + fusion tests: (1) fused and unfused execution are bit-identical
-// — single chains, full training runs (losses AND trained weight bytes)
-// at 1 and 4 threads; (2) gradcheck passes over fused chains of length
-// 2-4, including broadcast ops at chain boundaries and smallest shapes;
-// (3) the fusion pass actually reduces kernel invocations and buffer
-// allocations (ExecStats); (4) the obs attribution table names fused
-// groups by their constituent ops; (5) laziness semantics: pending
-// graphs lint clean, and an external handle on an intermediate breaks
-// fusion for that link without changing results; (6) the buffer
+// Tape tests: (1) the fused ops PairConcat and BiasRelu are
+// bit-identical to the compositions they replace — values and every
+// gradient, with duplicate indices, ±0, NaN and ±inf — alone and inside
+// the MLP decoder's chain, at 1, 2 and 4 threads; (2) full training runs
+// are bit-identical at 1 and 4 threads, losses AND trained weight bytes;
+// (3) gradcheck passes over chains through the fused ops; (4) the fused
+// ops save kernel invocations and buffers (ExecStats) and appear by name
+// in the obs attribution table; (5) laziness semantics: pending graphs
+// lint clean, and an intermediate's value stays readable; (6) the buffer
 // recycler: reused storage keeps every result bit, only buffers of at
 // least 32 MiB are held, a miss or a TryFit return frees what is held,
 // and concurrent drops and re-creations arrive zero-filled.
@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -43,14 +44,10 @@
 namespace hygnn {
 namespace {
 
-/// Every test leaves the process-wide fusion flag the way the trainer
-/// default would: enabled.
+/// Every test leaves the kernel pool at one thread.
 class TapeTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    tensor::SetFusionEnabled(true);
-    core::SetNumThreads(1);
-  }
+  void TearDown() override { core::SetNumThreads(1); }
 };
 
 tensor::Tensor SeededInput(int64_t rows, int64_t cols, uint64_t seed = 3) {
@@ -61,71 +58,178 @@ tensor::Tensor SeededInput(int64_t rows, int64_t cols, uint64_t seed = 3) {
                                     /*requires_grad=*/true);
 }
 
-/// Runs dropout -> activation -> scale -> mean, backward included, and
-/// captures the loss value and input gradient.
-std::pair<float, std::vector<float>> RunChain(bool fuse, int32_t threads) {
-  core::SetNumThreads(threads);
-  tensor::SetFusionEnabled(fuse);
-  tensor::Tensor x = SeededInput(37, 8);
-  core::Rng rng(17);
-  tensor::Tensor y = tensor::ReduceMean(tensor::Scale(
-      tensor::LeakyRelu(tensor::Dropout(x, 0.3f, /*training=*/true, &rng),
-                        0.1f),
-      0.5f));
-  y.Backward();
-  return {y.item(), std::vector<float>(x.grad(), x.grad() + x.size())};
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-TEST_F(TapeTest, FusedChainBitIdenticalToUnfused) {
-  const auto unfused = RunChain(false, 1);
-  for (const bool fuse : {true, false}) {
-    for (const int32_t threads : {1, 4}) {
-      const auto run = RunChain(fuse, threads);
-      EXPECT_EQ(std::memcmp(&run.first, &unfused.first, sizeof(float)), 0)
-          << "loss, fuse=" << fuse << " threads=" << threads;
-      ASSERT_EQ(run.second.size(), unfused.second.size());
-      EXPECT_EQ(std::memcmp(run.second.data(), unfused.second.data(),
-                            run.second.size() * sizeof(float)),
-                0)
-          << "grad, fuse=" << fuse << " threads=" << threads;
+std::vector<float> ValuesOf(const tensor::Tensor& t) {
+  return std::vector<float>(t.data(), t.data() + t.size());
+}
+
+std::vector<float> GradOf(const tensor::Tensor& t) {
+  return std::vector<float>(t.grad(), t.grad() + t.size());
+}
+
+/// Specials a case sets at fixed positions of its inputs.
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/// Output value and input gradients of one run, in a fixed order.
+using Captured = std::vector<std::vector<float>>;
+
+/// Runs `run` at 1, 2 and 4 threads and expects each capture to memcmp
+/// `reference`, buffer by buffer.
+void ExpectBitsAtThreads(const Captured& reference,
+                         const std::function<Captured()>& run,
+                         const std::string& what) {
+  for (const int32_t threads : {1, 2, 4}) {
+    core::SetNumThreads(threads);
+    const Captured got = run();
+    core::SetNumThreads(1);
+    ASSERT_EQ(got.size(), reference.size()) << what;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(SameBits(got[i], reference[i]))
+          << what << ": buffer " << i << " differs at " << threads
+          << " threads";
     }
   }
 }
 
+/// Incoming gradient for y: loss = sum(y ⊙ g), so y's gradient is g.
+/// Holds NaN, ±inf and ±0, and magnitudes far apart, so a sum over a
+/// column or a source row rounds differently in another order.
+tensor::Tensor IncomingGradient(int64_t rows, int64_t cols, uint64_t seed) {
+  core::Rng rng(seed);
+  std::vector<float> g(static_cast<size_t>(rows * cols));
+  for (size_t i = 0; i < g.size(); ++i) {
+    const float u = rng.UniformFloat() * 2.0f - 1.0f;
+    g[i] = i % 3 == 0 ? u * 1e8f : u;
+  }
+  g[1] = kNaN;
+  g[5] = kInf;
+  g[9] = -kInf;
+  g[13] = 0.0f;
+  g[17] = -0.0f;
+  return tensor::Tensor::FromVector(std::move(g), rows, cols);
+}
+
+/// Table of 7 rows: row 4 is in no pair, row 2 is in the a half (pairs
+/// 0 and 3) and the b half (pairs 1 and 5), and rows 0 and 6 repeat.
+const std::vector<int32_t> kPairA = {2, 0, 6, 2, 1, 6, 0, 3};
+const std::vector<int32_t> kPairB = {5, 2, 0, 3, 0, 2, 6, 6};
+
+Captured RunPairConcat(bool fused) {
+  tensor::Tensor h = SeededInput(7, 21, /*seed=*/31);
+  h.data()[3] = -0.0f;
+  h.data()[22] = kNaN;
+  h.data()[40] = -kInf;
+  const tensor::Tensor y =
+      fused ? tensor::PairConcat(h, kPairA, kPairB)
+            : tensor::ConcatCols(tensor::IndexSelectRows(h, kPairA),
+                                 tensor::IndexSelectRows(h, kPairB));
+  const auto n = static_cast<int64_t>(kPairA.size());
+  tensor::ReduceSum(tensor::Mul(y, IncomingGradient(n, 42, 32))).Backward();
+  return {ValuesOf(y), GradOf(h)};
+}
+
+TEST_F(TapeTest, PairConcatBitIdenticalToGatherAndConcat) {
+  const Captured reference = RunPairConcat(/*fused=*/false);
+  ExpectBitsAtThreads(reference, [] { return RunPairConcat(true); },
+                      "PairConcat");
+}
+
+Captured RunBiasRelu(bool fused) {
+  constexpr int64_t kN = 41, kD = 37;  // three 16-column chunks
+  tensor::Tensor z = SeededInput(kN, kD, /*seed=*/33);
+  tensor::Tensor bias = SeededInput(1, kD, /*seed=*/34);
+  // z + b is exactly -0 at (0, 0); ±0 meets a nonzero bias elsewhere.
+  z.data()[0] = -0.0f;
+  bias.data()[0] = -0.0f;
+  z.data()[1] = 0.0f;
+  z.data()[kD + 2] = -0.0f;
+  z.data()[7] = kNaN;
+  z.data()[kD + 8] = kInf;
+  z.data()[2 * kD + 8] = -kInf;
+  bias.data()[3] = 0.0f;
+  bias.data()[20] = kNaN;
+  bias.data()[30] = kInf;
+  bias.data()[31] = -kInf;
+  const tensor::Tensor y =
+      fused ? tensor::BiasRelu(z, bias)
+            : tensor::Relu(tensor::AddRowBroadcast(z, bias));
+  tensor::ReduceSum(tensor::Mul(y, IncomingGradient(kN, kD, 35))).Backward();
+  return {ValuesOf(y), GradOf(z), GradOf(bias)};
+}
+
+TEST_F(TapeTest, BiasReluBitIdenticalToAddRowBroadcastAndRelu) {
+  const Captured reference = RunBiasRelu(/*fused=*/false);
+  ExpectBitsAtThreads(reference, [] { return RunBiasRelu(true); },
+                      "BiasRelu");
+}
+
+/// The MLP decoder's chain with dropout, as the model records it
+/// (fused) or through the ops the fused ones replace: loss, then the
+/// gradients of the table, both weights and the hidden bias.
+Captured RunDecoderChain(bool fused) {
+  tensor::Tensor h = SeededInput(7, 8, /*seed=*/36);
+  tensor::Tensor w1 = SeededInput(16, 24, /*seed=*/37);
+  tensor::Tensor b1 = SeededInput(1, 24, /*seed=*/38);
+  tensor::Tensor w2 = SeededInput(24, 1, /*seed=*/39);
+  core::Rng rng(17);
+  const tensor::Tensor input =
+      fused ? tensor::PairConcat(h, kPairA, kPairB)
+            : tensor::ConcatCols(tensor::IndexSelectRows(h, kPairA),
+                                 tensor::IndexSelectRows(h, kPairB));
+  const tensor::Tensor z = tensor::MatMul(input, w1);
+  const tensor::Tensor hidden =
+      fused ? tensor::BiasRelu(z, b1)
+            : tensor::Relu(tensor::AddRowBroadcast(z, b1));
+  tensor::Tensor y = tensor::ReduceMean(tensor::MatMul(
+      tensor::Scale(
+          tensor::LeakyRelu(tensor::Dropout(hidden, 0.3f, true, &rng), 0.1f),
+          0.5f),
+      w2));
+  y.Backward();
+  return {{y.item()}, GradOf(h), GradOf(w1), GradOf(b1), GradOf(w2)};
+}
+
+TEST_F(TapeTest, FusedChainBitIdenticalToUnfused) {
+  const Captured reference = RunDecoderChain(/*fused=*/false);
+  ExpectBitsAtThreads(reference, [] { return RunDecoderChain(true); },
+                      "decoder chain");
+}
+
 TEST_F(TapeTest, FusionReducesKernelInvocationsAndAllocations) {
-  const auto run_stats = [](bool fuse) {
-    tensor::SetFusionEnabled(fuse);
+  const auto run_stats = [](bool fused) {
     tensor::ResetExecStats();
-    tensor::Tensor x = SeededInput(64, 16);
-    tensor::Tensor y = tensor::ReduceMean(
-        tensor::Scale(tensor::Sigmoid(tensor::LeakyRelu(x, 0.1f)), 0.5f));
-    y.Backward();
+    RunDecoderChain(fused);
     return tensor::ExecStats();
   };
   const auto fused = run_stats(true);
   const auto unfused = run_stats(false);
   EXPECT_EQ(unfused.fused_groups, 0u);
-  EXPECT_GE(fused.fused_groups, 1u);
-  // LeakyRelu|Sigmoid|Scale collapse into one invocation: 2 fewer
-  // kernel launches and 2 fewer intermediate buffers.
-  EXPECT_LT(fused.ops_executed, unfused.ops_executed);
-  EXPECT_LT(fused.buffers_allocated, unfused.buffers_allocated);
+  EXPECT_EQ(fused.fused_groups, 2u);  // one PairConcat, one BiasRelu
+  // Two gathers and a concat become one op, a bias add and a Relu one
+  // more: 3 fewer kernel launches and 3 fewer forward buffers.
+  EXPECT_EQ(fused.ops_executed + 3, unfused.ops_executed);
+  EXPECT_EQ(fused.buffers_allocated + 3, unfused.buffers_allocated);
 }
 
 // ---------------------------------------------------------------------------
-// Gradcheck over fused chains
+// Gradcheck over chains through the fused ops
 // ---------------------------------------------------------------------------
 
-class FusedGradcheckTest : public TapeTest {
- protected:
-  void SetUp() override { tensor::SetFusionEnabled(true); }
-};
+using FusedGradcheckTest = TapeTest;
 
 TEST_F(FusedGradcheckTest, Length2Chain) {
+  const tensor::Tensor bias =
+      tensor::Tensor::FromVector({0.25f, -0.3f, 0.1f}, 1, 3);
   testing::ExpectGradMatchesNumeric(
       [] { return SeededInput(5, 3); },
-      [](const tensor::Tensor& x) {
-        return tensor::ReduceMean(tensor::Scale(tensor::Relu(x), 0.5f));
+      [&bias](const tensor::Tensor& x) {
+        return tensor::ReduceMean(
+            tensor::Scale(tensor::BiasRelu(x, bias), 0.5f));
       });
 }
 
@@ -137,32 +241,48 @@ TEST_F(FusedGradcheckTest, Length3ChainWithDropout) {
         // the identical mask.
         core::Rng rng(5);
         return tensor::ReduceMean(tensor::Scale(
-            tensor::LeakyRelu(tensor::Dropout(x, 0.25f, true, &rng), 0.2f),
+            tensor::LeakyRelu(
+                tensor::Dropout(tensor::PairConcat(x, {0, 2, 2, 1, 3},
+                                                   {3, 3, 0, 2, 2}),
+                                0.25f, true, &rng),
+                0.2f),
             0.7f));
       });
 }
 
 TEST_F(FusedGradcheckTest, Length4Chain) {
+  const tensor::Tensor w =
+      tensor::Tensor::FromVector({0.9f, -0.4f, 0.3f, 1.2f, -0.7f, 0.5f,
+                                  0.2f, 0.8f, -1.1f, 0.6f, 0.4f, -0.2f},
+                                 4, 3);
+  const tensor::Tensor bias =
+      tensor::Tensor::FromVector({0.1f, 0.2f, -0.1f}, 1, 3);
   testing::ExpectGradMatchesNumeric(
       [] { return SeededInput(6, 2); },
-      [](const tensor::Tensor& x) {
+      [&](const tensor::Tensor& x) {
+        const tensor::Tensor pairs =
+            tensor::PairConcat(x, {0, 1, 5, 3}, {4, 1, 2, 0});
         return tensor::ReduceMean(tensor::Scale(
-            tensor::Sigmoid(tensor::LeakyRelu(tensor::Scale(x, 1.1f), 0.1f)),
+            tensor::Sigmoid(tensor::BiasRelu(tensor::MatMul(pairs, w), bias)),
             0.7f));
       });
 }
 
 TEST_F(FusedGradcheckTest, BroadcastOpsAtChainBoundary) {
-  // AddRowBroadcast / MulColumnBroadcast fuse only when the broadcast
-  // side needs no grad; the chain still differentiates through x.
-  const tensor::Tensor bias =
-      tensor::Tensor::FromVector({0.3f, -0.2f, 0.5f}, 1, 3);
+  // The bias side of BiasRelu is differentiated too; the chain around
+  // it is unchanged.
+  const tensor::Tensor z = tensor::Tensor::FromVector(
+      {0.4f, -0.9f, 1.3f, -0.2f, 0.7f, -1.4f, 0.6f, 1.1f, -0.5f, 0.9f, -0.3f,
+       0.8f},
+      4, 3);
   testing::ExpectGradMatchesNumeric(
-      [] { return SeededInput(4, 3); },
-      [&bias](const tensor::Tensor& x) {
+      [] {
+        return tensor::Tensor::FromVector({0.3f, -0.2f, 0.5f}, 1, 3,
+                                          /*requires_grad=*/true);
+      },
+      [&z](const tensor::Tensor& bias) {
         return tensor::ReduceMean(
-            tensor::Sigmoid(tensor::AddRowBroadcast(tensor::Scale(x, 1.3f),
-                                                    bias)));
+            tensor::Sigmoid(tensor::BiasRelu(tensor::Scale(z, 1.3f), bias)));
       });
   const tensor::Tensor w =
       tensor::Tensor::FromVector({0.5f, -1.0f, 2.0f, 0.25f}, 4, 1);
@@ -176,17 +296,21 @@ TEST_F(FusedGradcheckTest, BroadcastOpsAtChainBoundary) {
 
 TEST_F(FusedGradcheckTest, SmallestShapes) {
   // Tensors cannot be empty (Tensor::Full checks rows/cols > 0), so the
-  // boundary cases are single-element and single-row chains.
+  // boundary cases are a one-row table paired with itself and a
+  // single-element bias.
   testing::ExpectGradMatchesNumeric(
       [] { return SeededInput(1, 1); },
       [](const tensor::Tensor& x) {
-        return tensor::ReduceMean(tensor::Scale(tensor::Tanh(x), 2.0f));
-      });
-  testing::ExpectGradMatchesNumeric(
-      [] { return SeededInput(1, 8); },
-      [](const tensor::Tensor& x) {
         return tensor::ReduceMean(
-            tensor::Sigmoid(tensor::Scale(tensor::Relu(x), 0.9f)));
+            tensor::Scale(tensor::Tanh(tensor::PairConcat(x, {0}, {0})),
+                          2.0f));
+      });
+  const tensor::Tensor bias = tensor::Tensor::FromVector({0.35f}, 1, 1);
+  testing::ExpectGradMatchesNumeric(
+      [] { return SeededInput(1, 1, /*seed=*/4); },
+      [&bias](const tensor::Tensor& x) {
+        return tensor::ReduceMean(
+            tensor::Sigmoid(tensor::BiasRelu(x, bias)));
       });
 }
 
@@ -195,7 +319,6 @@ TEST_F(FusedGradcheckTest, SmallestShapes) {
 // ---------------------------------------------------------------------------
 
 TEST_F(TapeTest, PendingGraphLintsCleanAndMaterializesOnRead) {
-  tensor::SetFusionEnabled(true);
   tensor::Tensor x = SeededInput(3, 3);
   tensor::Tensor y = tensor::Scale(tensor::Relu(x), 2.0f);
   // Nothing has executed yet; the pending graph must still lint clean.
@@ -206,11 +329,10 @@ TEST_F(TapeTest, PendingGraphLintsCleanAndMaterializesOnRead) {
   EXPECT_TRUE(tensor::GraphLint(y).clean());
 }
 
-TEST_F(TapeTest, ExternalHandleOnIntermediateBreaksFusionNotResults) {
-  tensor::SetFusionEnabled(true);
+TEST_F(TapeTest, ExternalHandleOnIntermediateKeepsItsValue) {
   tensor::Tensor x = SeededInput(8, 4);
-  // `mid` is a live external handle: its use_count > 1 makes it
-  // ineligible as a fused interior, so its value stays observable.
+  // `mid` is a live external handle on an intermediate: after the
+  // backward pass its value is still there to read.
   tensor::Tensor mid = tensor::Relu(x);
   tensor::Tensor y = tensor::ReduceMean(tensor::Scale(mid, 3.0f));
   y.Backward();
@@ -222,7 +344,6 @@ TEST_F(TapeTest, ExternalHandleOnIntermediateBreaksFusionNotResults) {
 }
 
 TEST_F(TapeTest, InferenceForwardLeavesPlainValueNodes) {
-  tensor::SetFusionEnabled(true);
   tensor::Tensor x = SeededInput(4, 4);
   tensor::InferenceModeScope inference;
   tensor::Tensor y = tensor::Scale(tensor::Sigmoid(x), 2.0f);
@@ -235,33 +356,28 @@ TEST_F(TapeTest, InferenceForwardLeavesPlainValueNodes) {
 }
 
 // ---------------------------------------------------------------------------
-// obs attribution of fused groups
+// obs attribution of the fused ops
 // ---------------------------------------------------------------------------
 
 TEST_F(TapeTest, FusedGroupsAppearInOpTimeAttribution) {
-  tensor::SetFusionEnabled(true);
   obs::ResetOpTimes();
   obs::SetKernelTimingEnabled(true);
-  tensor::Tensor x = SeededInput(32, 8);
-  tensor::Tensor y = tensor::ReduceMean(
-      tensor::Scale(tensor::Sigmoid(tensor::LeakyRelu(x, 0.1f)), 0.5f));
-  y.Backward();
+  RunDecoderChain(/*fused=*/true);
   obs::SetKernelTimingEnabled(false);
   const auto snapshot = obs::OpTimeSnapshot();
-  bool found = false;
-  for (const auto& entry : snapshot) {
-    if (entry.op == "Fused[LeakyRelu|Sigmoid|Scale]") {
-      found = true;
-      EXPECT_EQ(entry.forward_calls, 1u);
-      EXPECT_EQ(entry.backward_calls, 1u);
-    }
+  for (const std::string op : {"PairConcat", "BiasRelu"}) {
+    const auto entry =
+        std::find_if(snapshot.begin(), snapshot.end(),
+                     [&op](const obs::OpTimeEntry& e) { return e.op == op; });
+    ASSERT_NE(entry, snapshot.end()) << op << " not in the attribution table";
+    EXPECT_EQ(entry->forward_calls, 1u) << op;
+    EXPECT_EQ(entry->backward_calls, 1u) << op;
   }
-  EXPECT_TRUE(found) << "no fused group in the attribution table";
   obs::ResetOpTimes();
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: fused and unfused training are memcmp-identical
+// End-to-end: training is memcmp-identical at any thread count
 // ---------------------------------------------------------------------------
 
 struct TrainArtifacts {
@@ -269,7 +385,7 @@ struct TrainArtifacts {
   std::string weight_bytes;
 };
 
-TrainArtifacts TrainOnce(bool fuse, int32_t threads) {
+TrainArtifacts TrainOnce(int32_t threads) {
   data::DatasetConfig data_config;
   data_config.num_drugs = 60;
   data_config.seed = 7;
@@ -295,7 +411,6 @@ TrainArtifacts TrainOnce(bool fuse, int32_t threads) {
   train_config.epochs = 8;
   train_config.seed = 11;
   train_config.threads = threads;
-  train_config.fuse = fuse;
   model::HyGnnTrainer trainer(&model, train_config);
   trainer.Fit(context, pairs);
 
@@ -313,30 +428,21 @@ TrainArtifacts TrainOnce(bool fuse, int32_t threads) {
   return artifacts;
 }
 
-TEST_F(TapeTest, TrainingBitIdenticalWithFusionOnOrOff) {
-  const TrainArtifacts reference = TrainOnce(/*fuse=*/false, /*threads=*/1);
+TEST_F(TapeTest, TrainingBitIdenticalAcrossThreadCounts) {
+  const TrainArtifacts reference = TrainOnce(/*threads=*/1);
   ASSERT_EQ(reference.losses.size(), 8u);
   ASSERT_FALSE(reference.weight_bytes.empty());
-  const struct {
-    bool fuse;
-    int32_t threads;
-  } variants[] = {{true, 1}, {true, 4}, {false, 4}};
-  for (const auto& variant : variants) {
-    const TrainArtifacts run = TrainOnce(variant.fuse, variant.threads);
-    ASSERT_EQ(run.losses.size(), reference.losses.size());
-    EXPECT_EQ(std::memcmp(run.losses.data(), reference.losses.data(),
-                          run.losses.size() * sizeof(float)),
-              0)
-        << "epoch losses diverged, fuse=" << variant.fuse
-        << " threads=" << variant.threads;
-    ASSERT_EQ(run.weight_bytes.size(), reference.weight_bytes.size());
-    EXPECT_EQ(std::memcmp(run.weight_bytes.data(),
-                          reference.weight_bytes.data(),
-                          run.weight_bytes.size()),
-              0)
-        << "trained weight bytes diverged, fuse=" << variant.fuse
-        << " threads=" << variant.threads;
-  }
+  const TrainArtifacts run = TrainOnce(/*threads=*/4);
+  ASSERT_EQ(run.losses.size(), reference.losses.size());
+  EXPECT_EQ(std::memcmp(run.losses.data(), reference.losses.data(),
+                        run.losses.size() * sizeof(float)),
+            0)
+      << "epoch losses diverged at 4 threads";
+  ASSERT_EQ(run.weight_bytes.size(), reference.weight_bytes.size());
+  EXPECT_EQ(std::memcmp(run.weight_bytes.data(), reference.weight_bytes.data(),
+                        run.weight_bytes.size()),
+            0)
+      << "trained weight bytes diverged at 4 threads";
 }
 
 // ---------------------------------------------------------------------------
@@ -395,11 +501,6 @@ FloorPass RunFloorPass() {
   std::fill(y.grad(), y.grad() + n, nan);
   std::fill(x.grad(), x.grad() + n, nan);
   return pass;
-}
-
-bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 TEST_F(BufferRecyclerTest, ReusedStorageKeepsEveryBit) {
@@ -473,7 +574,7 @@ TEST_F(BufferRecyclerTest, MissFreesEverythingHeld) {
 TEST_F(BufferRecyclerTest, TryFitReturnsWithNothingHeld) {
   ZeroedNode(kFloorRows);
   ASSERT_EQ(tensor::ExecStats().bytes_held, kFloorBytes);
-  const TrainArtifacts run = TrainOnce(/*fuse=*/true, /*threads=*/1);
+  const TrainArtifacts run = TrainOnce(/*threads=*/1);
   EXPECT_FALSE(run.losses.empty());
   EXPECT_EQ(tensor::ExecStats().bytes_held, 0u);
 }

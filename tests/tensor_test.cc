@@ -88,6 +88,13 @@ TEST(OpsTest, AddRowBroadcast) {
   EXPECT_EQ(y.At(1, 1), 24.0f);
 }
 
+TEST(OpsTest, BiasReluRefusesOneTensorAsBothInputs) {
+  // BiasRelu's backward writes the two inputs' gradients in one pass,
+  // so a [1, d] tensor may not be both z and the bias.
+  Tensor x = Tensor::FromVector({1, -2}, 1, 2, /*requires_grad=*/true);
+  EXPECT_DEATH(BiasRelu(x, x), "itself");
+}
+
 TEST(OpsTest, MulColumnBroadcast) {
   Tensor x = Tensor::FromVector({1, 2, 3, 4}, 2, 2);
   Tensor w = Tensor::FromVector({2, -1}, 2, 1);
