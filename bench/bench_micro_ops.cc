@@ -350,8 +350,11 @@ std::pair<std::vector<int32_t>, std::vector<int32_t>> RandomPairs(
 /// (an m = 1 product). Rows:
 ///  - Decoder.L1 fwd: MatMul [136241x128]·[128x64].
 ///  - Decoder.L2 fwd: MatMul [136241x64]·[64x1] on a ReLU output.
-///  - Decoder.L2 fwd+bwd: that forward, its sum, and the backward's
-///    MatMulNT (k = 1) and MatMulTN (m = 1).
+///  - Decoder.L1 fwd+bwd: layer 1's forward, its sum, and the
+///    backward's MatMulNT (dX) and MatMulTN (dW1, which reduces over
+///    all 136,241 rows).
+///  - Decoder.L2 fwd+bwd: layer 2's forward, its sum, and the
+///    backward's MatMulNT (k = 1) and MatMulTN (m = 1).
 ///  - Decoder fwd+bwd: the model's decoder op sequence, forward and
 ///    backward: PairConcat of an 824-drug table, layer 1, BiasRelu,
 ///    layer 2 and its bias, so all six products of a training step plus
@@ -393,6 +396,15 @@ void SweepDenseProducts(std::vector<ScalingResult>* results) {
     return out;
   };
   tensor::Tensor loss;
+  SweepThreads(
+      "Decoder.L1 fwd+bwd", kPairs, kHidden,
+      [&] {
+        x.ZeroGrad();
+        w1.ZeroGrad();
+        loss = tensor::ReduceSum(tensor::MatMul(x, w1));
+        loss.Backward();
+      },
+      [&] { return loss_and_grads(loss, {x, w1}); }, results);
   SweepThreads(
       "Decoder.L2 fwd+bwd", kPairs, 1,
       [&] {

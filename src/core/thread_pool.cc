@@ -14,6 +14,13 @@ namespace {
 /// deadlocking on the single shared job slot.
 thread_local bool t_inside_parallel_for = false;
 
+/// Claims a job makes on its shared counters, at most (plus one failed
+/// claim per worker): a job of n chunks is claimed in runs of
+/// ⌈n / kClaimsPerJob⌉ consecutive chunks, so jobs of up to
+/// kClaimsPerJob chunks claim them one at a time. The run depends on the
+/// chunk count alone, and fn still receives one call per chunk.
+constexpr int64_t kClaimsPerJob = 256;
+
 }  // namespace
 
 ThreadPool::ThreadPool(int32_t num_threads)
@@ -55,11 +62,14 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::RunChunks(Job* job) {
   for (;;) {
-    const int64_t chunk = job->next_chunk.fetch_add(1, std::memory_order_relaxed);
-    if (chunk >= job->num_chunks) break;
-    // After a failure the job is abandoned: remaining chunks are
-    // counted as done without running so the caller unblocks fast.
-    if (!job->failed.load(std::memory_order_acquire)) {
+    const int64_t first =
+        job->next_chunk.fetch_add(job->run, std::memory_order_relaxed);
+    if (first >= job->num_chunks) break;
+    const int64_t last = std::min(job->num_chunks, first + job->run);
+    for (int64_t chunk = first; chunk < last; ++chunk) {
+      // After a failure the job is abandoned: remaining chunks are
+      // counted as done without running so the caller unblocks fast.
+      if (job->failed.load(std::memory_order_acquire)) break;
       try {
         const int64_t lo = job->begin + chunk * job->grain;
         const int64_t hi = std::min(job->end, lo + job->grain);
@@ -73,7 +83,8 @@ void ThreadPool::RunChunks(Job* job) {
       }
     }
     const int64_t done =
-        job->done_chunks.fetch_add(1, std::memory_order_acq_rel) + 1;
+        job->done_chunks.fetch_add(last - first, std::memory_order_acq_rel) +
+        (last - first);
     if (done == job->num_chunks) {
       // Lock pairs with the caller's predicate check to avoid a missed
       // wakeup between its done_chunks load and its wait.
@@ -98,6 +109,7 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
   job->end = end;
   job->grain = grain;
   job->num_chunks = (range + grain - 1) / grain;
+  job->run = (job->num_chunks + kClaimsPerJob - 1) / kClaimsPerJob;
   job->fn = &fn;
   {
     MutexLock lock(mutex_);

@@ -25,7 +25,11 @@ namespace hygnn::core {
 /// worker picks up which chunk — so any kernel whose chunks write
 /// disjoint outputs and preserve per-element accumulation order
 /// produces bit-identical results at every thread count, including the
-/// inline sequential path used when the pool has one thread.
+/// inline sequential path used when the pool has one thread. Workers
+/// claim runs of ⌈chunks / 256⌉ consecutive chunks, so a job touches
+/// its shared counters about 256 times however many chunks it has; a
+/// run decides only which worker runs a chunk, and `fn` still receives
+/// one call per chunk.
 ///
 /// Lock discipline is machine-checked: every field the pool mutex
 /// protects is HYGNN_GUARDED_BY-annotated, and clang builds promote
@@ -43,9 +47,9 @@ class ThreadPool {
   int32_t num_threads() const { return num_threads_; }
 
   /// Runs fn(chunk_begin, chunk_end) over every grain-sized chunk of
-  /// [begin, end), distributing chunks across the pool. Blocks until
-  /// all chunks finished. If any invocation of `fn` throws, the first
-  /// exception (in completion order) is rethrown here after all
+  /// [begin, end), distributing runs of chunks across the pool. Blocks
+  /// until all chunks finished. If any invocation of `fn` throws, the
+  /// first exception (in completion order) is rethrown here after all
   /// remaining chunks have been skipped; the pool stays usable.
   ///
   /// Not reentrant: a nested call from inside `fn` runs the nested
@@ -60,6 +64,8 @@ class ThreadPool {
     int64_t end = 0;
     int64_t grain = 1;
     int64_t num_chunks = 0;
+    /// Consecutive chunks one claim takes (see kClaimsPerJob).
+    int64_t run = 1;
     std::atomic<int64_t> next_chunk{0};
     std::atomic<int64_t> done_chunks{0};
     std::atomic<bool> failed{false};

@@ -30,7 +30,9 @@ namespace hygnn::tensor::kernels {
 
 /// Chunk sizes for core::ParallelFor. Fixed constants — never derived
 /// from the thread count — so the partition (and thus any per-chunk
-/// rounding behavior) is identical no matter how many workers run.
+/// rounding behavior) is identical no matter how many workers run. The
+/// dense products (matmul.cc) size their chunks from the product's
+/// shape instead, by the same rule.
 inline constexpr int64_t kElementGrain = 4096;  // cheap per-element maps
 inline constexpr int64_t kRowGrain = 4;         // O(cols)+ work per row
 inline constexpr int64_t kSegmentGrain = 16;    // per-segment reductions
@@ -42,7 +44,7 @@ inline constexpr int64_t kLineGrain = 16;
 // matmul.cc — dense products and layout transforms
 //
 // Rounding contract: each element of c gets the same float operations,
-// in the same order, at any shape, tile or thread count.
+// in the same order, at any shape, tile, chunk, block or thread count.
 //   MatMul, MatMulTN: for t ascending, c = MulAdd(a, b, c) wherever
 //     a != 0. MulAdd rounds once (std::fma) when the target has FMA
 //     (__FMA__) and twice (c + a*b) otherwise. An a of ±0 is skipped,
@@ -58,8 +60,17 @@ inline constexpr int64_t kLineGrain = 16;
 // All three run one register-tiled microkernel: a 4-row × 64-column
 // tile of c accumulates in registers while t walks forward. MatMul
 // reads a by rows, MatMulTN by columns (no transposed copy), MatMulNT
-// packs bᵀ once per call, and a one-column c takes a matrix-vector
-// tile with one accumulator per row.
+// packs bᵀ once per call, and a one-column c takes a 16-row
+// matrix-vector tile with one accumulator per row.
+//
+// Chunks come from the shape, never the thread count. A MatMul or
+// MatMulNT chunk is the fewest whole 4-row tiles of at least 2¹⁴
+// multiply-adds, so the decoder's m = 1 and k = 1 products run 256-row
+// chunks. A MatMulTN chunk is 32 rows of c, and it walks the reduction
+// in blocks of 64 rows of a and b, running all its tiles over one block
+// before the next. Between blocks a tile spills its accumulators to c;
+// they are floats, so the spill rounds nothing. MatMulNT is not
+// blocked, because its s starts at +0 and is added into c only once.
 // ---------------------------------------------------------------------------
 
 /// c[n,m] += a[n,k] · b[k,m]. Parallel over rows of c.
@@ -75,7 +86,7 @@ void MatMulNT(const float* a, const float* b, float* c, int64_t n, int64_t k,
 /// c[k,m] += a[n,k]ᵀ · b[n,m] — the transposed-A product used by
 /// MatMul's dB backward without materializing a transposed copy.
 /// Parallel over rows of c (columns of a); each element accumulates
-/// over i ascending.
+/// over i ascending, 64 rows of a and b at a time.
 void MatMulTN(const float* a, const float* b, float* c, int64_t n, int64_t k,
               int64_t m);
 

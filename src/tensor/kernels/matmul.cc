@@ -2,6 +2,7 @@
 // (see CMakeLists.txt), so the source below, not the optimizer, decides
 // every rounding: a multiply and an add fuse only where MulAdd says so.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -12,14 +13,33 @@
 namespace hygnn::tensor::kernels {
 namespace {
 
-/// Rows of c one microkernel call accumulates. Equal to kRowGrain, so
-/// every pool chunk is whole tiles; only the last rows of a range (or
-/// of a threads = 1 call) take a shorter tile.
+/// Rows of c one microkernel call accumulates. A chunk is whole tiles
+/// except at the end of the range, whose last rows take a shorter tile.
 constexpr int64_t kTileRows = 4;
-static_assert(kRowGrain % kTileRows == 0);
 
 /// Columns of c per tile: a 4 × 64 tile is sixteen 512-bit registers.
 constexpr int64_t kTileCols = 64;
+
+/// Rows of a one-column c per matrix-vector tile: sixteen independent
+/// accumulator chains, where a 4-row tile leaves each MulAdd waiting on
+/// the one before it.
+constexpr int64_t kVectorTileRows = 16;
+
+/// Least multiply-adds of a MatMul or MatMulNT chunk, which is the
+/// fewest whole tiles that reach it. Rows of 64 multiply-adds (the
+/// decoder's output layer, m = 1 or k = 1) run in 256-row chunks; rows
+/// of 4,096 or more run one tile per chunk.
+constexpr int64_t kChunkMulAdds = int64_t{1} << 14;
+
+/// Rows of c per MatMulTN chunk: eight tiles that share each block of
+/// the reduction.
+constexpr int64_t kReductionChunkRows = 32;
+static_assert(kReductionChunkRows % kVectorTileRows == 0);
+
+/// Rows of a and b per block of MatMulTN's reduction. A chunk runs all
+/// of its tiles over one block before the next, so it streams b once
+/// rather than once per tile.
+constexpr int64_t kReductionBlockRows = 64;
 
 /// c + a·b as MatMul and MatMulTN round it: once, fused, on targets
 /// with FMA; a rounded product and then a rounded sum elsewhere.
@@ -119,10 +139,16 @@ void RowTile(const Product& p, int64_t r0) {
   if (j0 < p.m) Tile<kRounding, R, 0>(p, r0, j0, p.m - j0);
 }
 
-/// Rows [lo, hi) of c in tiles of kTileRows, then one shorter tile.
+/// Rows [lo, hi) of c in tiles of kTileRows (kVectorTileRows first
+/// when c has one column), then one shorter tile.
 template <Rounding kRounding>
 void Rows(const Product& p, int64_t lo, int64_t hi) {
   int64_t r0 = lo;
+  if (p.m == 1) {
+    for (; r0 + kVectorTileRows <= hi; r0 += kVectorTileRows) {
+      Tile<kRounding, kVectorTileRows, 1>(p, r0, 0, 1);
+    }
+  }
   for (; r0 + kTileRows <= hi; r0 += kTileRows) {
     RowTile<kRounding, kTileRows>(p, r0);
   }
@@ -141,9 +167,15 @@ void Rows(const Product& p, int64_t lo, int64_t hi) {
   }
 }
 
+/// All rows of c, in chunks of the fewest whole tiles that hold
+/// kChunkMulAdds: a function of the shape, never of the thread count.
 template <Rounding kRounding>
 void ParallelRows(const Product& p, int64_t rows) {
-  core::ParallelFor(0, rows, kRowGrain, [&](int64_t lo, int64_t hi) {
+  const int64_t tile_mul_adds =
+      std::max<int64_t>(1, kTileRows * p.depth * p.m);
+  const int64_t grain =
+      kTileRows * ((kChunkMulAdds + tile_mul_adds - 1) / tile_mul_adds);
+  core::ParallelFor(0, rows, grain, [&](int64_t lo, int64_t hi) {
     Rows<kRounding>(p, lo, hi);
   });
 }
@@ -168,8 +200,19 @@ void MatMulNT(const float* a, const float* b, float* c, int64_t n, int64_t k,
 
 void MatMulTN(const float* a, const float* b, float* c, int64_t n, int64_t k,
               int64_t m) {
-  // Row r of c is column r of a; t walks the n shared rows of a and b.
-  ParallelRows<Rounding::kMulAdd>({a, 1, k, b, c, m, n}, k);
+  // Row r of c is column r of a; t walks the n shared rows of a and b,
+  // one block at a time. Each tile reloads its accumulators from c at
+  // the start of a block and stores them at the end; they are floats,
+  // so the spill rounds nothing and every element still takes MulAdd
+  // for t ascending. MatMulNT cannot block this way: its sum starts at
+  // +0 and is added into c once.
+  core::ParallelFor(0, k, kReductionChunkRows, [&](int64_t lo, int64_t hi) {
+    for (int64_t t0 = 0; t0 < n; t0 += kReductionBlockRows) {
+      const Product block{a + t0 * k, 1, k, b + t0 * m, c, m,
+                          std::min(kReductionBlockRows, n - t0)};
+      Rows<Rounding::kMulAdd>(block, lo, hi);
+    }
+  });
 }
 
 void Transpose(const float* x, int64_t n, int64_t d, float* out) {

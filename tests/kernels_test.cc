@@ -338,55 +338,72 @@ std::vector<float> DenseInput(core::Rng* rng, int64_t size, double zero_frac) {
   return v;
 }
 
+/// A product's (n, k, m), as the kernels take them.
+struct Shape {
+  int64_t n, k, m;
+};
+
 /// Runs `kernel` at 1, 2 and 4 threads over every shape in the grid and
-/// memcmps c against `reference`. Zero-heavy a (with -0) and a c that
-/// starts nonzero (with some -0) pin the skip-zero and accumulate
-/// contracts; row counts around the 4-row tile and 1,024 rows make the
-/// single-chunk threads = 1 call form its tiles itself.
-/// `transposed_a` marks MatMulTN, whose b is [n,m] and c is [k,m].
+/// in `boundary`, and memcmps c against `reference`. Zero-heavy a (with
+/// -0) and a c that starts nonzero (with some -0) pin the skip-zero and
+/// accumulate contracts; row counts around the 4-row tile and 1,024
+/// rows make the single-chunk threads = 1 call form its tiles itself.
+/// `boundary` holds shapes off the grid that end a chunk or a reduction
+/// block on a short tail. `transposed_a` marks MatMulTN, whose b is
+/// [n,m] and c is [k,m].
 void ExpectMatchesReference(const char* name, bool transposed_a,
-                            DenseKernel kernel, DenseKernel reference) {
+                            DenseKernel kernel, DenseKernel reference,
+                            const std::vector<Shape>& boundary) {
   const int64_t kRowsGrid[] = {1, 3, 5, 90, 1024};
   const int64_t kDimGrid[] = {1, 3, 8, 13, 63, 64, 65, 128};
-  core::Rng rng(2024);
-  int failures = 0;
+  std::vector<Shape> shapes;
   for (int64_t n : kRowsGrid) {
     for (int64_t k : kDimGrid) {
-      for (int64_t m : kDimGrid) {
-        const auto a = DenseInput(&rng, n * k, 0.4);
-        const auto b = DenseInput(&rng, (transposed_a ? n : k) * m, 0.1);
-        const auto c0 = DenseInput(&rng, (transposed_a ? k : n) * m, 0.2);
-        std::vector<float> expected = c0;
-        reference(a.data(), b.data(), expected.data(), n, k, m);
-        for (int32_t threads : {1, 2, 4}) {
-          core::SetNumThreads(threads);
-          std::vector<float> c = c0;
-          kernel(a.data(), b.data(), c.data(), n, k, m);
-          core::SetNumThreads(1);
-          const bool same = std::memcmp(c.data(), expected.data(),
-                                        c.size() * sizeof(float)) == 0;
-          EXPECT_TRUE(same) << name << " n=" << n << " k=" << k
-                            << " m=" << m << " threads=" << threads;
-          if (!same && ++failures >= 5) return;
-        }
-      }
+      for (int64_t m : kDimGrid) shapes.push_back({n, k, m});
+    }
+  }
+  shapes.insert(shapes.end(), boundary.begin(), boundary.end());
+  core::Rng rng(2024);
+  int failures = 0;
+  for (const auto& [n, k, m] : shapes) {
+    const auto a = DenseInput(&rng, n * k, 0.4);
+    const auto b = DenseInput(&rng, (transposed_a ? n : k) * m, 0.1);
+    const auto c0 = DenseInput(&rng, (transposed_a ? k : n) * m, 0.2);
+    std::vector<float> expected = c0;
+    reference(a.data(), b.data(), expected.data(), n, k, m);
+    for (int32_t threads : {1, 2, 4}) {
+      core::SetNumThreads(threads);
+      std::vector<float> c = c0;
+      kernel(a.data(), b.data(), c.data(), n, k, m);
+      core::SetNumThreads(1);
+      const bool same = std::memcmp(c.data(), expected.data(),
+                                    c.size() * sizeof(float)) == 0;
+      EXPECT_TRUE(same) << name << " n=" << n << " k=" << k << " m=" << m
+                        << " threads=" << threads;
+      if (!same && ++failures >= 5) return;
     }
   }
 }
 
+/// MatMul and MatMulNT rows of 64 multiply-adds run in 256-row chunks:
+/// 4,099 rows are 17 chunks, the last of 3 rows.
+const std::vector<Shape> kThinRowShapes = {{4099, 64, 1}, {4099, 1, 64}};
+
 TEST(DenseProductTest, MatMulMatchesRoundingReference) {
   ExpectMatchesReference("MatMul", false, tensor::kernels::MatMul,
-                         ReferenceMatMul);
+                         ReferenceMatMul, kThinRowShapes);
 }
 
 TEST(DenseProductTest, MatMulNTMatchesRoundingReference) {
   ExpectMatchesReference("MatMulNT", false, tensor::kernels::MatMulNT,
-                         ReferenceMatMulNT);
+                         ReferenceMatMulNT, kThinRowShapes);
 }
 
 TEST(DenseProductTest, MatMulTNMatchesRoundingReference) {
+  // n = 4,099 is 65 reduction blocks of 64 rows, the last of 3 rows;
+  // k = 130 is five chunks of 32 rows of c, the last of 2 rows.
   ExpectMatchesReference("MatMulTN", true, tensor::kernels::MatMulTN,
-                         ReferenceMatMulTN);
+                         ReferenceMatMulTN, {{4099, 130, 64}, {4099, 64, 1}});
 }
 
 /// Every element of c is the two-step reduction -1·p + q·q from c = 0
@@ -394,7 +411,8 @@ TEST(DenseProductTest, MatMulTNMatchesRoundingReference) {
 /// second, 1 + 2⁻¹¹ + 2⁻²⁴, is not a float. Fused, it leaves 2⁻²⁴;
 /// rounded first, it cancels to 0. So c shows which rounding ran, in
 /// every tile shape: one column (the matrix-vector path), a full and a
-/// partial 64-column block, and a shorter last row tile.
+/// partial 64-column block, and a shorter last row tile. MatMulTN also
+/// runs the two steps 101 rows apart, in different reduction blocks.
 TEST(DenseProductTest, ContractionCanary) {
   const float p = 1.0f + 0x1p-11f;
   const float q = 1.0f + 0x1p-12f;
@@ -427,13 +445,24 @@ TEST(DenseProductTest, ContractionCanary) {
         tensor::kernels::MatMulNT(a_rows.data(), b_nt.data(), c.data(), rows,
                                   2, m);
         for (float v : c) ASSERT_EQ(0.0f, v) << "MatMulNT " << shape;
-        // MatMulTN: a is [2, rows] with rows (-1, ...) and (q, ...).
-        std::vector<float> a_cols(static_cast<size_t>(rows), -1.0f);
-        a_cols.resize(static_cast<size_t>(2 * rows), q);
-        std::fill(c.begin(), c.end(), 0.0f);
-        tensor::kernels::MatMulTN(a_cols.data(), b_nn.data(), c.data(), 2,
-                                  rows, m);
-        for (float v : c) ASSERT_EQ(fused_kernels, v) << "MatMulTN " << shape;
+        // MatMulTN: a is [2 + gap, rows] with rows (-1, ...), `gap` rows
+        // of zeros and (q, ...); b's rows are p, `gap` rows of zeros and
+        // q. Zeros of a are skipped, so the gap leaves c as it was.
+        for (int64_t gap : {0, 100}) {
+          std::vector<float> a_cols(static_cast<size_t>(rows), -1.0f);
+          a_cols.resize(static_cast<size_t>((1 + gap) * rows), 0.0f);
+          a_cols.resize(static_cast<size_t>((2 + gap) * rows), q);
+          std::vector<float> b_tn(static_cast<size_t>(m), p);
+          b_tn.resize(static_cast<size_t>((1 + gap) * m), 0.0f);
+          b_tn.resize(static_cast<size_t>((2 + gap) * m), q);
+          std::fill(c.begin(), c.end(), 0.0f);
+          tensor::kernels::MatMulTN(a_cols.data(), b_tn.data(), c.data(),
+                                    2 + gap, rows, m);
+          for (float v : c) {
+            ASSERT_EQ(fused_kernels, v) << "MatMulTN gap=" << gap << " "
+                                        << shape;
+          }
+        }
         core::SetNumThreads(1);
       }
     }

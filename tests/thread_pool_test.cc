@@ -56,19 +56,29 @@ TEST_F(ThreadPoolTest, SingleThreadRunsInlineAsOneChunk) {
 
 TEST_F(ThreadPoolTest, PartitionDependsOnlyOnGrain) {
   // The chunk boundaries must be a pure function of (begin, end,
-  // grain) — the determinism contract the kernels build on.
+  // grain) — the determinism contract the kernels build on. The first
+  // range is 16 chunks, claimed one at a time; the second is 33,335
+  // chunks, claimed in runs of 131 with a shorter last run.
   SetNumThreads(4);
-  std::mutex mutex;
-  std::set<std::pair<int64_t, int64_t>> chunks;
-  ParallelFor(0, 1000, 64, [&](int64_t lo, int64_t hi) {
-    std::lock_guard<std::mutex> lock(mutex);
-    chunks.insert({lo, hi});
-  });
-  std::set<std::pair<int64_t, int64_t>> expected;
-  for (int64_t lo = 0; lo < 1000; lo += 64) {
-    expected.insert({lo, std::min<int64_t>(1000, lo + 64)});
+  for (const auto& [end, grain] :
+       {std::pair<int64_t, int64_t>{1000, 64}, {100'003, 3}}) {
+    std::mutex mutex;
+    std::set<std::pair<int64_t, int64_t>> chunks;
+    std::vector<int> counts(static_cast<size_t>(end), 0);
+    ParallelFor(0, end, grain, [&](int64_t lo, int64_t hi) {
+      std::lock_guard<std::mutex> lock(mutex);
+      chunks.insert({lo, hi});
+      for (int64_t i = lo; i < hi; ++i) ++counts[static_cast<size_t>(i)];
+    });
+    std::set<std::pair<int64_t, int64_t>> expected;
+    for (int64_t lo = 0; lo < end; lo += grain) {
+      expected.insert({lo, std::min<int64_t>(end, lo + grain)});
+    }
+    EXPECT_EQ(chunks, expected) << "range of " << end;
+    for (int64_t i = 0; i < end; ++i) {
+      ASSERT_EQ(counts[static_cast<size_t>(i)], 1) << "index " << i;
+    }
   }
-  EXPECT_EQ(chunks, expected);
 }
 
 TEST_F(ThreadPoolTest, EmptyRangeNeverInvokes) {
