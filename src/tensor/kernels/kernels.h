@@ -21,11 +21,14 @@ class Rng;
 /// output element is written by exactly one chunk and accumulated in
 /// the same order as the sequential (threads = 1) execution. Results
 /// are therefore bit-identical at any thread count. Accumulating
-/// kernels (named *Accumulate or *Backward, plus the MatMul family and
-/// Axpy) add into their destination; callers pass zero-filled buffers
-/// to get plain assignment. The tensor engine's buffers come from
-/// tensor::AssignZeros and TensorImpl::EnsureGrad: a buffer may be
-/// recycled storage, but it always arrives zero-filled.
+/// kernels (named *Accumulate or *Backward, plus MatMulTN and Axpy) add
+/// into their destination; callers pass zero-filled buffers to get
+/// plain assignment. MatMul and every kernel that writes with `=`
+/// overwrite each element without reading it, and MatMulNT does either,
+/// as its caller states. The tensor engine zero-fills a buffer
+/// (tensor::AssignZeros, TensorImpl::EnsureGrad) only for a kernel that
+/// adds into it; storage for an overwriting kernel may arrive holding
+/// old values, or NaN in DCHECK builds.
 namespace hygnn::tensor::kernels {
 
 /// Chunk sizes for core::ParallelFor. Fixed constants — never derived
@@ -45,14 +48,19 @@ inline constexpr int64_t kLineGrain = 16;
 //
 // Rounding contract: each element of c gets the same float operations,
 // in the same order, at any shape, tile, chunk, block or thread count.
-//   MatMul, MatMulTN: for t ascending, c = MulAdd(a, b, c) wherever
-//     a != 0. MulAdd rounds once (std::fma) when the target has FMA
-//     (__FMA__) and twice (c + a*b) otherwise. An a of ±0 is skipped,
-//     so c keeps its bits: -0 stays -0, and an inf or NaN in b never
+//   MatMul, MatMulTN: for t ascending, acc = MulAdd(a, b, acc) wherever
+//     a != 0, from acc = +0 (MatMul) or acc = c (MatMulTN), then
+//     c = acc. MulAdd rounds once (std::fma) when the target has FMA
+//     (__FMA__) and twice (acc + a*b) otherwise. An a of ±0 is skipped,
+//     so acc keeps its bits: -0 stays -0, and an inf or NaN in b never
 //     meets a zero. The zeros come from ReLU outputs and their
 //     gradients, e.g. the decoder's hidden layer and its backward pass.
+//     MatMul's literal +0 start gives the bits that MatMulTN's start
+//     gives on a zero-filled c.
 //   MatMulNT: s = +0, then s = s + round(a*b) for t ascending with no
-//     zero skip, then c = c + s.
+//     zero skip, then c = s (Store::kOverwrite) or c = c + s
+//     (Store::kAccumulate). A sum that starts at +0 is never -0, so
+//     +0 + s is s bit for bit, and the two modes agree on a c of +0.
 // matmul.cc alone builds with -ffp-contract=off. Without it the
 // compiler may fuse any a*b + c it sees into one FMA, and where it does
 // depends on how it vectorizes a loop; with it, the source decides.
@@ -73,15 +81,23 @@ inline constexpr int64_t kLineGrain = 16;
 // blocked, because its s starts at +0 and is added into c only once.
 // ---------------------------------------------------------------------------
 
-/// c[n,m] += a[n,k] · b[k,m]. Parallel over rows of c.
+/// c[n,m] = a[n,k] · b[k,m]. Parallel over rows of c. Never reads c.
 void MatMul(const float* a, const float* b, float* c, int64_t n, int64_t k,
             int64_t m);
 
-/// c[n,m] += a[n,k] · b[m,k]ᵀ — the transposed-B product used by
-/// MatMul's dA backward. Parallel over rows of c. Packs bᵀ into a
-/// per-thread buffer of k·m floats that is kept for the next call.
+/// How MatMulNT writes c.
+enum class Store : uint8_t {
+  kOverwrite,   // c = s; c is never read
+  kAccumulate,  // c = c + s
+};
+
+/// c[n,m] = a[n,k] · b[m,k]ᵀ, or c += it, as `store` says — the
+/// transposed-B product used by MatMul's dA backward, which overwrites
+/// a gradient it creates and adds into one another consumer started.
+/// Parallel over rows of c. Packs bᵀ into a per-thread buffer of k·m
+/// floats that is kept for the next call.
 void MatMulNT(const float* a, const float* b, float* c, int64_t n, int64_t k,
-              int64_t m);
+              int64_t m, Store store);
 
 /// c[k,m] += a[n,k]ᵀ · b[n,m] — the transposed-A product used by
 /// MatMul's dB backward without materializing a transposed copy.

@@ -62,9 +62,9 @@ inline float MulAddUnlessZero(float a, float b, float c) {
 
 /// How each output element combines its products.
 enum class Rounding {
-  /// c = MulAdd(a, b, c) per t, skipping a == 0 (MatMul, MatMulTN).
+  /// acc = MulAdd(a, b, acc) per t, skipping a == 0 (MatMul, MatMulTN).
   kMulAdd,
-  /// s = +0; s = s + round(a·b) per t; then c = c + s (MatMulNT).
+  /// s = +0; s = s + round(a·b) per t (MatMulNT).
   kSumThenAdd,
 };
 
@@ -80,6 +80,10 @@ struct Product {
   float* c;
   int64_t m;
   int64_t depth;
+  /// kOverwrite: the sum starts at +0 and is stored, so c is never
+  /// read. kAccumulate: MulAdd continues from c (MatMulTN); a summed
+  /// s is added into c once (MatMulNT).
+  Store store;
 };
 
 /// Accumulates the R × W tile of c at (r0, j0) in registers while t
@@ -91,10 +95,15 @@ void Tile(const Product& p, int64_t r0, int64_t j0, int64_t w) {
   const int64_t width = W > 0 ? W : w;
   const int64_t m = p.m;
   float* c = p.c + r0 * m + j0;
+  const bool accumulate = p.store == Store::kAccumulate;
   float acc[R][kCap];
-  for (int64_t r = 0; r < R; ++r) {
-    for (int64_t j = 0; j < width; ++j) {
-      acc[r][j] = kRounding == Rounding::kMulAdd ? c[r * m + j] : 0.0f;
+  if (kRounding == Rounding::kMulAdd && accumulate) {
+    for (int64_t r = 0; r < R; ++r) {
+      for (int64_t j = 0; j < width; ++j) acc[r][j] = c[r * m + j];
+    }
+  } else {
+    for (int64_t r = 0; r < R; ++r) {
+      for (int64_t j = 0; j < width; ++j) acc[r][j] = 0.0f;
     }
   }
   const float* a = p.a + r0 * p.a_row;
@@ -116,10 +125,15 @@ void Tile(const Product& p, int64_t r0, int64_t j0, int64_t w) {
       }
     }
   }
-  for (int64_t r = 0; r < R; ++r) {
-    for (int64_t j = 0; j < width; ++j) {
-      c[r * m + j] = kRounding == Rounding::kMulAdd ? acc[r][j]
-                                                    : c[r * m + j] + acc[r][j];
+  if (kRounding == Rounding::kSumThenAdd && accumulate) {
+    for (int64_t r = 0; r < R; ++r) {
+      for (int64_t j = 0; j < width; ++j) {
+        c[r * m + j] = c[r * m + j] + acc[r][j];
+      }
+    }
+  } else {
+    for (int64_t r = 0; r < R; ++r) {
+      for (int64_t j = 0; j < width; ++j) c[r * m + j] = acc[r][j];
     }
   }
 }
@@ -184,18 +198,20 @@ void ParallelRows(const Product& p, int64_t rows) {
 
 void MatMul(const float* a, const float* b, float* c, int64_t n, int64_t k,
             int64_t m) {
-  ParallelRows<Rounding::kMulAdd>({a, k, 1, b, c, m, k}, n);
+  ParallelRows<Rounding::kMulAdd>(
+      {a, k, 1, b, c, m, k, Store::kOverwrite}, n);
 }
 
 void MatMulNT(const float* a, const float* b, float* c, int64_t n, int64_t k,
-              int64_t m) {
+              int64_t m, Store store) {
   // Packing bᵀ once lets the tile read B(t, ·) as a contiguous row. The
   // buffer outlives the call, so a training step's products allocate
   // nothing once it has grown to the largest b.
   thread_local std::vector<float> t_packed;
   t_packed.resize(static_cast<size_t>(k * m));
   Transpose(b, m, k, t_packed.data());
-  ParallelRows<Rounding::kSumThenAdd>({a, k, 1, t_packed.data(), c, m, k}, n);
+  ParallelRows<Rounding::kSumThenAdd>(
+      {a, k, 1, t_packed.data(), c, m, k, store}, n);
 }
 
 void MatMulTN(const float* a, const float* b, float* c, int64_t n, int64_t k,
@@ -209,7 +225,8 @@ void MatMulTN(const float* a, const float* b, float* c, int64_t n, int64_t k,
   core::ParallelFor(0, k, kReductionChunkRows, [&](int64_t lo, int64_t hi) {
     for (int64_t t0 = 0; t0 < n; t0 += kReductionBlockRows) {
       const Product block{a + t0 * k, 1, k, b + t0 * m, c, m,
-                          std::min(kReductionBlockRows, n - t0)};
+                          std::min(kReductionBlockRows, n - t0),
+                          Store::kAccumulate};
       Rows<Rounding::kMulAdd>(block, lo, hi);
     }
   });

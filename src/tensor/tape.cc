@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -86,19 +87,30 @@ std::vector<float> TakeHeld(size_t n) {
   return {};
 }
 
-/// Sizes `buffer` to `count` zeros, on held storage of exactly that
-/// length when there is one: the one zero-fill behind AssignZeros and
-/// EnsureGrad.
-void ZeroFill(std::vector<float>* buffer, size_t count) {
+/// Sizes `buffer` to `count` floats, on held storage of exactly that
+/// length when there is one: the one fill behind AssignZeros,
+/// EnsureGrad, EnsureGradToOverwrite and the tape's outputs. With
+/// `zeros` every element is +0. Without, for a kernel that writes every
+/// element before it reads any, held storage comes as it is, and a
+/// miss is zero-filled because std::vector cannot hand out
+/// uninitialized storage. DCHECK builds fill storage handed out without
+/// zeros with NaN at every size, held or fresh, so a kernel that reads
+/// an element it did not write shows it in any test.
+void ZeroFill(std::vector<float>* buffer, size_t count, bool zeros) {
   if (Recyclable(count)) {
     std::vector<float> held = TakeHeld(count);
     if (!held.empty()) {
       *buffer = std::move(held);
       g_buffers_recycled.fetch_add(1, std::memory_order_relaxed);
+      if (!zeros && !HYGNN_DCHECK_ENABLED) return;
     }
   }
-  // A constant zero lets the compiler fill with memset.
-  buffer->assign(count, 0.0f);
+  if (zeros || !HYGNN_DCHECK_ENABLED) {
+    // A constant zero lets the compiler fill with memset.
+    buffer->assign(count, 0.0f);
+  } else {
+    buffer->assign(count, std::numeric_limits<float>::quiet_NaN());
+  }
 }
 
 }  // namespace
@@ -114,13 +126,20 @@ TensorImpl::~TensorImpl() {
 
 void TensorImpl::EnsureGrad() {
   if (grad.size() != data.size()) {
-    ZeroFill(&grad, data.size());
+    ZeroFill(&grad, data.size(), /*zeros=*/true);
     grad_recyclable = true;
   }
 }
 
+bool TensorImpl::EnsureGradToOverwrite() {
+  if (grad.size() == data.size()) return false;
+  ZeroFill(&grad, data.size(), /*zeros=*/false);
+  grad_recyclable = true;
+  return true;
+}
+
 void AssignZeros(TensorImpl* node) {
-  ZeroFill(&node->data, static_cast<size_t>(node->size()));
+  ZeroFill(&node->data, static_cast<size_t>(node->size()), /*zeros=*/true);
   node->data_recyclable = true;
 }
 
@@ -139,11 +158,48 @@ std::atomic<uint64_t> g_ops_executed{0};
 std::atomic<uint64_t> g_fused_groups{0};
 std::atomic<uint64_t> g_buffers_allocated{0};
 
-/// Zero-fills the node's output buffer, recycled or fresh. Every
-/// kernel below either plain-assigns or accumulates into zero, matching
-/// the eager engine.
-void AllocateOutput(TensorImpl* node) {
-  AssignZeros(node);
+/// True for the forward kinds whose kernel adds into its output, which
+/// must therefore start at +0. Every other kernel below writes each
+/// element of its output before it reads any.
+bool AccumulatesIntoOutput(OpKind kind) {
+  switch (kind) {
+    case OpKind::kMul:
+    case OpKind::kScale:
+    case OpKind::kMulColumnBroadcast:
+    case OpKind::kSegmentSum:
+    case OpKind::kRowwiseDot:
+    case OpKind::kDropout:
+      return true;
+    case OpKind::kMatMul:
+    case OpKind::kAdd:
+    case OpKind::kAddRowBroadcast:
+    case OpKind::kSub:
+    case OpKind::kConcatCols:
+    case OpKind::kIndexSelectRows:
+    case OpKind::kPairConcat:
+    case OpKind::kSegmentSoftmax:
+    case OpKind::kReduceSum:
+    case OpKind::kRelu:
+    case OpKind::kBiasRelu:
+    case OpKind::kLeakyRelu:
+    case OpKind::kSigmoid:
+    case OpKind::kTanh:
+    case OpKind::kExp:
+    case OpKind::kLog:
+    case OpKind::kL2NormalizeRows:
+    case OpKind::kRowSoftmax:
+    case OpKind::kTranspose:
+      return false;
+  }
+  return true;
+}
+
+/// Sizes the node's output buffer, recycled or fresh: zero-filled for
+/// an accumulating kernel, as it comes otherwise.
+void AllocateOutput(TensorImpl* node, OpKind kind) {
+  ZeroFill(&node->data, static_cast<size_t>(node->size()),
+           AccumulatesIntoOutput(kind));
+  node->data_recyclable = true;
   g_buffers_allocated.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -267,7 +323,7 @@ void ExecuteNodeForward(TensorImpl* node) {
   OpRecord* rec = node->rec.get();
   HYGNN_DCHECK(rec != nullptr) << "pending node without a tape record";
   obs::OpStart(node);
-  AllocateOutput(node);
+  AllocateOutput(node, rec->kind);
   DispatchForward(node, rec);
   g_ops_executed.fetch_add(1, std::memory_order_relaxed);
   const bool fused =
@@ -296,10 +352,14 @@ void DispatchBackward(TensorImpl* node, OpRecord* rec) {
       TensorImpl* p1 = node->parents[1].get();
       const int64_t n = p0->rows, k = p0->cols, m = p1->cols;
       if (p0->requires_grad) {
-        p0->EnsureGrad();
         // dA = G · Bᵀ via the transposed-operand kernel — no
-        // materialized transpose.
-        kernels::MatMulNT(g, p1->data.data(), p0->grad.data(), n, m, k);
+        // materialized transpose. It overwrites a gradient it creates
+        // and adds into one that another consumer already started.
+        const kernels::Store store = p0->EnsureGradToOverwrite()
+                                         ? kernels::Store::kOverwrite
+                                         : kernels::Store::kAccumulate;
+        kernels::MatMulNT(g, p1->data.data(), p0->grad.data(), n, m, k,
+                          store);
       }
       if (p1->requires_grad) {
         p1->EnsureGrad();

@@ -109,13 +109,15 @@ inline bool FusionEnabled() { return true; }
 /// Executor counters since the last ResetExecStats, safe to read
 /// concurrently and intended for tests and benches. A buffer counted
 /// in buffers_allocated may be recycled storage (buffers_recycled
-/// counts those), but it always arrives zero-filled.
+/// counts those). It arrives zero-filled when its kernel adds into it;
+/// otherwise recycled storage keeps its old values until the kernel
+/// overwrites them.
 struct ExecStatsSnapshot {
   uint64_t ops_executed = 0;       // kernel-level invocations
   uint64_t fused_groups = 0;       // PairConcat and BiasRelu forwards
   uint64_t buffers_allocated = 0;  // output data buffers allocated
-  uint64_t buffers_recycled = 0;   // zero-fills (AssignZeros,
-                                   // EnsureGrad) served from held storage
+  uint64_t buffers_recycled = 0;   // output and gradient buffers, filled
+                                   // or not, served from held storage
   uint64_t bytes_held = 0;  // storage held for reuse now; a level that
                             // ResetExecStats leaves alone
 };

@@ -51,9 +51,10 @@ struct TensorImpl {
   /// run backward, so inference graphs carry no tape state.
   std::unique_ptr<OpRecord> rec;
 
-  /// Set when AssignZeros sized `data` / EnsureGrad sized `grad`. Only
-  /// such storage goes back to the buffer recycler, so it never holds
-  /// more buffers than it handed out (a caller's vector is freed).
+  /// Set when the tape or AssignZeros sized `data` / EnsureGrad or
+  /// EnsureGradToOverwrite sized `grad`. Only such storage goes back to
+  /// the buffer recycler, so it never holds more buffers than it handed
+  /// out (a caller's vector is freed).
   bool data_recyclable = false;
   bool grad_recyclable = false;
 
@@ -67,17 +68,27 @@ struct TensorImpl {
 
   /// Allocates gradient storage if absent, by the same path as
   /// AssignZeros. The storage may be recycled, but it always arrives
-  /// zero-filled, so backward kernels accumulate into zero.
+  /// zero-filled, so backward kernels accumulate into zero. Every
+  /// backward kernel but MatMul's dA product uses it.
   void EnsureGrad();  // defined in tape.cc
+
+  /// For a backward kernel that can either overwrite or add: returns
+  /// true if the gradient was absent and is now allocated, in which
+  /// case the caller must write every element, because recycled
+  /// storage of at least 32 MiB arrives holding old values (NaN in
+  /// DCHECK builds, at any size). Returns false, changing nothing, if
+  /// another consumer already started the gradient; the caller then
+  /// adds into it. MatMul's backward uses it for dA.
+  bool EnsureGradToOverwrite();  // defined in tape.cc
 };
 
-/// Sizes `node->data` to node->size() zeros: with EnsureGrad, the one
-/// path by which the tensor engine creates a zero-filled buffer (tape,
-/// loss and SpMM outputs, Tensor::Zeros). A request of at least 32 MiB
-/// first takes a held buffer of exactly that length, if the recycler
-/// has one (see ~TensorImpl in tape.cc); either way every element is
-/// then zeroed, so recycled storage is indistinguishable from fresh
-/// storage.
+/// Sizes `node->data` to node->size() zeros (loss and SpMM outputs,
+/// Tensor::Zeros) by the one fill path behind every tensor buffer,
+/// ZeroFill in tape.cc, which also sizes tape outputs and gradients. A
+/// request of at least 32 MiB first takes a held buffer of exactly that
+/// length, if the recycler has one (see ~TensorImpl in tape.cc); either
+/// way every element is then zeroed, so recycled storage is
+/// indistinguishable from fresh storage.
 void AssignZeros(TensorImpl* node);
 
 /// Executes the pending tape subgraph below `root`: linearizes it into

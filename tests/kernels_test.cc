@@ -259,6 +259,8 @@ TEST(KernelParityTest, TransposeNoGrad) {
 // Dense products against scalar references that spell out every rounding
 // ---------------------------------------------------------------------------
 
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
 /// round(a·b) to float. The volatile store is the rounding: it keeps the
 /// compiler from fusing the product into a following add when it
 /// contracts this file's arithmetic.
@@ -277,7 +279,8 @@ float ReferenceMulAdd(float a, float b, float c) {
 #endif
 }
 
-/// c[n,m] += a[n,k] · b[k,m]: MulAdd per nonzero a, t ascending.
+/// c[n,m] += a[n,k] · b[k,m]: MulAdd per nonzero a, t ascending. From
+/// a c of +0 it is the value MatMul writes.
 void ReferenceMatMul(const float* a, const float* b, float* c, int64_t n,
                      int64_t k, int64_t m) {
   for (int64_t i = 0; i < n; ++i) {
@@ -293,7 +296,8 @@ void ReferenceMatMul(const float* a, const float* b, float* c, int64_t n,
 }
 
 /// c[n,m] += a[n,k] · b[m,k]ᵀ: rounded products summed from +0 with t
-/// ascending, then one add into c.
+/// ascending, then one add into c. From a c of +0 it is the value
+/// MatMulNT's overwrite mode writes.
 void ReferenceMatMulNT(const float* a, const float* b, float* c, int64_t n,
                        int64_t k, int64_t m) {
   for (int64_t i = 0; i < n; ++i) {
@@ -345,15 +349,19 @@ struct Shape {
 
 /// Runs `kernel` at 1, 2 and 4 threads over every shape in the grid and
 /// in `boundary`, and memcmps c against `reference`. Zero-heavy a (with
-/// -0) and a c that starts nonzero (with some -0) pin the skip-zero and
-/// accumulate contracts; row counts around the 4-row tile and 1,024
-/// rows make the single-chunk threads = 1 call form its tiles itself.
+/// -0) pins the skip-zero contract. An accumulating kernel's c and the
+/// reference's start at the same nonzero c0 (with some -0); an
+/// overwriting kernel's c starts as NaN and the reference's at +0, so
+/// a read of c shows. Row counts around the 4-row tile and 1,024 rows
+/// make the single-chunk threads = 1 call form its tiles itself.
 /// `boundary` holds shapes off the grid that end a chunk or a reduction
 /// block on a short tail. `transposed_a` marks MatMulTN, whose b is
 /// [n,m] and c is [k,m].
 void ExpectMatchesReference(const char* name, bool transposed_a,
-                            DenseKernel kernel, DenseKernel reference,
+                            tensor::kernels::Store store, DenseKernel kernel,
+                            DenseKernel reference,
                             const std::vector<Shape>& boundary) {
+  const bool overwrite = store == tensor::kernels::Store::kOverwrite;
   const int64_t kRowsGrid[] = {1, 3, 5, 90, 1024};
   const int64_t kDimGrid[] = {1, 3, 8, 13, 63, 64, 65, 128};
   std::vector<Shape> shapes;
@@ -369,11 +377,13 @@ void ExpectMatchesReference(const char* name, bool transposed_a,
     const auto a = DenseInput(&rng, n * k, 0.4);
     const auto b = DenseInput(&rng, (transposed_a ? n : k) * m, 0.1);
     const auto c0 = DenseInput(&rng, (transposed_a ? k : n) * m, 0.2);
-    std::vector<float> expected = c0;
+    std::vector<float> expected =
+        overwrite ? std::vector<float>(c0.size(), 0.0f) : c0;
     reference(a.data(), b.data(), expected.data(), n, k, m);
     for (int32_t threads : {1, 2, 4}) {
       core::SetNumThreads(threads);
-      std::vector<float> c = c0;
+      std::vector<float> c =
+          overwrite ? std::vector<float>(c0.size(), kNaN) : c0;
       kernel(a.data(), b.data(), c.data(), n, k, m);
       core::SetNumThreads(1);
       const bool same = std::memcmp(c.data(), expected.data(),
@@ -390,20 +400,35 @@ void ExpectMatchesReference(const char* name, bool transposed_a,
 const std::vector<Shape> kThinRowShapes = {{4099, 64, 1}, {4099, 1, 64}};
 
 TEST(DenseProductTest, MatMulMatchesRoundingReference) {
-  ExpectMatchesReference("MatMul", false, tensor::kernels::MatMul,
-                         ReferenceMatMul, kThinRowShapes);
+  ExpectMatchesReference("MatMul", false, tensor::kernels::Store::kOverwrite,
+                         tensor::kernels::MatMul, ReferenceMatMul,
+                         kThinRowShapes);
 }
 
 TEST(DenseProductTest, MatMulNTMatchesRoundingReference) {
-  ExpectMatchesReference("MatMulNT", false, tensor::kernels::MatMulNT,
-                         ReferenceMatMulNT, kThinRowShapes);
+  using tensor::kernels::Store;
+  ExpectMatchesReference(
+      "MatMulNT overwrite", false, Store::kOverwrite,
+      [](const float* a, const float* b, float* c, int64_t n, int64_t k,
+         int64_t m) {
+        tensor::kernels::MatMulNT(a, b, c, n, k, m, Store::kOverwrite);
+      },
+      ReferenceMatMulNT, kThinRowShapes);
+  ExpectMatchesReference(
+      "MatMulNT accumulate", false, Store::kAccumulate,
+      [](const float* a, const float* b, float* c, int64_t n, int64_t k,
+         int64_t m) {
+        tensor::kernels::MatMulNT(a, b, c, n, k, m, Store::kAccumulate);
+      },
+      ReferenceMatMulNT, kThinRowShapes);
 }
 
 TEST(DenseProductTest, MatMulTNMatchesRoundingReference) {
   // n = 4,099 is 65 reduction blocks of 64 rows, the last of 3 rows;
   // k = 130 is five chunks of 32 rows of c, the last of 2 rows.
-  ExpectMatchesReference("MatMulTN", true, tensor::kernels::MatMulTN,
-                         ReferenceMatMulTN, {{4099, 130, 64}, {4099, 64, 1}});
+  ExpectMatchesReference("MatMulTN", true, tensor::kernels::Store::kAccumulate,
+                         tensor::kernels::MatMulTN, ReferenceMatMulTN,
+                         {{4099, 130, 64}, {4099, 64, 1}});
 }
 
 /// Every element of c is the two-step reduction -1·p + q·q from c = 0
@@ -437,13 +462,14 @@ TEST(DenseProductTest, ContractionCanary) {
         b_nn.resize(static_cast<size_t>(2 * m), q);
         std::vector<float> b_nt;
         for (int64_t j = 0; j < m; ++j) b_nt.insert(b_nt.end(), {p, q});
-        std::vector<float> c(static_cast<size_t>(rows * m), 0.0f);
+        // MatMul overwrites c, so it starts as NaN.
+        std::vector<float> c(static_cast<size_t>(rows * m), kNaN);
         tensor::kernels::MatMul(a_rows.data(), b_nn.data(), c.data(), rows, 2,
                                 m);
         for (float v : c) ASSERT_EQ(fused_kernels, v) << "MatMul " << shape;
         std::fill(c.begin(), c.end(), 0.0f);
         tensor::kernels::MatMulNT(a_rows.data(), b_nt.data(), c.data(), rows,
-                                  2, m);
+                                  2, m, tensor::kernels::Store::kAccumulate);
         for (float v : c) ASSERT_EQ(0.0f, v) << "MatMulNT " << shape;
         // MatMulTN: a is [2 + gap, rows] with rows (-1, ...), `gap` rows
         // of zeros and (q, ...); b's rows are p, `gap` rows of zeros and

@@ -6,15 +6,18 @@
 // (3) gradcheck passes over chains through the fused ops; (4) the fused
 // ops save kernel invocations and buffers (ExecStats) and appear by name
 // in the obs attribution table; (5) laziness semantics: pending graphs
-// lint clean, and an intermediate's value stays readable; (6) the buffer
-// recycler: reused storage keeps every result bit, only buffers of at
-// least 32 MiB are held, a miss or a TryFit return frees what is held,
-// and concurrent drops and re-creations arrive zero-filled.
+// lint clean, and an intermediate's value stays readable; (6) MatMul's
+// backward adds into a gradient another consumer already started; (7)
+// the buffer recycler: reused storage keeps every result bit, also when
+// the decoder's overwriting kernels run on dirty storage, only buffers
+// of at least 32 MiB are held, a miss or a TryFit return frees what is
+// held, and concurrent drops and re-creations arrive zero-filled.
 
 #include "tensor/tape.h"
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -315,6 +318,41 @@ TEST_F(FusedGradcheckTest, SmallestShapes) {
 }
 
 // ---------------------------------------------------------------------------
+// A gradient with several consumers
+// ---------------------------------------------------------------------------
+
+/// x feeds MatMul(x, a), MatMul(x, b) and Relu(x). MatMul's backward
+/// overwrites x's gradient when it creates it and adds into it when
+/// another consumer started it first, so a lost contribution fails the
+/// gradcheck. Relu's backward runs first when Relu(x) is the last
+/// operand of the sum (both MatMuls add), and last when it is the first
+/// (MatMul(x, b) creates the gradient, then MatMul(x, a) and Relu add).
+TEST_F(TapeTest, MatMulBackwardAddsToAGradientAlreadyStarted) {
+  const tensor::Tensor a =
+      tensor::Tensor::FromVector(ValuesOf(SeededInput(6, 6, 51)), 6, 6);
+  const tensor::Tensor b =
+      tensor::Tensor::FromVector(ValuesOf(SeededInput(6, 6, 52)), 6, 6);
+  const auto products = [&](const tensor::Tensor& x) {
+    return tensor::Add(tensor::MatMul(x, a), tensor::MatMul(x, b));
+  };
+  for (const int32_t threads : {1, 4}) {
+    core::SetNumThreads(threads);
+    testing::ExpectGradMatchesNumeric(
+        [] { return SeededInput(5, 6, 53); },
+        [&](const tensor::Tensor& x) {
+          return tensor::ReduceMean(
+              tensor::Tanh(tensor::Add(products(x), tensor::Relu(x))));
+        });
+    testing::ExpectGradMatchesNumeric(
+        [] { return SeededInput(5, 6, 53); },
+        [&](const tensor::Tensor& x) {
+          return tensor::ReduceMean(
+              tensor::Tanh(tensor::Add(tensor::Relu(x), products(x))));
+        });
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Laziness semantics
 // ---------------------------------------------------------------------------
 
@@ -516,6 +554,105 @@ TEST_F(BufferRecyclerTest, ReusedStorageKeepsEveryBit) {
   EXPECT_TRUE(SameBits(first.y, second.y));
   EXPECT_TRUE(SameBits(first.y_grad, second.y_grad));
   EXPECT_TRUE(SameBits(first.x_grad, second.x_grad));
+}
+
+/// The live tensors of one RunDecoderFloorPass.
+struct DecoderFloorPass {
+  tensor::Tensor loss;
+  std::vector<tensor::Tensor> outputs;  // pairs, z, h, scores, y
+  std::vector<tensor::Tensor> leaves;   // table, w1, b1, w2
+};
+
+/// The MLP decoder's chain at the floor: PairConcat over kFloorRows
+/// pairs of a 64-wide table, whose [65,536 x 128] output is exactly
+/// 32 MiB, MatMul by [128 x 128], BiasRelu, MatMul by [128 x 1], then
+/// MulColumnBroadcast of the hidden layer by those scores, an
+/// accumulating kind on a floor-sized buffer, and ReduceSum, forward
+/// and backward. The hidden layer's gradient is started by
+/// MulColumnBroadcast and added to by the second MatMul; the first
+/// MatMul creates the pair input's gradient.
+DecoderFloorPass RunDecoderFloorPass() {
+  constexpr int64_t kTableRows = 97;
+  std::vector<int32_t> a(static_cast<size_t>(kFloorRows));
+  std::vector<int32_t> b(a.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    a[i] = static_cast<int32_t>(i % kTableRows);
+    b[i] = static_cast<int32_t>((i * 31 + 7) % kTableRows);
+  }
+  DecoderFloorPass pass;
+  pass.leaves = {SeededInput(kTableRows, kCols / 2, /*seed=*/41),
+                 SeededInput(kCols, kCols, /*seed=*/42),
+                 SeededInput(1, kCols, /*seed=*/43),
+                 SeededInput(kCols, 1, /*seed=*/44)};
+  const tensor::Tensor pairs = tensor::PairConcat(pass.leaves[0], a, b);
+  const tensor::Tensor z = tensor::MatMul(pairs, pass.leaves[1]);
+  const tensor::Tensor h = tensor::BiasRelu(z, pass.leaves[2]);
+  const tensor::Tensor scores = tensor::MatMul(h, pass.leaves[3]);
+  const tensor::Tensor y = tensor::MulColumnBroadcast(h, scores);
+  pass.outputs = {pairs, z, h, scores, y};
+  pass.loss = tensor::ReduceSum(y);
+  pass.loss.Backward();
+  return pass;
+}
+
+/// Every output's values, then every output's and leaf's gradient.
+std::vector<const std::vector<float>*> Results(const DecoderFloorPass& pass) {
+  std::vector<const std::vector<float>*> results;
+  for (const auto& t : pass.outputs) results.push_back(&t.impl()->data);
+  for (const auto& t : pass.outputs) results.push_back(&t.impl()->grad);
+  for (const auto& t : pass.leaves) results.push_back(&t.impl()->grad);
+  return results;
+}
+
+/// Overwrites every output and gradient with NaN, as RunFloorPass does,
+/// so storage the next pass recycles arrives dirty.
+void Poison(DecoderFloorPass* pass) {
+  for (tensor::Tensor& t : pass->outputs) {
+    std::fill(t.data(), t.data() + t.size(), kNaN);
+    std::fill(t.grad(), t.grad() + t.size(), kNaN);
+  }
+}
+
+TEST_F(BufferRecyclerTest, DecoderPassOnDirtyStorageKeepsEveryBit) {
+  // pairs, z, h and y, and their four gradients, are floor-sized.
+  constexpr uint64_t kFloorBuffers = 8;
+  float fresh_loss = 0.0f;
+  Captured fresh;
+  {
+    DecoderFloorPass pass = RunDecoderFloorPass();
+    EXPECT_EQ(tensor::ExecStats().buffers_recycled, 0u);
+    fresh_loss = pass.loss.item();
+    for (const std::vector<float>* result : Results(pass)) {
+      fresh.push_back(*result);
+    }
+    Poison(&pass);
+  }
+  EXPECT_EQ(tensor::ExecStats().bytes_held, kFloorBuffers * kFloorBytes);
+  // A kernel that read storage it had not written would meet NaN, in
+  // DCHECK builds even on fresh storage.
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_TRUE(std::all_of(fresh[i].begin(), fresh[i].end(),
+                            [](float v) { return std::isfinite(v); }))
+        << "buffer " << i;
+  }
+  for (const int32_t threads : {1, 4}) {
+    tensor::ResetExecStats();
+    core::SetNumThreads(threads);
+    DecoderFloorPass pass = RunDecoderFloorPass();
+    core::SetNumThreads(1);
+    EXPECT_EQ(tensor::ExecStats().buffers_recycled, kFloorBuffers)
+        << threads << " threads";
+    const float loss = pass.loss.item();
+    EXPECT_EQ(std::memcmp(&fresh_loss, &loss, sizeof(float)), 0)
+        << threads << " threads";
+    const auto results = Results(pass);
+    ASSERT_EQ(results.size(), fresh.size());
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_TRUE(SameBits(fresh[i], *results[i]))
+          << "buffer " << i << " differs at " << threads << " threads";
+    }
+    Poison(&pass);
+  }
 }
 
 TEST_F(BufferRecyclerTest, RepeatedPassesHoldOnePassOfStorage) {
