@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench/experiment.h"
-#include "core/stopwatch.h"
+#include "obs/metrics.h"
 
 namespace hygnn::bench {
 namespace {
@@ -70,7 +70,7 @@ int Main(int argc, const char* const* argv) {
   for (const auto& s : series) std::printf(" %10s", s.name.c_str());
   std::printf("\n%s\n", std::string(10 + 11 * series.size(), '-').c_str());
 
-  core::Stopwatch total;
+  obs::Timer total;
   for (double fraction : fractions) {
     std::printf("%-10.0f", fraction * 100.0);
     for (const auto& s : series) {

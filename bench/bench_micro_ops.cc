@@ -1,9 +1,5 @@
-// Micro harness for the substrate operations that dominate HyGNN
-// training: dense matmul, sparse-dense SpMM, the segment attention
-// primitives, ESPF mining/segmentation, hypergraph construction, and
-// random-walk generation.
-//
-// Default run: a thread-scaling sweep over the parallelized kernels
+// Micro harness for the tensor kernels that dominate HyGNN training and
+// serving: a thread-scaling sweep over the parallelized kernels
 // (the MLP decoder's dense products at the paper's training and serving
 // shapes, SegmentSoftmax, SegmentSum, IndexSelectRows, Relu) at 1, 2,
 // and 4 threads, verifying bit-identical outputs against the 1-thread
@@ -14,10 +10,7 @@
 // 136,241 x 64 training shape, each timed against the op composition it
 // replaces (two IndexSelectRows and a ConcatCols; AddRowBroadcast and
 // Relu) and checked bit for bit against it. Exits 1 on any mismatch.
-// Pass --gbench to additionally run the google-benchmark suite below
-// (plus any --benchmark_* flags).
 
-#include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
 #include <cstdio>
@@ -28,196 +21,16 @@
 #include <utility>
 #include <vector>
 
-#include "chem/espf.h"
-#include "chem/generator.h"
 #include "core/rng.h"
-#include "core/stopwatch.h"
 #include "core/thread_pool.h"
-#include "data/featurize.h"
-#include "data/generator.h"
-#include "graph/builders.h"
-#include "graph/random_walk.h"
-#include "hygnn/encoder.h"
+#include "obs/metrics.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
-#include "tensor/sparse.h"
 #include "tensor/tape.h"
 #include "tensor/tensor.h"
 
 namespace hygnn {
 namespace {
-
-void BM_MatMul(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  core::Rng rng(1);
-  tensor::Tensor a = tensor::NormalInit(n, n, 1.0f, &rng, false);
-  tensor::Tensor b = tensor::NormalInit(n, n, 1.0f, &rng, false);
-  for (auto _ : state) {
-    // data() forces the lazy tape to execute; without it the loop would
-    // only measure op recording.
-    benchmark::DoNotOptimize(tensor::MatMul(a, b).data()[0]);
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_SpMM(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  const int64_t nnz_per_row = 16;
-  core::Rng rng(2);
-  std::vector<int32_t> rows, cols;
-  std::vector<float> vals;
-  for (int64_t r = 0; r < n; ++r) {
-    for (int64_t k = 0; k < nnz_per_row; ++k) {
-      rows.push_back(static_cast<int32_t>(r));
-      cols.push_back(static_cast<int32_t>(rng.UniformInt(n)));
-      vals.push_back(1.0f);
-    }
-  }
-  auto a = tensor::CsrMatrix::FromCoo(n, n, rows, cols, vals);
-  tensor::Tensor x = tensor::NormalInit(n, 64, 1.0f, &rng, false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::SpMM(a, x));
-  }
-  state.SetItemsProcessed(state.iterations() * a->nnz() * 64);
-}
-BENCHMARK(BM_SpMM)->Arg(1024)->Arg(4096);
-
-void BM_SegmentSoftmaxSum(benchmark::State& state) {
-  const int64_t pairs = state.range(0);
-  const int64_t segments = pairs / 16;
-  core::Rng rng(3);
-  std::vector<int32_t> segment_ids(pairs);
-  for (auto& s : segment_ids) {
-    s = static_cast<int32_t>(rng.UniformInt(segments));
-  }
-  tensor::Tensor scores = tensor::NormalInit(pairs, 1, 1.0f, &rng, false);
-  tensor::Tensor values = tensor::NormalInit(pairs, 64, 1.0f, &rng, false);
-  for (auto _ : state) {
-    tensor::Tensor alpha =
-        tensor::SegmentSoftmax(scores, segment_ids, segments);
-    tensor::Tensor pooled = tensor::SegmentSum(
-        tensor::MulColumnBroadcast(values, alpha), segment_ids, segments);
-    benchmark::DoNotOptimize(pooled.data()[0]);  // materialize the tape
-  }
-  state.SetItemsProcessed(state.iterations() * pairs * 64);
-}
-BENCHMARK(BM_SegmentSoftmaxSum)->Arg(1 << 12)->Arg(1 << 16);
-
-void BM_HyGnnEncoderForward(benchmark::State& state) {
-  const int32_t num_drugs = static_cast<int32_t>(state.range(0));
-  data::DatasetConfig data_config;
-  data_config.num_drugs = num_drugs;
-  auto dataset = data::GenerateDataset(data_config).value();
-  data::FeaturizeConfig feat_config;
-  feat_config.espf_frequency_threshold = 3;
-  auto featurizer =
-      data::SubstructureFeaturizer::Build(dataset.drugs(), feat_config)
-          .value();
-  auto hypergraph = graph::BuildDrugHypergraph(
-      featurizer.drug_substructures(), featurizer.num_substructures());
-  auto context = model::HypergraphContext::FromHypergraph(hypergraph);
-  core::Rng rng(4);
-  model::EncoderConfig encoder_config;
-  model::HypergraphEdgeEncoder encoder(featurizer.num_substructures(),
-                                       encoder_config, &rng);
-  for (auto _ : state) {
-    // data() forces the lazy tape to execute the recorded forward pass.
-    benchmark::DoNotOptimize(encoder.Forward(context, false, nullptr).data()[0]);
-  }
-  state.SetItemsProcessed(state.iterations() * hypergraph.num_incidences());
-}
-BENCHMARK(BM_HyGnnEncoderForward)->Arg(100)->Arg(300);
-
-void BM_EspfTrain(benchmark::State& state) {
-  const int32_t num_drugs = static_cast<int32_t>(state.range(0));
-  data::DatasetConfig data_config;
-  data_config.num_drugs = num_drugs;
-  auto dataset = data::GenerateDataset(data_config).value();
-  std::vector<std::string> corpus;
-  for (const auto& drug : dataset.drugs()) corpus.push_back(drug.smiles);
-  chem::EspfConfig espf_config;
-  espf_config.frequency_threshold = 3;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(chem::Espf::Train(corpus, espf_config));
-  }
-}
-BENCHMARK(BM_EspfTrain)->Arg(100)->Arg(300);
-
-void BM_EspfSegment(benchmark::State& state) {
-  data::DatasetConfig data_config;
-  data_config.num_drugs = 200;
-  auto dataset = data::GenerateDataset(data_config).value();
-  std::vector<std::string> corpus;
-  for (const auto& drug : dataset.drugs()) corpus.push_back(drug.smiles);
-  chem::EspfConfig espf_config;
-  espf_config.frequency_threshold = 3;
-  auto espf = chem::Espf::Train(corpus, espf_config).value();
-  size_t index = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(espf.Segment(corpus[index % corpus.size()]));
-    ++index;
-  }
-}
-BENCHMARK(BM_EspfSegment);
-
-void BM_HypergraphBuild(benchmark::State& state) {
-  const int32_t num_drugs = static_cast<int32_t>(state.range(0));
-  data::DatasetConfig data_config;
-  data_config.num_drugs = num_drugs;
-  auto dataset = data::GenerateDataset(data_config).value();
-  data::FeaturizeConfig feat_config;
-  auto featurizer =
-      data::SubstructureFeaturizer::Build(dataset.drugs(), feat_config)
-          .value();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::BuildDrugHypergraph(
-        featurizer.drug_substructures(), featurizer.num_substructures()));
-  }
-}
-BENCHMARK(BM_HypergraphBuild)->Arg(100)->Arg(300);
-
-void BM_RandomWalks(benchmark::State& state) {
-  core::Rng graph_rng(5);
-  std::vector<std::pair<int32_t, int32_t>> edges;
-  const int32_t n = 500;
-  for (int32_t i = 0; i < n * 10; ++i) {
-    edges.push_back({static_cast<int32_t>(graph_rng.UniformInt(n)),
-                     static_cast<int32_t>(graph_rng.UniformInt(n))});
-  }
-  graph::Graph graph(n, edges);
-  graph::RandomWalkConfig walk_config;
-  walk_config.walk_length = 40;
-  walk_config.num_walks_per_node = 2;
-  core::Rng rng(6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        graph::UniformRandomWalks(graph, walk_config, &rng));
-  }
-}
-BENCHMARK(BM_RandomWalks);
-
-void BM_BiasedRandomWalks(benchmark::State& state) {
-  core::Rng graph_rng(7);
-  std::vector<std::pair<int32_t, int32_t>> edges;
-  const int32_t n = 500;
-  for (int32_t i = 0; i < n * 10; ++i) {
-    edges.push_back({static_cast<int32_t>(graph_rng.UniformInt(n)),
-                     static_cast<int32_t>(graph_rng.UniformInt(n))});
-  }
-  graph::Graph graph(n, edges);
-  graph::RandomWalkConfig walk_config;
-  walk_config.walk_length = 40;
-  walk_config.num_walks_per_node = 2;
-  walk_config.p = 0.5;
-  walk_config.q = 2.0;
-  core::Rng rng(8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        graph::BiasedRandomWalks(graph, walk_config, &rng));
-  }
-}
-BENCHMARK(BM_BiasedRandomWalks);
 
 // ---------------------------------------------------------------------------
 // Thread-scaling JSON harness (the repo's bench trajectory record)
@@ -255,7 +68,7 @@ IterCost TimeIterations(Fn run) {
   run();  // warmup + first-touch
   const int64_t faults = MinorFaults();
   const uint64_t recycled = tensor::ExecStats().buffers_recycled;
-  core::Stopwatch watch;
+  obs::Timer watch;
   int64_t iters = 0;
   do {
     run();
@@ -319,7 +132,7 @@ void SweepOp(const std::string& op, int64_t rows, int64_t cols, Op make,
       [&] {
         out = make();
         // data() forces the lazy tape to execute the op.
-        benchmark::DoNotOptimize(out.data());
+        out.data();
       },
       [&] { return std::vector<float>(out.data(), out.data() + out.size()); },
       results);
@@ -497,7 +310,7 @@ void SweepGlue(const std::string& op, const std::string& composed_of,
   const auto step = [&](const BuildFn& build) {
     for (tensor::Tensor& leaf : leaves) leaf.ZeroGrad();
     const tensor::Tensor y = build();
-    benchmark::DoNotOptimize(y.data());
+    y.data();  // runs the forward tape before its backward
     BackwardFrom(y, g);
     out.assign(y.data(), y.data() + y.size());
     rows = y.rows();
@@ -679,23 +492,11 @@ int RunScalingHarness(const std::string& json_path) {
 
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_micro_ops.json";
-  bool run_gbench = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--json_out=", 0) == 0) {
       json_path = arg.substr(std::string("--json_out=").size());
-    } else if (arg == "--gbench") {
-      run_gbench = true;
-    } else if (arg.rfind("--benchmark_", 0) == 0) {
-      run_gbench = true;  // any google-benchmark flag implies the suite
     }
   }
-  const int status = hygnn::RunScalingHarness(json_path);
-  if (status != 0) return status;
-  if (run_gbench) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  return 0;
+  return hygnn::RunScalingHarness(json_path);
 }

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench/experiment.h"
-#include "core/stopwatch.h"
+#include "obs/metrics.h"
 
 namespace hygnn::bench {
 namespace {
@@ -89,14 +89,14 @@ int Main(int argc, const char* const* argv) {
               "===\n",
               config.num_drugs, config.runs, config.epochs);
   PrintTableHeader();
-  core::Stopwatch total;
+  obs::Timer total;
   for (const auto& entry : entries) {
     if (!only.empty() &&
         entry.group.find(only) == std::string::npos &&
         entry.method.find(only) == std::string::npos) {
       continue;
     }
-    core::Stopwatch watch;
+    obs::Timer watch;
     std::vector<model::EvalResult> results;
     for (int32_t run = 0; run < config.runs; ++run) {
       results.push_back(entry.run(context.MakeRound(run)));

@@ -246,7 +246,7 @@ int CmdEvaluate(const core::FlagParser& flags) {
   }
   auto scores = hygnn.PredictProbabilities(corpus.context, pairs_or.value());
   auto result =
-      model::EvaluateScores(scores, model::LabelsOf(pairs_or.value()));
+      metrics::EvaluateBinary(scores, model::LabelsOf(pairs_or.value()));
   std::printf("F1 %.3f  ROC-AUC %.3f  PR-AUC %.3f  (%zu pairs)\n",
               result.f1, result.roc_auc, result.pr_auc,
               pairs_or.value().size());

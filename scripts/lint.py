@@ -14,10 +14,8 @@ Checks, over *tracked* files only (git ls-files):
      src/data/ — persistence there must go through core::FileSystem
      (src/core/fs.h) so fault injection and the durable-write protocol
      (temp + fsync + rename + checksum footer) cover every byte on disk
-  8. no ad-hoc core::Stopwatch timing under src/hygnn/ or src/serve/ —
-     hot-path timing there must go through the observability layer
-     (obs::Timer / obs::ScopedTimer, src/obs/metrics.h) so every sample
-     lands in the shared registry instead of a one-off log line
+  8. retired: it kept core::Stopwatch out of src/hygnn/ and src/serve/;
+     the type is deleted, so the compiler now rejects every use
 
 Determinism & concurrency discipline (rules 9-12, DISCIPLINE_RULES;
 these keep every nondeterminism source inside its sanctioned home so
@@ -27,10 +25,10 @@ the bit-identity guarantee survives concurrent code):
      src/core/rng and tests/ — all randomness flows through the seeded
      core::Rng stream, which checkpoints pin for bit-identical resume
  10. no wall clocks (system_clock / high_resolution_clock) anywhere in
-     src/, bench/, or examples/, and no raw steady_clock reads outside
-     src/obs/ and src/core/ — timing goes through obs (Timer,
-     NowNanos) or core::Stopwatch so no clock read can leak into
-     computed results
+     src/, bench/, or examples/, and no steady_clock outside
+     src/core/clock.cc, the one monotonic read — timing goes through
+     obs (Timer, ScopedTimer, NowNanos) and semantic time through
+     core::Clock, so no clock read can leak into computed results
  11. no raw std::thread or .detach() outside src/core/thread_pool —
      concurrency runs on the shared pool whose grain-based chunking is
      what makes parallel results bit-identical
@@ -88,14 +86,6 @@ RAW_FILE_STREAM = re.compile(
 # protocol, and checksum footers, so a crash there can tear files.
 NO_RAW_STREAM_DIRS = ("src/serve/", "src/data/")
 
-RAW_STOPWATCH = re.compile(
-    r"\bStopwatch\b|#\s*include\s*\"core/stopwatch\.h\"")
-
-# Directories whose timing must route through the obs layer: an ad-hoc
-# Stopwatch produces a measurement no registry snapshot, histogram, or
-# metrics file ever sees.
-NO_STOPWATCH_DIRS = ("src/hygnn/", "src/serve/")
-
 # Rules 9-12: each nondeterminism / concurrency primitive is confined
 # to a sanctioned home. A rule applies to files whose repo-relative path
 # starts with a `scope` prefix and none of the `exempt` prefixes;
@@ -122,18 +112,19 @@ DISCIPLINE_RULES = (
         "exempt": (),
         "message": (
             "wall clock — system_clock/high_resolution_clock are "
-            "nondeterministic across runs; use std::chrono::steady_clock "
-            "via obs::Timer / obs::NowNanos or core::Stopwatch"),
+            "nondeterministic across runs; time spans with obs::Timer / "
+            "obs::NowNanos"),
     },
     {
         "rule": 10,
         "pattern": re.compile(r"\bsteady_clock\b"),
-        "scope": ("src/",),
-        "exempt": ("src/obs/", "src/core/"),
+        "scope": ("src/", "bench/", "examples/"),
+        "exempt": ("src/core/clock.cc",),
         "message": (
-            "raw steady_clock read — timing outside src/obs and "
-            "src/core goes through obs::Timer / obs::ScopedTimer / "
-            "obs::NowNanos so every sample reaches the metrics registry"),
+            "raw steady_clock read — src/core/clock.cc holds the one "
+            "monotonic read; time spans with obs::Timer / "
+            "obs::ScopedTimer / obs::NowNanos and semantic time with "
+            "core::ActiveClock"),
     },
     {
         "rule": 11,
@@ -271,16 +262,6 @@ def check_no_kernel_calls(path, text, problems):
                 "the executor dispatch it")
 
 
-def check_no_stopwatch(path, text, problems):
-    for i, line in enumerate(text.splitlines(), 1):
-        code = LINE_COMMENT.sub("", line)
-        if RAW_STOPWATCH.search(code):
-            problems.append(
-                f"{path}:{i}: ad-hoc core::Stopwatch timing — use "
-                "obs::Timer / obs::ScopedTimer (src/obs/metrics.h) so the "
-                "sample reaches the metrics registry")
-
-
 def check_no_raw_file_streams(path, text, problems):
     for i, line in enumerate(text.splitlines(), 1):
         code = LINE_COMMENT.sub("", line)
@@ -364,8 +345,6 @@ def main():
             check_no_kernel_calls(path, text, problems)
         if path.startswith(NO_RAW_STREAM_DIRS):
             check_no_raw_file_streams(path, text, problems)
-        if path.startswith(NO_STOPWATCH_DIRS):
-            check_no_stopwatch(path, text, problems)
         check_discipline(path, text, problems)
 
     if problems:

@@ -37,12 +37,6 @@ std::vector<std::vector<float>> ToDense(
   return dense;
 }
 
-model::EvalResult EvaluateWithScores(
-    const std::vector<float>& scores,
-    const std::vector<data::LabeledPair>& test) {
-  return model::EvaluateScores(scores, model::LabelsOf(test));
-}
-
 /// Feed-forward NN on dense AND features, trained with BCE.
 std::vector<float> RunNnClassifier(
     const std::vector<std::vector<float>>& train_features,
@@ -119,7 +113,7 @@ model::EvalResult RunMlOnFunctionalRepresentation(
       break;
     }
   }
-  return EvaluateWithScores(scores, inputs.test);
+  return metrics::EvaluateBinary(scores, model::LabelsOf(inputs.test));
 }
 
 std::string MlKindName(MlKind kind) {

@@ -1,6 +1,7 @@
 #include "baselines/pair_harness.h"
 
 #include "core/logging.h"
+#include "hygnn/scorer.h"
 #include "tensor/loss.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
@@ -84,7 +85,8 @@ model::EvalResult PairModelHarness::FitAndEvaluate(
     const std::vector<data::LabeledPair>& train_pairs,
     const std::vector<data::LabeledPair>& test_pairs) {
   Fit(train_pairs);
-  return model::EvaluateScorer(*this, test_pairs);
+  return metrics::EvaluateBinary(Score(test_pairs),
+                                 model::LabelsOf(test_pairs));
 }
 
 }  // namespace hygnn::baselines

@@ -7,7 +7,6 @@
 
 #include "baselines/baselines.h"
 #include "core/rng.h"
-#include "hygnn/scorer.h"
 #include "nn/mlp.h"
 #include "tensor/tensor.h"
 
@@ -21,9 +20,7 @@ tensor::Tensor ConcatPairRows(const tensor::Tensor& embeddings,
 /// `embed_fn` recomputes the drug embedding matrix each epoch (so
 /// GNN parameters, if trainable, receive gradients); `embed_params`
 /// lists those trainable tensors (empty for frozen embeddings).
-/// Implements model::Scorer, so baselines evaluate and benchmark
-/// through the same path as the HyGNN model and the serving engine.
-class PairModelHarness : public model::Scorer {
+class PairModelHarness {
  public:
   PairModelHarness(std::function<tensor::Tensor(bool, core::Rng*)> embed_fn,
                    std::vector<tensor::Tensor> embed_params,
@@ -34,10 +31,10 @@ class PairModelHarness : public model::Scorer {
   void Fit(const std::vector<data::LabeledPair>& train_pairs);
 
   /// Sigmoid scores for `pairs` (inference mode).
-  std::vector<float> Score(
-      std::span<const data::LabeledPair> pairs) const override;
+  std::vector<float> Score(std::span<const data::LabeledPair> pairs) const;
 
-  /// Fit + Score + metric computation in one call.
+  /// Fit, then metrics::EvaluateBinary of Score(test_pairs) against the
+  /// test labels.
   model::EvalResult FitAndEvaluate(
       const std::vector<data::LabeledPair>& train_pairs,
       const std::vector<data::LabeledPair>& test_pairs);

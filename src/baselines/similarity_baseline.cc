@@ -51,7 +51,7 @@ model::EvalResult RunMolecularSimilarity(const BaselineInputs& inputs,
     scores.push_back(static_cast<float>(
         std::max(side_score(pair.a, pair.b), side_score(pair.b, pair.a))));
   }
-  return model::EvaluateScores(scores, model::LabelsOf(inputs.test));
+  return metrics::EvaluateBinary(scores, model::LabelsOf(inputs.test));
 }
 
 }  // namespace hygnn::baselines

@@ -7,8 +7,8 @@ namespace hygnn::core {
 
 namespace {
 
-/// steady_clock backend — the one sanctioned raw monotonic read
-/// (src/core is exempt from lint rule 10 for exactly this primitive).
+/// steady_clock backend — the repository's one raw monotonic read
+/// (this file is lint rule 10's only exemption).
 class MonotonicClockImpl : public Clock {
  public:
   uint64_t NowNanos() override {

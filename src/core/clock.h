@@ -12,12 +12,12 @@ namespace hygnn::core {
 /// active Clock, so tests can swap in a ManualClock and drive "time
 /// passes" deterministically instead of sleeping and hoping the
 /// scheduler cooperates. Purely observational timing (obs histograms,
-/// bench timers) stays on obs::Timer / obs::NowNanos — metrics may
-/// jitter, semantics may not.
+/// bench timers) reads MonotonicClock() through obs::NowNanos, never
+/// the active clock — metrics may jitter, semantics may not, and a
+/// ManualClock must never freeze a timer.
 ///
-/// Living in src/core keeps the one raw steady_clock read inside the
-/// sanctioned home of lint rule 10 (scripts/lint.py): callers never
-/// touch std::chrono clocks directly.
+/// clock.cc holds the repository's one raw steady_clock read; lint
+/// rule 10 (scripts/lint.py) rejects it in every other file.
 class Clock {
  public:
   virtual ~Clock() = default;

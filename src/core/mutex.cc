@@ -19,9 +19,7 @@ void CondVar::Wait(Mutex& mu) {
 }
 
 // Same adopt/release dance as Wait; wait_for uses steady_clock
-// internally, so the deadline is immune to wall-clock adjustments
-// (src/core is exempt from lint rule 10 for exactly this kind of
-// timing primitive).
+// internally, so the deadline is immune to wall-clock adjustments.
 bool CondVar::WaitFor(Mutex& mu, int64_t timeout_us) {
   if (timeout_us <= 0) return false;
   std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);

@@ -3,7 +3,6 @@
 #include "core/logging.h"
 #include "hygnn/scorer.h"
 #include "tensor/ops.h"
-#include "tensor/serialize.h"
 
 namespace hygnn::model {
 
@@ -51,22 +50,6 @@ std::vector<float> HyGnnModel::PredictProbabilities(
   tensor::Tensor logits =
       Forward(context, pairs, /*training=*/false, nullptr);
   return SigmoidAll(logits);
-}
-
-core::Status HyGnnModel::SaveWeights(const std::string& path) const {
-  std::vector<std::pair<std::string, tensor::Tensor>> named;
-  auto parameters = Parameters();
-  for (size_t i = 0; i < parameters.size(); ++i) {
-    named.emplace_back("param_" + std::to_string(i), parameters[i]);
-  }
-  return tensor::SaveTensors(named, path);
-}
-
-core::Status HyGnnModel::LoadWeights(const std::string& path) {
-  auto loaded_or = tensor::LoadTensors(path);
-  if (!loaded_or.ok()) return loaded_or.status();
-  auto parameters = Parameters();
-  return tensor::RestoreParameters(loaded_or.value(), &parameters);
 }
 
 std::vector<tensor::Tensor> HyGnnModel::Parameters() const {

@@ -76,18 +76,6 @@ class HyGnnModel : public nn::Module {
       const std::string& path,
       chem::SubstructureVocabulary* vocabulary = nullptr);
 
-  /// DEPRECATED: weights-only checkpoint with no config or vocabulary —
-  /// the loader must already hold an identically-configured model.
-  /// Prefer Save, which writes a self-describing bundle. Kept as a thin
-  /// shim over the same tensor-table format.
-  core::Status SaveWeights(const std::string& path) const;
-
-  /// DEPRECATED: restores a SaveWeights file into this
-  /// already-constructed model; fails with a Status naming both shapes
-  /// on any mismatch. Prefer the static Load, which also restores the
-  /// configuration.
-  core::Status LoadWeights(const std::string& path);
-
   const HyGnnConfig& config() const { return config_; }
   const StackedEncoder& encoder() const { return encoder_; }
   const Decoder& decoder() const { return *decoder_; }

@@ -21,32 +21,4 @@ std::vector<float> SigmoidAll(const tensor::Tensor& logits) {
   return probabilities;
 }
 
-ContextScorer::ContextScorer(const HyGnnModel* model,
-                             const HypergraphContext* context)
-    : model_(model), context_(context) {
-  HYGNN_CHECK(model != nullptr);
-  HYGNN_CHECK(context != nullptr);
-}
-
-std::vector<float> ContextScorer::Score(
-    std::span<const data::LabeledPair> pairs) const {
-  if (pairs.empty()) return {};
-  tensor::InferenceModeScope inference;
-  tensor::Tensor embeddings =
-      model_->EmbedDrugs(*context_, /*training=*/false, nullptr);
-  const std::vector<data::LabeledPair> batch(pairs.begin(), pairs.end());
-  tensor::Tensor logits =
-      model_->ScorePairs(embeddings, batch, /*training=*/false, nullptr);
-  return SigmoidAll(logits);
-}
-
-metrics::BinaryEval EvaluateScorer(
-    const Scorer& scorer, const std::vector<data::LabeledPair>& pairs) {
-  HYGNN_CHECK_EQ(scorer.score_width(), 1);
-  std::vector<float> labels;
-  labels.reserve(pairs.size());
-  for (const auto& pair : pairs) labels.push_back(pair.label);
-  return metrics::EvaluateBinary(scorer.Score(pairs), labels);
-}
-
 }  // namespace hygnn::model

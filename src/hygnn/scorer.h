@@ -1,12 +1,8 @@
 #ifndef HYGNN_HYGNN_SCORER_H_
 #define HYGNN_HYGNN_SCORER_H_
 
-#include <span>
 #include <vector>
 
-#include "data/drug.h"
-#include "hygnn/model.h"
-#include "metrics/metrics.h"
 #include "tensor/tensor.h"
 
 namespace hygnn::model {
@@ -18,46 +14,6 @@ float StableSigmoid(float z);
 /// Applies StableSigmoid to every element of a logit column
 /// [n, 1] -> n probabilities.
 std::vector<float> SigmoidAll(const tensor::Tensor& logits);
-
-/// Uniform pair-scoring interface. Every inference path — the HyGNN
-/// model's cold forward, the serving engine's cached PairScorer, and
-/// the baseline harness heads — implements this, so evaluation,
-/// benchmarking, and screening code is written once against it.
-///
-/// Score returns a row-major [pairs.size(), score_width()] matrix as a
-/// flat vector. Binary scorers have width 1 (interaction probability);
-/// multi-class scorers emit one score per interaction type. Labels on
-/// the input pairs are ignored — only (a, b) are read.
-class Scorer {
- public:
-  virtual ~Scorer() = default;
-
-  virtual std::vector<float> Score(
-      std::span<const data::LabeledPair> pairs) const = 0;
-
-  /// Scores per pair; 1 unless overridden.
-  virtual int64_t score_width() const { return 1; }
-};
-
-/// Cold-path scorer: runs the full HyGNN forward (encoder + decoder)
-/// for every Score call. The reference every cached path is checked
-/// against bit-for-bit. Both pointers must outlive the scorer.
-class ContextScorer : public Scorer {
- public:
-  ContextScorer(const HyGnnModel* model, const HypergraphContext* context);
-
-  std::vector<float> Score(
-      std::span<const data::LabeledPair> pairs) const override;
-
- private:
-  const HyGnnModel* model_;
-  const HypergraphContext* context_;
-};
-
-/// Binary-evaluates any scorer of width 1 against the pairs' labels
-/// through the shared metrics::EvaluateBinary path.
-metrics::BinaryEval EvaluateScorer(
-    const Scorer& scorer, const std::vector<data::LabeledPair>& pairs);
 
 }  // namespace hygnn::model
 

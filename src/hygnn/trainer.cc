@@ -24,11 +24,6 @@ namespace hygnn::model {
 
 using core::Status;
 
-EvalResult EvaluateScores(const std::vector<float>& scores,
-                          const std::vector<float>& labels) {
-  return metrics::EvaluateBinary(scores, labels);
-}
-
 std::vector<float> LabelsOf(const std::vector<data::LabeledPair>& pairs) {
   std::vector<float> labels;
   labels.reserve(pairs.size());
@@ -403,7 +398,7 @@ EvalResult HyGnnTrainer::Evaluate(
     const std::vector<data::LabeledPair>& pairs) const {
   const std::vector<float> scores =
       model_->PredictProbabilities(context, pairs);
-  return EvaluateScores(scores, LabelsOf(pairs));
+  return metrics::EvaluateBinary(scores, LabelsOf(pairs));
 }
 
 }  // namespace hygnn::model

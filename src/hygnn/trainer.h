@@ -78,12 +78,6 @@ struct TrainConfig {
 /// (trainer, baselines, serving) reports through the same computation.
 using EvalResult = metrics::BinaryEval;
 
-/// Computes the paper's three metrics from scores and labels.
-/// Equivalent to metrics::EvaluateBinary; kept for callers written
-/// against the trainer API.
-EvalResult EvaluateScores(const std::vector<float>& scores,
-                          const std::vector<float>& labels);
-
 /// Extracts labels from a labeled-pair list.
 std::vector<float> LabelsOf(const std::vector<data::LabeledPair>& pairs);
 

@@ -2,7 +2,6 @@
 #define HYGNN_OBS_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -11,6 +10,7 @@
 
 #include "core/mutex.h"
 #include "core/thread_annotations.h"
+#include "obs/optime.h"
 
 namespace hygnn::obs {
 
@@ -165,34 +165,35 @@ class MetricsRegistry {
       HYGNN_GUARDED_BY(mutex_);
 };
 
-/// Wall-clock timer over std::chrono::steady_clock. The obs-sanctioned
-/// way to time hot paths in src/hygnn and src/serve (scripts/lint.py
-/// forbids ad-hoc core::Stopwatch use there).
+/// Elapsed-time timer over NowNanos, the one monotonic clock read.
+/// Times library hot paths, bench harnesses and tests alike.
 class Timer {
  public:
-  Timer() : start_(Clock::now()) {}
-  void Reset() { start_ = Clock::now(); }
+  Timer() : start_nanos_(NowNanos()) {}
   double ElapsedSeconds() const {
-    return std::chrono::duration<double>(Clock::now() - start_).count();
+    return static_cast<double>(NowNanos() - start_nanos_) * 1e-9;
   }
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
   double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point start_;
+  uint64_t start_nanos_;
 };
 
 /// RAII latency sample: records elapsed microseconds into `histogram`
 /// on destruction. Captures MetricsEnabled() at construction — when
-/// metrics are off the constructor is one relaxed load and the
-/// destructor a branch; no clock is read.
+/// metrics are off (or `histogram` is null) the constructor is one
+/// relaxed load and the destructor a branch; no clock is read.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram* histogram)
-      : histogram_(MetricsEnabled() ? histogram : nullptr) {}
+      : histogram_(MetricsEnabled() ? histogram : nullptr),
+        start_nanos_(histogram_ != nullptr ? NowNanos() : 0) {}
   ~ScopedTimer() {
-    if (histogram_ != nullptr) histogram_->Observe(timer_.ElapsedMicros());
+    if (histogram_ != nullptr) {
+      histogram_->Observe(static_cast<double>(NowNanos() - start_nanos_) /
+                          1e3);
+    }
   }
 
   ScopedTimer(const ScopedTimer&) = delete;
@@ -200,7 +201,7 @@ class ScopedTimer {
 
  private:
   Histogram* histogram_;
-  Timer timer_;
+  uint64_t start_nanos_;
 };
 
 }  // namespace hygnn::obs

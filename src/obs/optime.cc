@@ -1,8 +1,9 @@
 #include "obs/optime.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
+
+#include "core/clock.h"
 
 namespace hygnn::obs {
 
@@ -76,12 +77,7 @@ void SetKernelTimingEnabled(bool enabled) {
                                           std::memory_order_relaxed);
 }
 
-uint64_t NowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+uint64_t NowNanos() { return core::MonotonicClock().NowNanos(); }
 
 void OpStart(const void* token) {
   if (!KernelTimingEnabled()) return;

@@ -25,7 +25,7 @@ namespace hygnn::obs {
 ///
 /// Hot-path cost model (the part that must not perturb kernels):
 ///  - disabled: one relaxed atomic load per op, nothing else;
-///  - enabled: two steady_clock reads plus relaxed fetch_adds into a
+///  - enabled: two NowNanos reads plus relaxed fetch_adds into a
 ///    fixed lock-free slot table. No mutexes, no per-sample allocation
 ///    (the per-thread start stack reuses its capacity after warmup), so
 ///    thread-pool workers scoring pairs concurrently aggregate into the
@@ -45,11 +45,12 @@ inline bool KernelTimingEnabled() {
 /// Turns per-op timing on or off process-wide. Off is the default.
 void SetKernelTimingEnabled(bool enabled);
 
-/// Monotonic (steady_clock) timestamp in nanoseconds. The sanctioned
-/// raw-clock read for callers outside src/obs that time spans feeding
-/// this attribution table (e.g. tensor::ExecuteNodeBackward) —
-/// scripts/lint.py rule 10 keeps direct std::chrono clock reads out of
-/// those layers.
+/// Monotonic timestamp in nanoseconds: core::MonotonicClock(), never
+/// the ActiveClock seam, so a test's ManualClock cannot freeze
+/// observational time. Every span timer (Timer, ScopedTimer, this
+/// attribution table, tensor::ExecuteNodeBackward) reads it;
+/// scripts/lint.py rule 10 keeps every other std::chrono clock read
+/// out of the tree.
 uint64_t NowNanos();
 
 /// Marks the start of the op that will produce `token` (the output

@@ -16,10 +16,9 @@ namespace hygnn::serve {
 /// value with a typed error naming both versions.
 inline constexpr uint32_t kBundleVersion = 1;
 
-/// A self-describing, single-file HyGNN checkpoint. Unlike the
-/// deprecated weights-only SaveWeights format, a bundle carries
-/// everything needed to reconstruct a servable model with no
-/// caller-supplied configuration:
+/// A self-describing, single-file HyGNN checkpoint: the only file form
+/// of a model's weights. A bundle carries everything needed to
+/// reconstruct a servable model with no caller-supplied configuration:
 ///
 ///   | section  | contents                                            |
 ///   |----------|-----------------------------------------------------|

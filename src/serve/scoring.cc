@@ -8,6 +8,7 @@
 
 #include "core/logging.h"
 #include "core/thread_pool.h"
+#include "hygnn/scorer.h"
 #include "obs/metrics.h"
 #include "tensor/debug.h"
 
@@ -86,17 +87,6 @@ core::Result<ScoreResponse> PairScorer::ScorePairs(
   return ScoreResponse{ScoreValidated(request.pairs, *snapshot)};
 }
 
-std::vector<float> PairScorer::Score(
-    std::span<const data::LabeledPair> pairs) const {
-  // Deprecated shim: same validation as ScorePairs, but the historical
-  // crash-on-bad-input contract (callers predating typed errors never
-  // checked a status).
-  const auto snapshot = store_->Snapshot();
-  auto s = ValidateAgainstSnapshot(snapshot, pairs);
-  HYGNN_CHECK(s.ok()) << s.ToString();
-  return ScoreValidated(pairs, *snapshot);
-}
-
 std::vector<float> PairScorer::ScoreValidated(
     std::span<const data::LabeledPair> pairs,
     const StoreSnapshot& snapshot) const {
@@ -106,7 +96,7 @@ std::vector<float> PairScorer::ScoreValidated(
   const int64_t dim = snapshot.dim();
   const bool record = obs::MetricsEnabled();
   const ScoreMetrics* metrics = record ? &GetScoreMetrics() : nullptr;
-  obs::Timer score_timer;
+  obs::ScopedTimer score_span(record ? metrics->score_us : nullptr);
   if (record) {
     metrics->pairs_scored->Add(static_cast<uint64_t>(n));
     // Every pair reads two precomputed embedding rows from the store.
@@ -152,7 +142,6 @@ std::vector<float> PairScorer::ScoreValidated(
     HYGNN_DCHECK_EQ(tensor::GraphLint(logits).nodes_visited, 1)
         << "serving path retained autograd graph nodes";
   });
-  if (record) metrics->score_us->Observe(score_timer.ElapsedMicros());
   return scores;
 }
 
@@ -219,15 +208,6 @@ core::Result<ScreenResponse> ScreeningEngine::Screen(
                     response.hits.end(), ScreeningHitBefore);
   response.hits.resize(keep);
   return response;
-}
-
-std::vector<ScreeningHit> ScreeningEngine::TopK(int32_t query,
-                                                int32_t k) const {
-  // Deprecated shim over Screen; preserves the historical contract
-  // (crash on bad query, clamp negative k to an empty shortlist).
-  auto response = Screen({query, std::max(k, 0)});
-  HYGNN_CHECK(response.ok()) << response.status().ToString();
-  return std::move(response).value().hits;
 }
 
 }  // namespace hygnn::serve

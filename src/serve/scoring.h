@@ -9,7 +9,6 @@
 #include "core/status.h"
 #include "data/drug.h"
 #include "hygnn/model.h"
-#include "hygnn/scorer.h"
 #include "serve/embedding_store.h"
 #include "serve/request.h"
 
@@ -40,7 +39,7 @@ inline constexpr int64_t kScoreChunkPairs = 256;
 /// that no autograd graph nodes are allocated on the serving path.
 /// Model and store must outlive the scorer; the store must be valid()
 /// (Rebuild after any weight reload).
-class PairScorer : public model::Scorer {
+class PairScorer {
  public:
   PairScorer(const model::HyGnnModel* model, const EmbeddingStore* store);
 
@@ -60,16 +59,9 @@ class PairScorer : public model::Scorer {
       const ScoreRequest& request,
       const std::shared_ptr<const StoreSnapshot>& snapshot) const;
 
-  /// DEPRECATED: the pre-request/response signature, kept as a thin
-  /// shim over ScorePairs (and as the model::Scorer interface
-  /// adapter). Crashes on invalid input where ScorePairs returns a
-  /// typed status — prefer ScorePairs in new code.
-  std::vector<float> Score(
-      std::span<const data::LabeledPair> pairs) const override;
-
  private:
-  /// Scoring body shared by ScorePairs and the deprecated shim; input
-  /// must already be validated against `snapshot`.
+  /// Scoring body of ScorePairs; input must already be validated
+  /// against `snapshot`.
   std::vector<float> ScoreValidated(std::span<const data::LabeledPair> pairs,
                                     const StoreSnapshot& snapshot) const;
 
@@ -92,12 +84,6 @@ class ScreeningEngine {
   /// FailedPrecondition, an out-of-catalog query with InvalidArgument,
   /// and a negative top_k with InvalidArgument.
   core::Result<ScreenResponse> Screen(const ScreenRequest& request) const;
-
-  /// DEPRECATED: the pre-request/response signature, kept as a thin
-  /// shim over Screen. Crashes on invalid input where Screen returns a
-  /// typed status; negative `k` is clamped to 0 (the old behavior) —
-  /// prefer Screen in new code.
-  std::vector<ScreeningHit> TopK(int32_t query, int32_t k) const;
 
  private:
   const EmbeddingStore* store_;

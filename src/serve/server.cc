@@ -441,10 +441,11 @@ void Server::RunBatch(const std::vector<std::shared_ptr<Pending>>& batch) {
   if (record) {
     metrics->batch_pairs->Observe(static_cast<double>(total_pairs));
   }
-  obs::Timer score_timer;
+  const uint64_t score_start_nanos = record ? obs::NowNanos() : 0;
   auto scored = scorer_.ScorePairs(merged, snapshot);
   if (record) {
-    metrics->batch_score_us->Observe(score_timer.ElapsedMicros());
+    metrics->batch_score_us->Observe(
+        static_cast<double>(obs::NowNanos() - score_start_nanos) / 1e3);
   }
   if (!scored.ok()) {
     // Batch-level failure, typed: the store went stale (null snapshot

@@ -4,9 +4,6 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
-#include <sstream>
-
-#include "core/fs.h"
 
 namespace hygnn::tensor {
 
@@ -93,33 +90,6 @@ Result<std::vector<std::pair<std::string, Tensor>>> LoadTensorsFromStream(
                         Tensor::FromVector(std::move(data), rows, cols));
   }
   return result;
-}
-
-Status SaveTensors(
-    const std::vector<std::pair<std::string, Tensor>>& named_tensors,
-    const std::string& path) {
-  // Serialize in memory, then commit through the crash-safe write path
-  // (temp + fsync + rename, CRC32 footer) of the active filesystem.
-  std::ostringstream buffer;
-  if (auto status = SaveTensorsToStream(named_tensors, buffer);
-      !status.ok()) {
-    return Status(status.code(), status.message() + ": " + path);
-  }
-  return core::WriteFileDurable(core::ActiveFileSystem(), path,
-                                buffer.str());
-}
-
-Result<std::vector<std::pair<std::string, Tensor>>> LoadTensors(
-    const std::string& path) {
-  auto payload = core::ReadFileVerified(core::ActiveFileSystem(), path);
-  if (!payload.ok()) return payload.status();
-  std::istringstream in(std::move(payload).value());
-  auto loaded = LoadTensorsFromStream(in);
-  if (!loaded.ok()) {
-    return Status(loaded.status().code(),
-                  loaded.status().message() + ": " + path);
-  }
-  return loaded;
 }
 
 Status RestoreParameters(

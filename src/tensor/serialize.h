@@ -11,28 +11,20 @@
 
 namespace hygnn::tensor {
 
-/// Writes named tensors to a binary file (little-endian, versioned
-/// header). Used for model checkpointing.
-core::Status SaveTensors(
-    const std::vector<std::pair<std::string, Tensor>>& named_tensors,
-    const std::string& path);
-
-/// Reads a file written by SaveTensors. Loaded tensors are leaves with
-/// requires_grad = false.
-core::Result<std::vector<std::pair<std::string, Tensor>>> LoadTensors(
-    const std::string& path);
-
-/// Stream form of SaveTensors: writes the same magic + version +
-/// tensor-table section into `out` at the current position, so the
-/// table can be embedded inside a larger container (serve::ModelBundle
-/// embeds one after its config and vocabulary sections).
+/// Writes named tensors as one tensor-table section (magic, version,
+/// then each name, shape and little-endian float payload) into `out` at
+/// its current position. The table has no file form of its own: it is
+/// embedded in a larger container (serve::ModelBundle after its config
+/// and vocabulary sections, a model::TrainCheckpoint after its
+/// optimizer and RNG state), which owns the durable write and the
+/// checksum.
 core::Status SaveTensorsToStream(
     const std::vector<std::pair<std::string, Tensor>>& named_tensors,
     std::ostream& out);
 
-/// Stream form of LoadTensors: reads one tensor-table section starting
-/// at the current position of `in` and leaves the stream positioned
-/// just past it.
+/// Reads one tensor-table section starting at the current position of
+/// `in` and leaves the stream positioned just past it. Loaded tensors
+/// are leaves with requires_grad = false.
 core::Result<std::vector<std::pair<std::string, Tensor>>>
 LoadTensorsFromStream(std::istream& in);
 

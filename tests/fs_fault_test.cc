@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "data/io.h"
-#include "tensor/serialize.h"
-#include "tensor/tensor.h"
 
 namespace hygnn::core {
 namespace {
@@ -160,38 +158,6 @@ TEST(FsFaultTest, MissingFileIsNotFound) {
 }
 
 // ---- every persistence layer survives injected crashes ----
-
-TEST(FsFaultTest, TensorTableSurvivesCrashMidWrite) {
-  const std::string path = TempPath("tensors.hygt");
-  std::vector<std::pair<std::string, tensor::Tensor>> tensors;
-  tensors.emplace_back("w", tensor::Tensor::Full(2, 3, 1.5f));
-  ASSERT_TRUE(tensor::SaveTensors(tensors, path).ok());
-
-  FaultInjectingFs faulty(&PosixFs());
-  faulty.FailNthAppend(1);
-  {
-    ScopedFileSystem scoped(&faulty);
-    std::vector<std::pair<std::string, tensor::Tensor>> other;
-    other.emplace_back("w", tensor::Tensor::Full(2, 3, -9.0f));
-    ASSERT_FALSE(tensor::SaveTensors(other, path).ok());
-  }
-  auto loaded = tensor::LoadTensors(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value()[0].second.At(0, 0), 1.5f);
-}
-
-TEST(FsFaultTest, TensorTableRejectsTornFile) {
-  const std::string path = TempPath("torn.hygt");
-  FaultInjectingFs faulty(&PosixFs());
-  faulty.TruncateClosesBy(6);
-  {
-    ScopedFileSystem scoped(&faulty);
-    std::vector<std::pair<std::string, tensor::Tensor>> tensors;
-    tensors.emplace_back("w", tensor::Tensor::Full(4, 4, 2.0f));
-    ASSERT_TRUE(tensor::SaveTensors(tensors, path).ok());
-  }
-  ASSERT_FALSE(tensor::LoadTensors(path).ok());
-}
 
 TEST(FsFaultTest, CsvSurvivesCrashMidWrite) {
   const std::string path = TempPath("pairs.csv");

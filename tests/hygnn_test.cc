@@ -230,10 +230,10 @@ TEST(TrainerTest, TrainingImprovesOverUntrained) {
   EXPECT_GT(trained.roc_auc, 0.75);
 }
 
-TEST(EvaluateScoresTest, MatchesMetrics) {
+TEST(EvalResultTest, PerfectSeparationScoresOne) {
   std::vector<float> scores{0.9f, 0.1f};
   std::vector<float> labels{1.0f, 0.0f};
-  EvalResult result = EvaluateScores(scores, labels);
+  EvalResult result = metrics::EvaluateBinary(scores, labels);
   EXPECT_DOUBLE_EQ(result.f1, 1.0);
   EXPECT_DOUBLE_EQ(result.roc_auc, 1.0);
   EXPECT_DOUBLE_EQ(result.pr_auc, 1.0);

@@ -365,7 +365,7 @@ TEST(ObsTest, ServingMetricsCoverStagesAndCache) {
 
   ScopedMetricsEnabled on(true);
   MetricsRegistry::Global().ResetValues();
-  const auto hits = engine.TopK(/*query=*/0, /*k=*/5);
+  const auto hits = engine.Screen({/*query=*/0, /*top_k=*/5}).value().hits;
   EXPECT_EQ(hits.size(), 5u);
 
   auto& registry = MetricsRegistry::Global();

@@ -4,12 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/baselines.h"
-#include "baselines/pair_harness.h"
 #include "graph/hypergraph.h"
 #include "hygnn/model.h"
 #include "hygnn/scorer.h"
-#include "hygnn/trainer.h"
 #include "metrics/metrics.h"
 #include "tensor/debug.h"
 #include "tensor/ops.h"
@@ -56,63 +53,6 @@ TEST(StableSigmoidTest, SigmoidAllMapsColumn) {
   EXPECT_EQ(probabilities[0], StableSigmoid(-2.0f));
   EXPECT_EQ(probabilities[1], 0.5f);
   EXPECT_EQ(probabilities[2], StableSigmoid(2.0f));
-}
-
-TEST(ContextScorerTest, MatchesPredictProbabilitiesBitwise) {
-  const auto context = TinyContext();
-  const auto model = TinyModel();
-  const std::vector<data::LabeledPair> pairs = {
-      {0, 1, 1.0f}, {1, 2, 0.0f}, {0, 3, 1.0f}, {2, 3, 0.0f}};
-  const auto direct = model.PredictProbabilities(context, pairs);
-  ContextScorer scorer(&model, &context);
-  const auto via_interface = scorer.Score(pairs);
-  ASSERT_EQ(direct.size(), via_interface.size());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(direct[i], via_interface[i]);
-  }
-  EXPECT_EQ(scorer.score_width(), 1);
-}
-
-TEST(ContextScorerTest, EvaluateScorerAgreesWithTrainerMetrics) {
-  const auto context = TinyContext();
-  const auto model = TinyModel();
-  const std::vector<data::LabeledPair> pairs = {
-      {0, 1, 1.0f}, {1, 2, 0.0f}, {0, 3, 1.0f}, {2, 3, 0.0f}, {1, 3, 1.0f}};
-  ContextScorer scorer(&model, &context);
-  const metrics::BinaryEval from_scorer = EvaluateScorer(scorer, pairs);
-  const EvalResult from_trainer =
-      EvaluateScores(scorer.Score(pairs), LabelsOf(pairs));
-  EXPECT_EQ(from_scorer.f1, from_trainer.f1);
-  EXPECT_EQ(from_scorer.roc_auc, from_trainer.roc_auc);
-  EXPECT_EQ(from_scorer.pr_auc, from_trainer.pr_auc);
-}
-
-TEST(ContextScorerTest, BaselineHarnessScoresThroughSameInterface) {
-  tensor::Tensor embeddings = baselines::EmbeddingsToTensor({
-      {1.0f, 0.0f},
-      {0.9f, 0.1f},
-      {0.0f, 1.0f},
-      {0.1f, 0.9f},
-  });
-  baselines::BaselineConfig config;
-  config.classifier_hidden_dim = 8;
-  config.epochs = 10;
-  baselines::PairModelHarness harness(
-      [embeddings](bool, core::Rng*) { return embeddings; }, {}, 2, config,
-      /*seed=*/7);
-  const std::vector<data::LabeledPair> train = {
-      {0, 1, 1.0f}, {2, 3, 1.0f}, {0, 2, 0.0f}, {1, 3, 0.0f}};
-  harness.Fit(train);
-  const Scorer& scorer = harness;  // baselines score via the same API
-  const auto scores = scorer.Score(train);
-  ASSERT_EQ(scores.size(), train.size());
-  for (const float s : scores) {
-    EXPECT_GE(s, 0.0f);
-    EXPECT_LE(s, 1.0f);
-  }
-  const auto eval = EvaluateScorer(scorer, train);
-  EXPECT_GE(eval.roc_auc, 0.0);
-  EXPECT_LE(eval.roc_auc, 1.0);
 }
 
 TEST(InferenceModeTest, ServingForwardAllocatesNoGraphNodes) {

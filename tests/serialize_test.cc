@@ -1,4 +1,6 @@
 #include <cstdio>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -23,9 +25,9 @@ TEST(SerializeTest, RoundTripPreservesValues) {
   core::Rng rng(1);
   Tensor a = NormalInit(3, 4, 1.0f, &rng, false);
   Tensor b = NormalInit(1, 7, 2.0f, &rng, false);
-  const std::string path = TempPath("tensors.bin");
-  ASSERT_TRUE(SaveTensors({{"a", a}, {"b", b}}, path).ok());
-  auto loaded = LoadTensors(path).value();
+  std::stringstream table;
+  ASSERT_TRUE(SaveTensorsToStream({{"a", a}, {"b", b}}, table).ok());
+  auto loaded = LoadTensorsFromStream(table).value();
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].first, "a");
   EXPECT_EQ(loaded[1].first, "b");
@@ -37,26 +39,21 @@ TEST(SerializeTest, RoundTripPreservesValues) {
   for (int64_t i = 0; i < b.size(); ++i) {
     EXPECT_EQ(loaded[1].second.data()[i], b.data()[i]);
   }
-  std::remove(path.c_str());
 }
 
 TEST(SerializeTest, LoadedTensorsAreLeaves) {
-  const std::string path = TempPath("leaf.bin");
   Tensor t = Tensor::Full(2, 2, 1.0f, /*requires_grad=*/true);
-  ASSERT_TRUE(SaveTensors({{"t", t}}, path).ok());
-  auto loaded = LoadTensors(path).value();
+  std::stringstream table;
+  ASSERT_TRUE(SaveTensorsToStream({{"t", t}}, table).ok());
+  auto loaded = LoadTensorsFromStream(table).value();
   EXPECT_FALSE(loaded[0].second.requires_grad());
-  std::remove(path.c_str());
 }
 
 TEST(SerializeTest, RejectsCorruptFiles) {
-  const std::string path = TempPath("garbage.bin");
-  FILE* f = fopen(path.c_str(), "wb");
-  fputs("not a tensor file at all", f);
-  fclose(f);
-  EXPECT_FALSE(LoadTensors(path).ok());
-  std::remove(path.c_str());
-  EXPECT_FALSE(LoadTensors("/nonexistent/x.bin").ok());
+  std::istringstream garbage("not a tensor file at all");
+  EXPECT_FALSE(LoadTensorsFromStream(garbage).ok());
+  std::istringstream empty("");
+  EXPECT_FALSE(LoadTensorsFromStream(empty).ok());
 }
 
 TEST(SerializeTest, RestoreParametersChecksShapes) {
@@ -67,7 +64,12 @@ TEST(SerializeTest, RestoreParametersChecksShapes) {
   EXPECT_FALSE(RestoreParameters(wrong_count, &params).ok());
   std::vector<std::pair<std::string, Tensor>> wrong_shape{
       {"x", Tensor::Zeros(3, 2)}};
-  EXPECT_FALSE(RestoreParameters(wrong_shape, &params).ok());
+  const core::Status mismatch = RestoreParameters(wrong_shape, &params);
+  ASSERT_FALSE(mismatch.ok());
+  EXPECT_NE(mismatch.message().find("[3 x 2]"), std::string::npos)
+      << mismatch.message();
+  EXPECT_NE(mismatch.message().find("[2 x 3]"), std::string::npos)
+      << mismatch.message();
   std::vector<std::pair<std::string, Tensor>> good{
       {"x", Tensor::Full(2, 3, 9.0f)}};
   ASSERT_TRUE(RestoreParameters(good, &params).ok());
@@ -103,50 +105,20 @@ TEST(ModelCheckpointTest, SaveLoadReproducesPredictions) {
   model::HyGnnTrainer trainer(&original, train_config);
   trainer.Fit(context, split.train);
 
-  const std::string path = TempPath("model.bin");
-  ASSERT_TRUE(original.SaveWeights(path).ok());
+  const std::string path = TempPath("model.hygb");
+  ASSERT_TRUE(original.Save(path, featurizer.vocabulary()).ok());
 
-  // A fresh model with different random init must reproduce the
-  // original's predictions exactly after loading.
-  core::Rng other_rng(999);
-  model::HyGnnModel restored(featurizer.num_substructures(), config,
-                             &other_rng);
-  ASSERT_TRUE(restored.LoadWeights(path).ok());
+  // The loaded model must reproduce the original's predictions exactly.
+  auto restored = model::HyGnnModel::Load(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   auto original_scores =
       original.PredictProbabilities(context, split.test);
   auto restored_scores =
-      restored.PredictProbabilities(context, split.test);
+      restored.value().PredictProbabilities(context, split.test);
   ASSERT_EQ(original_scores.size(), restored_scores.size());
   for (size_t i = 0; i < original_scores.size(); ++i) {
     EXPECT_EQ(original_scores[i], restored_scores[i]);
   }
-  std::remove(path.c_str());
-}
-
-TEST(ModelCheckpointTest, LoadRejectsMismatchedArchitecture) {
-  data::DatasetConfig data_config;
-  data_config.num_drugs = 40;
-  auto dataset = data::GenerateDataset(data_config).value();
-  data::FeaturizeConfig feat_config;
-  feat_config.espf_frequency_threshold = 3;
-  auto featurizer =
-      data::SubstructureFeaturizer::Build(dataset.drugs(), feat_config)
-          .value();
-
-  core::Rng rng(5);
-  model::HyGnnConfig small;
-  small.encoder.hidden_dim = 8;
-  small.encoder.output_dim = 8;
-  model::HyGnnModel small_model(featurizer.num_substructures(), small,
-                                &rng);
-  const std::string path = TempPath("small.bin");
-  ASSERT_TRUE(small_model.SaveWeights(path).ok());
-
-  model::HyGnnConfig big;
-  big.encoder.hidden_dim = 32;
-  big.encoder.output_dim = 32;
-  model::HyGnnModel big_model(featurizer.num_substructures(), big, &rng);
-  EXPECT_FALSE(big_model.LoadWeights(path).ok());
   std::remove(path.c_str());
 }
 

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -193,23 +194,6 @@ TEST_F(ServeTest, SaveRejectsVocabularyModelMismatch) {
             std::string::npos);
 }
 
-TEST_F(ServeTest, DeprecatedLoadWeightsNamesBothShapesOnMismatch) {
-  const auto model = MakeModel();
-  const std::string path = TempPath("weights.hygt");
-  ASSERT_TRUE(model.SaveWeights(path).ok());
-  core::Rng rng(5);
-  model::HyGnnConfig other_config;
-  other_config.encoder.hidden_dim = 24;  // differs from MakeModel's 16
-  other_config.encoder.output_dim = 12;
-  other_config.decoder_hidden_dim = 10;
-  model::HyGnnModel other(featurizer_->num_substructures(), other_config,
-                          &rng);
-  auto status = other.LoadWeights(path);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("16"), std::string::npos);
-  EXPECT_NE(status.message().find("24"), std::string::npos);
-}
-
 TEST_F(ServeTest, CachedPairScorerMatchesColdPathBitwise) {
   const auto model = MakeModel();
   EmbeddingStore store(&model);
@@ -220,7 +204,7 @@ TEST_F(ServeTest, CachedPairScorerMatchesColdPathBitwise) {
   const auto pairs = SomePairs();
   const auto cold = model.PredictProbabilities(*context_, pairs);
   PairScorer scorer(&model, &store);
-  const auto cached = scorer.Score(pairs);
+  const auto cached = scorer.ScorePairs({pairs}).value().scores;
   ASSERT_EQ(cold.size(), cached.size());
   for (size_t i = 0; i < cold.size(); ++i) {
     EXPECT_EQ(cold[i], cached[i]) << "pair " << i;
@@ -230,25 +214,28 @@ TEST_F(ServeTest, CachedPairScorerMatchesColdPathBitwise) {
 TEST_F(ServeTest, StoreInvalidationAndRebuildAfterWeightReload) {
   auto model = MakeModel(/*seed=*/11);
   const auto other = MakeModel(/*seed=*/500);
-  const std::string path = TempPath("other_weights.hygt");
-  ASSERT_TRUE(other.SaveWeights(path).ok());
+  const std::string path = TempPath("other_weights.hygb");
+  ASSERT_TRUE(other.Save(path, featurizer_->vocabulary()).ok());
 
   EmbeddingStore store(&model);
   ASSERT_TRUE(store.Rebuild(*context_).ok());
   const uint64_t generation_before = store.generation();
   PairScorer scorer(&model, &store);
   const auto pairs = SomePairs();
-  const auto before = scorer.Score(pairs);
+  const auto before = scorer.ScorePairs({pairs}).value().scores;
 
-  // Reload different weights into the model: the cache is now stale.
-  ASSERT_TRUE(model.LoadWeights(path).ok());
+  // Reload different weights into the model the store points at: the
+  // cache is now stale.
+  auto reloaded = model::HyGnnModel::Load(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  model = std::move(reloaded).value();
   store.Invalidate();
   EXPECT_FALSE(store.valid());
   ASSERT_TRUE(store.Rebuild(*context_).ok());
   EXPECT_TRUE(store.valid());
   EXPECT_GT(store.generation(), generation_before);
 
-  const auto after = scorer.Score(pairs);
+  const auto after = scorer.ScorePairs({pairs}).value().scores;
   const auto cold_after = model.PredictProbabilities(*context_, pairs);
   bool any_changed = false;
   for (size_t i = 0; i < after.size(); ++i) {
@@ -268,7 +255,7 @@ TEST_F(ServeTest, ScreeningDeterministicAcrossThreadCounts) {
   std::vector<std::vector<ScreeningHit>> runs;
   for (const int32_t threads : {1, 2, 4}) {
     core::SetNumThreads(threads);
-    runs.push_back(engine.TopK(/*query=*/3, /*k=*/10));
+    runs.push_back(engine.Screen({/*query=*/3, /*top_k=*/10}).value().hits);
   }
   core::SetNumThreads(1);
   ASSERT_EQ(runs[0].size(), 10u);
@@ -388,7 +375,7 @@ TEST_F(ServeTest, AddDrugRejectsMultiLayerEncoders) {
   PairScorer scorer(&model, &store);
   const auto pairs = SomePairs();
   const auto cold = model.PredictProbabilities(*context_, pairs);
-  const auto cached = scorer.Score(pairs);
+  const auto cached = scorer.ScorePairs({pairs}).value().scores;
   for (size_t i = 0; i < cold.size(); ++i) {
     EXPECT_EQ(cold[i], cached[i]) << "pair " << i;
   }
@@ -494,7 +481,7 @@ TEST_F(ServeTest, AddDrugWithNoRecognizedSubstructuresDegradesGracefully) {
   for (int64_t j = 0; j < store.dim(); ++j) EXPECT_EQ(row[j], 0.0f);
   PairScorer scorer(&model, &store);
   const std::vector<data::LabeledPair> query = {{0, added.value(), 0.0f}};
-  const auto scores = scorer.Score(query);
+  const auto scores = scorer.ScorePairs({query}).value().scores;
   ASSERT_EQ(scores.size(), 1u);
   EXPECT_TRUE(std::isfinite(scores[0]));
 }

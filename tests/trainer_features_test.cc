@@ -4,13 +4,13 @@
 #include <memory>
 
 #include "core/rng.h"
-#include "core/stopwatch.h"
 #include "data/featurize.h"
 #include "data/generator.h"
 #include "data/pairs.h"
 #include "graph/builders.h"
 #include "hygnn/model.h"
 #include "hygnn/trainer.h"
+#include "obs/metrics.h"
 
 namespace hygnn::model {
 namespace {
@@ -91,7 +91,7 @@ TEST(TrainerFeaturesTest, EarlyStoppingTerminates) {
   config.validation_fraction = 0.2;
   config.patience = 12;
   HyGnnTrainer trainer(&model, config);
-  core::Stopwatch watch;
+  obs::Timer watch;
   trainer.Fit(*pipeline.context, pipeline.split.train);
   // Generous bound: early stopping must kick in long before 100k
   // full-batch epochs would finish.
