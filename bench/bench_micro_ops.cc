@@ -10,8 +10,11 @@
 // 136,241 x 64 training shape, each timed against the op composition it
 // replaces (two IndexSelectRows and a ConcatCols; AddRowBroadcast and
 // Relu) and checked bit for bit against it. Exits 1 on any mismatch.
+// The output opens with a header: build type, compiler, nproc, and which
+// dense-product tile the build runs (HYGNN_DENSE_TILE_AVX512).
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -25,6 +28,7 @@
 #include "core/thread_pool.h"
 #include "obs/metrics.h"
 #include "tensor/init.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tape.h"
 #include "tensor/tensor.h"
@@ -388,7 +392,18 @@ std::vector<GlueResult> SweepDecoderGlue() {
   return results;
 }
 
+/// The header fields this build can know, as one JSON object.
+std::string Header() {
+  const char* tile = HYGNN_DENSE_TILE_AVX512 ? "avx512" : "portable";
+  return std::string("{\"build_type\": \"") + HYGNN_BUILD_TYPE +
+         "\", \"compiler\": \"" + HYGNN_COMPILER +
+         "\", \"nproc\": " + std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
+         ", \"dense_tile\": \"" + tile + "\"}";
+}
+
 int RunScalingHarness(const std::string& json_path) {
+  const std::string header = Header();
+  std::printf("%s\n", header.c_str());
   std::vector<ScalingResult> results;
 
   SweepDenseProducts(&results);
@@ -436,7 +451,10 @@ int RunScalingHarness(const std::string& json_path) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
-  std::fprintf(file, "{\n  \"bench\": \"micro_ops\",\n  \"results\": [\n");
+  std::fprintf(file,
+               "{\n  \"bench\": \"micro_ops\",\n  \"header\": %s,\n"
+               "  \"results\": [\n",
+               header.c_str());
   for (size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     std::fprintf(file,

@@ -176,7 +176,9 @@ core::Result<float> HyGnnTrainer::TryFit(
   }
 
   for (int32_t epoch = start_epoch; epoch < config_.epochs; ++epoch) {
-    obs::Timer epoch_timer;
+    // Timers read the clock, so they start only when something records.
+    std::optional<obs::Timer> epoch_timer;
+    if (recorder.active()) epoch_timer.emplace();
     double grad_norm_sum = 0.0;
     size_t grad_norm_samples = 0;
     if (config_.batch_size > 0) {
@@ -291,9 +293,9 @@ core::Result<float> HyGnnTrainer::TryFit(
       }
     }
 
-    const double epoch_ms = epoch_timer.ElapsedMillis();
-    if (epoch_hist != nullptr) epoch_hist->Observe(epoch_ms * 1e3);
     if (recorder.active()) {
+      const double epoch_ms = epoch_timer->ElapsedMillis();
+      epoch_hist->Observe(epoch_ms * 1e3);
       obs::JsonWriter event;
       event.Str("type", "event").Str("event", "epoch").Int("epoch", epoch);
       event.Num("wall_ms", epoch_ms);
@@ -339,7 +341,8 @@ core::Result<float> HyGnnTrainer::TryFit(
         ckpt.weights.emplace_back("param" + std::to_string(i),
                                   parameters[i]);
       }
-      obs::Timer write_timer;
+      std::optional<obs::Timer> write_timer;
+      if (ckpt_hist != nullptr) write_timer.emplace();
       if (auto status = ckpt.Save(ckpt_path, config_.checkpoint_write_attempts,
                                   config_.checkpoint_backoff_ms);
           !status.ok()) {
@@ -349,7 +352,7 @@ core::Result<float> HyGnnTrainer::TryFit(
         HYGNN_LOG(Warning) << "checkpoint write failed (training "
                               "continues): " << status.ToString();
       } else if (ckpt_hist != nullptr) {
-        ckpt_hist->Observe(write_timer.ElapsedMicros());
+        ckpt_hist->Observe(write_timer->ElapsedMicros());
       }
     }
     if (config_.verbose && (epoch % config_.log_every == 0 ||

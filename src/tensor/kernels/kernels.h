@@ -65,11 +65,19 @@ inline constexpr int64_t kLineGrain = 16;
 // compiler may fuse any a*b + c it sees into one FMA, and where it does
 // depends on how it vectorizes a loop; with it, the source decides.
 //
-// All three run one register-tiled microkernel: a 4-row × 64-column
-// tile of c accumulates in registers while t walks forward. MatMul
-// reads a by rows, MatMulTN by columns (no transposed copy), MatMulNT
-// packs bᵀ once per call, and a one-column c takes a 16-row
-// matrix-vector tile with one accumulator per row.
+// All three share one register tiling: a 4-row × 64-column tile of c
+// accumulates in registers while t walks forward. MatMul reads a by
+// rows, MatMulTN by columns (no transposed copy), MatMulNT packs bᵀ
+// once per call, and a one-column c takes a 16-row matrix-vector tile
+// with one accumulator per row. The target ISA fixes at build time
+// which tile runs a full 64-column block (HYGNN_DENSE_TILE_AVX512
+// below). With AVX-512F and FMA it is VectorTile: sixteen explicit
+// 512-bit accumulators, b's row loaded once per t for all four rows,
+// and MulAdd's zero skip as a mask of a != 0 instead of a branch.
+// Elsewhere it is the portable Tile, whose register width the compiler
+// picks. The last, narrower column block and the one-column tile are
+// portable on every target. Both tiles give each element the float
+// operations above, in the same order, so they write the same bits.
 //
 // Chunks come from the shape, never the thread count. A MatMul or
 // MatMulNT chunk is the fewest whole 4-row tiles of at least 2¹⁴
@@ -80,6 +88,16 @@ inline constexpr int64_t kLineGrain = 16;
 // they are floats, so the spill rounds nothing. MatMulNT is not
 // blocked, because its s starts at +0 and is added into c only once.
 // ---------------------------------------------------------------------------
+
+/// 1 when matmul.cc runs each full 64-column tile in explicit 16-lane
+/// registers: the target has AVX-512F, and FMA, without which MulAdd
+/// rounds twice. 0 on every other target, where the portable tile runs.
+/// bench_micro_ops reports this decision next to its timings.
+#if defined(__AVX512F__) && defined(__FMA__)
+#define HYGNN_DENSE_TILE_AVX512 1
+#else
+#define HYGNN_DENSE_TILE_AVX512 0
+#endif
 
 /// c[n,m] = a[n,k] · b[k,m]. Parallel over rows of c. Never reads c.
 void MatMul(const float* a, const float* b, float* c, int64_t n, int64_t k,

@@ -10,6 +10,10 @@
 
 #include "tensor/kernels/kernels.h"
 
+#if HYGNN_DENSE_TILE_AVX512
+#include <immintrin.h>
+#endif
+
 namespace hygnn::tensor::kernels {
 namespace {
 
@@ -18,6 +22,8 @@ namespace {
 constexpr int64_t kTileRows = 4;
 
 /// Columns of c per tile: a 4 × 64 tile is sixteen 512-bit registers.
+/// VectorTile holds it in them; the portable Tile leaves the register
+/// width to the compiler, and GCC 12 picks 256 bits even on AVX-512.
 constexpr int64_t kTileCols = 64;
 
 /// Rows of a one-column c per matrix-vector tile: sixteen independent
@@ -138,6 +144,65 @@ void Tile(const Product& p, int64_t r0, int64_t j0, int64_t w) {
   }
 }
 
+#if HYGNN_DENSE_TILE_AVX512
+/// Floats per 512-bit register, and registers per row of a full tile.
+constexpr int64_t kLanes = 16;
+constexpr int64_t kRowVectors = kTileCols / kLanes;
+
+/// Tile<kRounding, R, kTileCols> in explicit 16-lane registers: R × 4
+/// accumulators, and b's row loaded once per t for all R rows. Each
+/// lane takes its element's float operations in the portable tile's
+/// order. MulAdd is one fused rounding under a mask of a != 0, which
+/// skips ±0 without a branch and keeps a NaN a (the compare is
+/// unordered); MatMulNT's step is a rounded product, then a rounded sum.
+template <Rounding kRounding, int64_t R>
+void VectorTile(const Product& p, int64_t r0, int64_t j0) {
+  const int64_t m = p.m;
+  float* c = p.c + r0 * m + j0;
+  const bool accumulate = p.store == Store::kAccumulate;
+  __m512 acc[R][kRowVectors];
+  for (int64_t r = 0; r < R; ++r) {
+    for (int64_t v = 0; v < kRowVectors; ++v) {
+      acc[r][v] = (kRounding == Rounding::kMulAdd && accumulate)
+                      ? _mm512_loadu_ps(c + r * m + v * kLanes)
+                      : _mm512_setzero_ps();
+    }
+  }
+  const float* a = p.a + r0 * p.a_row;
+  for (int64_t t = 0; t < p.depth; ++t) {
+    const float* brow = p.b + t * m + j0;
+    __m512 b[kRowVectors];
+    for (int64_t v = 0; v < kRowVectors; ++v) {
+      b[v] = _mm512_loadu_ps(brow + v * kLanes);
+    }
+    for (int64_t r = 0; r < R; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r * p.a_row + t * p.a_step]);
+      if constexpr (kRounding == Rounding::kSumThenAdd) {
+        for (int64_t v = 0; v < kRowVectors; ++v) {
+          acc[r][v] = _mm512_add_ps(acc[r][v], _mm512_mul_ps(av, b[v]));
+        }
+      } else {
+        const __mmask16 nonzero =
+            _mm512_cmp_ps_mask(av, _mm512_setzero_ps(), _CMP_NEQ_UQ);
+        for (int64_t v = 0; v < kRowVectors; ++v) {
+          acc[r][v] = _mm512_mask3_fmadd_ps(av, b[v], acc[r][v], nonzero);
+        }
+      }
+    }
+  }
+  for (int64_t r = 0; r < R; ++r) {
+    for (int64_t v = 0; v < kRowVectors; ++v) {
+      float* out = c + r * m + v * kLanes;
+      if (kRounding == Rounding::kSumThenAdd && accumulate) {
+        _mm512_storeu_ps(out, _mm512_add_ps(_mm512_loadu_ps(out), acc[r][v]));
+      } else {
+        _mm512_storeu_ps(out, acc[r][v]);
+      }
+    }
+  }
+}
+#endif
+
 /// Every column block of rows [r0, r0 + R). A single-column c is a
 /// matrix-vector product: its tile holds one accumulator per row.
 template <Rounding kRounding, int64_t R>
@@ -148,7 +213,11 @@ void RowTile(const Product& p, int64_t r0) {
   }
   int64_t j0 = 0;
   for (; j0 + kTileCols <= p.m; j0 += kTileCols) {
+#if HYGNN_DENSE_TILE_AVX512
+    VectorTile<kRounding, R>(p, r0, j0);
+#else
     Tile<kRounding, R, kTileCols>(p, r0, j0, kTileCols);
+#endif
   }
   if (j0 < p.m) Tile<kRounding, R, 0>(p, r0, j0, p.m - j0);
 }

@@ -260,6 +260,7 @@ TEST(KernelParityTest, TransposeNoGrad) {
 // ---------------------------------------------------------------------------
 
 constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
 
 /// round(a·b) to float. The volatile store is the rounding: it keeps the
 /// compiler from fusing the product into a following add when it
@@ -349,7 +350,10 @@ struct Shape {
 
 /// Runs `kernel` at 1, 2 and 4 threads over every shape in the grid and
 /// in `boundary`, and memcmps c against `reference`. Zero-heavy a (with
-/// -0) pins the skip-zero contract. An accumulating kernel's c and the
+/// -0) pins the skip-zero contract. With `skips_zeros` (MatMul,
+/// MatMulTN), one reduction index t is ±0 in every row of the product
+/// and row t of b is ±inf, so a tile that forms 0·inf instead of
+/// skipping it writes NaN. An accumulating kernel's c and the
 /// reference's start at the same nonzero c0 (with some -0); an
 /// overwriting kernel's c starts as NaN and the reference's at +0, so
 /// a read of c shows. Row counts around the 4-row tile and 1,024 rows
@@ -358,8 +362,8 @@ struct Shape {
 /// block on a short tail. `transposed_a` marks MatMulTN, whose b is
 /// [n,m] and c is [k,m].
 void ExpectMatchesReference(const char* name, bool transposed_a,
-                            tensor::kernels::Store store, DenseKernel kernel,
-                            DenseKernel reference,
+                            bool skips_zeros, tensor::kernels::Store store,
+                            DenseKernel kernel, DenseKernel reference,
                             const std::vector<Shape>& boundary) {
   const bool overwrite = store == tensor::kernels::Store::kOverwrite;
   const int64_t kRowsGrid[] = {1, 3, 5, 90, 1024};
@@ -374,9 +378,19 @@ void ExpectMatchesReference(const char* name, bool transposed_a,
   core::Rng rng(2024);
   int failures = 0;
   for (const auto& [n, k, m] : shapes) {
-    const auto a = DenseInput(&rng, n * k, 0.4);
-    const auto b = DenseInput(&rng, (transposed_a ? n : k) * m, 0.1);
+    auto a = DenseInput(&rng, n * k, 0.4);
+    auto b = DenseInput(&rng, (transposed_a ? n : k) * m, 0.1);
     const auto c0 = DenseInput(&rng, (transposed_a ? k : n) * m, 0.2);
+    if (skips_zeros) {
+      // a[i, t] for every i of MatMul, a[t, r] for every r of MatMulTN.
+      const int64_t depth = transposed_a ? n : k;
+      const int64_t t = depth / 2;
+      const int64_t rows = transposed_a ? k : n;
+      for (int64_t r = 0; r < rows; ++r) {
+        a[transposed_a ? t * k + r : r * k + t] = r % 2 ? -0.0f : 0.0f;
+      }
+      for (int64_t j = 0; j < m; ++j) b[t * m + j] = j % 2 ? -kInf : kInf;
+    }
     std::vector<float> expected =
         overwrite ? std::vector<float>(c0.size(), 0.0f) : c0;
     reference(a.data(), b.data(), expected.data(), n, k, m);
@@ -400,7 +414,8 @@ void ExpectMatchesReference(const char* name, bool transposed_a,
 const std::vector<Shape> kThinRowShapes = {{4099, 64, 1}, {4099, 1, 64}};
 
 TEST(DenseProductTest, MatMulMatchesRoundingReference) {
-  ExpectMatchesReference("MatMul", false, tensor::kernels::Store::kOverwrite,
+  ExpectMatchesReference("MatMul", false, true,
+                         tensor::kernels::Store::kOverwrite,
                          tensor::kernels::MatMul, ReferenceMatMul,
                          kThinRowShapes);
 }
@@ -408,14 +423,14 @@ TEST(DenseProductTest, MatMulMatchesRoundingReference) {
 TEST(DenseProductTest, MatMulNTMatchesRoundingReference) {
   using tensor::kernels::Store;
   ExpectMatchesReference(
-      "MatMulNT overwrite", false, Store::kOverwrite,
+      "MatMulNT overwrite", false, false, Store::kOverwrite,
       [](const float* a, const float* b, float* c, int64_t n, int64_t k,
          int64_t m) {
         tensor::kernels::MatMulNT(a, b, c, n, k, m, Store::kOverwrite);
       },
       ReferenceMatMulNT, kThinRowShapes);
   ExpectMatchesReference(
-      "MatMulNT accumulate", false, Store::kAccumulate,
+      "MatMulNT accumulate", false, false, Store::kAccumulate,
       [](const float* a, const float* b, float* c, int64_t n, int64_t k,
          int64_t m) {
         tensor::kernels::MatMulNT(a, b, c, n, k, m, Store::kAccumulate);
@@ -426,7 +441,8 @@ TEST(DenseProductTest, MatMulNTMatchesRoundingReference) {
 TEST(DenseProductTest, MatMulTNMatchesRoundingReference) {
   // n = 4,099 is 65 reduction blocks of 64 rows, the last of 3 rows;
   // k = 130 is five chunks of 32 rows of c, the last of 2 rows.
-  ExpectMatchesReference("MatMulTN", true, tensor::kernels::Store::kAccumulate,
+  ExpectMatchesReference("MatMulTN", true, true,
+                         tensor::kernels::Store::kAccumulate,
                          tensor::kernels::MatMulTN, ReferenceMatMulTN,
                          {{4099, 130, 64}, {4099, 64, 1}});
 }
