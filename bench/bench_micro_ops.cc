@@ -6,10 +6,11 @@
 // reference, counting minor page faults and recycled tensor buffers
 // per iteration, and writing machine-readable JSON to BENCH_micro_ops.json
 // (override with --json_out=PATH), followed by the decoder-glue rows:
-// PairConcat and BiasRelu, forward and backward at the paper's
-// 136,241 x 64 training shape, each timed against the op composition it
-// replaces (two IndexSelectRows and a ConcatCols; AddRowBroadcast and
-// Relu) and checked bit for bit against it. Exits 1 on any mismatch.
+// PairMatMul and BiasRelu, forward and backward at the paper's
+// 136,241-pair training shape, each timed against the op composition it
+// replaces (MatMul of a ConcatCols of two IndexSelectRows;
+// AddRowBroadcast and Relu) and checked bit for bit against it. Exits 1
+// on any mismatch.
 // The output opens with a header: build type, compiler, nproc, and which
 // dense-product tile the build runs (HYGNN_DENSE_TILE_AVX512).
 
@@ -149,7 +150,7 @@ void SweepOp(const std::string& op, int64_t rows, int64_t cols, Op make,
 /// The paper's Table I training set: 136,241 pairs over 824 drugs.
 constexpr int64_t kPairs = 136241, kDrugs = 824;
 
-/// `n` uniformly drawn drug pairs, as the two index lists PairConcat
+/// `n` uniformly drawn drug pairs, as the two index lists PairMatMul
 /// takes.
 std::pair<std::vector<int32_t>, std::vector<int32_t>> RandomPairs(
     int64_t n, int64_t drugs, core::Rng* rng) {
@@ -173,8 +174,8 @@ std::pair<std::vector<int32_t>, std::vector<int32_t>> RandomPairs(
 ///  - Decoder.L2 fwd+bwd: layer 2's forward, its sum, and the
 ///    backward's MatMulNT (k = 1) and MatMulTN (m = 1).
 ///  - Decoder fwd+bwd: the model's decoder op sequence, forward and
-///    backward: PairConcat of an 824-drug table, layer 1, BiasRelu,
-///    layer 2 and its bias, so all six products of a training step plus
+///    backward: layer 1 as PairMatMul over an 824-drug table, BiasRelu,
+///    layer 2 and its bias, so every product of a training step plus
 ///    the glue around them.
 ///  - Serve.batch90 fwd: both layers over one 90-pair serving batch.
 /// The fwd+bwd rows zero the leaves' gradients each iteration, as the
@@ -237,11 +238,9 @@ void SweepDenseProducts(std::vector<ScalingResult>* results) {
         for (tensor::Tensor leaf : {table, w1, b1, w2, b2}) leaf.ZeroGrad();
         loss = tensor::ReduceSum(tensor::AddRowBroadcast(
             tensor::MatMul(
-                tensor::BiasRelu(
-                    tensor::MatMul(tensor::PairConcat(table, pairs.first,
-                                                      pairs.second),
-                                   w1),
-                    b1),
+                tensor::BiasRelu(tensor::PairMatMul(table, pairs.first,
+                                                    pairs.second, w1),
+                                 b1),
                 w2),
             b2));
         loss.Backward();
@@ -353,9 +352,10 @@ void SweepGlue(const std::string& op, const std::string& composed_of,
   core::SetNumThreads(1);
 }
 
-/// The two glue rows at the MLP decoder's training shape: 136,241 pairs
-/// over an 824-drug, 64-wide embedding table, and the [136241 x 64]
-/// hidden pre-activation. The incoming gradients are Gaussian.
+/// The two glue rows at the MLP decoder's training shape: layer 1 of
+/// 136,241 pairs over an 824-drug, 64-wide embedding table to 64 hidden
+/// units, and the [136241 x 64] hidden pre-activation. The incoming
+/// gradients are Gaussian.
 std::vector<GlueResult> SweepDecoderGlue() {
   constexpr int64_t kD = 64;
   core::Rng rng(11);
@@ -363,18 +363,20 @@ std::vector<GlueResult> SweepDecoderGlue() {
   {
     const tensor::Tensor table =
         tensor::NormalInit(kDrugs, kD, 1.0f, &rng, true);
+    const tensor::Tensor w = tensor::NormalInit(2 * kD, kD, 0.1f, &rng, true);
     const auto pairs = RandomPairs(kPairs, kDrugs, &rng);
     const std::vector<int32_t>& a = pairs.first;
     const std::vector<int32_t>& b = pairs.second;
-    const tensor::Tensor g =
-        tensor::NormalInit(kPairs, 2 * kD, 1.0f, &rng, false);
+    const tensor::Tensor g = tensor::NormalInit(kPairs, kD, 1.0f, &rng, false);
     SweepGlue(
-        "PairConcat", "2xIndexSelectRows+ConcatCols", {table},
+        "PairMatMul", "MatMul(ConcatCols(2xIndexSelectRows))", {table, w},
         std::vector<float>(g.data(), g.data() + g.size()),
-        [&] { return tensor::PairConcat(table, a, b); },
+        [&] { return tensor::PairMatMul(table, a, b, w); },
         [&] {
-          return tensor::ConcatCols(tensor::IndexSelectRows(table, a),
-                                    tensor::IndexSelectRows(table, b));
+          return tensor::MatMul(
+              tensor::ConcatCols(tensor::IndexSelectRows(table, a),
+                                 tensor::IndexSelectRows(table, b)),
+              w);
         },
         &results);
   }

@@ -3,14 +3,18 @@
 #include "core/logging.h"
 #include "hygnn/scorer.h"
 #include "tensor/loss.h"
-#include "tensor/ops.h"
 #include "tensor/optimizer.h"
 #include "tensor/tape.h"
 
 namespace hygnn::baselines {
 
-tensor::Tensor ConcatPairRows(const tensor::Tensor& embeddings,
-                              std::span<const data::LabeledPair> pairs) {
+namespace {
+
+/// The pair head's logits for `pairs`, rows of the embedding table.
+tensor::Tensor PairLogits(const nn::Mlp& head,
+                          const tensor::Tensor& embeddings,
+                          std::span<const data::LabeledPair> pairs,
+                          bool training, core::Rng* rng) {
   HYGNN_CHECK(!pairs.empty());
   std::vector<int32_t> left, right;
   left.reserve(pairs.size());
@@ -19,8 +23,10 @@ tensor::Tensor ConcatPairRows(const tensor::Tensor& embeddings,
     left.push_back(pair.a);
     right.push_back(pair.b);
   }
-  return tensor::PairConcat(embeddings, left, right);
+  return head.ForwardPairs(embeddings, left, right, training, rng);
 }
+
+}  // namespace
 
 tensor::Tensor EmbeddingsToTensor(
     const std::vector<std::vector<float>>& rows) {
@@ -60,9 +66,8 @@ void PairModelHarness::Fit(const std::vector<data::LabeledPair>& train_pairs) {
   for (int32_t epoch = 0; epoch < config_.epochs; ++epoch) {
     optimizer.ZeroGrad();
     tensor::Tensor embeddings = embed_fn_(/*training=*/true, &rng_);
-    tensor::Tensor features = ConcatPairRows(embeddings, train_pairs);
-    tensor::Tensor logits = head_.Forward(features, /*training=*/true,
-                                          &rng_);
+    tensor::Tensor logits = PairLogits(head_, embeddings, train_pairs,
+                                       /*training=*/true, &rng_);
     tensor::Tensor loss = tensor::BceWithLogitsLoss(logits, labels);
     loss.Backward();
     optimizer.ClipGradNorm(5.0f);
@@ -76,8 +81,8 @@ std::vector<float> PairModelHarness::Score(
   tensor::InferenceModeScope inference;
   tensor::Tensor embeddings =
       embed_fn_(/*training=*/false, nullptr);
-  tensor::Tensor features = ConcatPairRows(embeddings, pairs);
-  tensor::Tensor logits = head_.Forward(features);
+  tensor::Tensor logits =
+      PairLogits(head_, embeddings, pairs, /*training=*/false, nullptr);
   return model::SigmoidAll(logits);
 }
 

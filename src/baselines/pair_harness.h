@@ -12,10 +12,6 @@
 
 namespace hygnn::baselines {
 
-/// Gathers pair rows and concatenates: [n_pairs, 2 * dim].
-tensor::Tensor ConcatPairRows(const tensor::Tensor& embeddings,
-                              std::span<const data::LabeledPair> pairs);
-
 /// Shared trainer for every "node embeddings + MLP pair head" baseline.
 /// `embed_fn` recomputes the drug embedding matrix each epoch (so
 /// GNN parameters, if trainable, receive gradients); `embed_params`

@@ -21,7 +21,7 @@ tensor::Tensor MlpDecoder::Score(const tensor::Tensor& embeddings,
                                  const std::vector<int32_t>& a,
                                  const std::vector<int32_t>& b, bool training,
                                  core::Rng* rng) const {
-  return mlp_.Forward(tensor::PairConcat(embeddings, a, b), training, rng);
+  return mlp_.ForwardPairs(embeddings, a, b, training, rng);
 }
 
 std::vector<tensor::Tensor> MlpDecoder::Parameters() const {

@@ -39,8 +39,8 @@ class DotDecoder : public Decoder {
 };
 
 /// MLP decoder (eq. 11): gamma(q_x, q_y) = W2 phi(W1 (q_x || q_y)) with
-/// a ReLU phi, following the paper's predictor. q_x || q_y is one
-/// PairConcat of the embedding table.
+/// a ReLU phi, following the paper's predictor. W1 (q_x || q_y) is one
+/// PairMatMul over the embedding table (Mlp::ForwardPairs).
 class MlpDecoder : public Decoder {
  public:
   MlpDecoder(int64_t embedding_dim, int64_t hidden_dim, core::Rng* rng,

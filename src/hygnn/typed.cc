@@ -4,7 +4,6 @@
 
 #include "core/logging.h"
 #include "tensor/loss.h"
-#include "tensor/ops.h"
 #include "tensor/optimizer.h"
 #include "tensor/tape.h"
 
@@ -33,8 +32,7 @@ tensor::Tensor TypedHyGnnModel::Forward(const HypergraphContext& context,
     left.push_back(pair.a);
     right.push_back(pair.b);
   }
-  return head_.Forward(tensor::PairConcat(embeddings, left, right), training,
-                       rng);
+  return head_.ForwardPairs(embeddings, left, right, training, rng);
 }
 
 std::vector<int32_t> TypedHyGnnModel::PredictTypes(

@@ -16,21 +16,40 @@ Mlp::Mlp(const std::vector<int64_t>& dims, core::Rng* rng, float dropout)
 
 tensor::Tensor Mlp::Forward(const tensor::Tensor& x, bool training,
                             core::Rng* rng) const {
-  tensor::Tensor h = x;
-  for (size_t i = 0; i + 1 < layers_.size(); ++i) {
-    // Hidden layers: one BiasRelu in place of Linear's bias add and a
-    // Relu, bit-identical to them.
-    h = tensor::BiasRelu(tensor::MatMul(h, layers_[i]->weight()),
-                         layers_[i]->bias());
-    if (dropout_ > 0.0f) {
-      h = tensor::Dropout(h, dropout_, training, rng);
-    }
-  }
-  return layers_.back()->Forward(h);
+  return FromFirstProduct(tensor::MatMul(x, layers_.front()->weight()),
+                          training, rng);
 }
 
 tensor::Tensor Mlp::Forward(const tensor::Tensor& x) const {
   return Forward(x, /*training=*/false, nullptr);
+}
+
+tensor::Tensor Mlp::ForwardPairs(const tensor::Tensor& h,
+                                 const std::vector<int32_t>& a,
+                                 const std::vector<int32_t>& b,
+                                 bool training, core::Rng* rng) const {
+  // The input is never dropped out, so layer 0's product may read the
+  // pair rows straight from h.
+  return FromFirstProduct(
+      tensor::PairMatMul(h, a, b, layers_.front()->weight()), training, rng);
+}
+
+tensor::Tensor Mlp::FromFirstProduct(tensor::Tensor z, bool training,
+                                     core::Rng* rng) const {
+  for (size_t i = 0;; ++i) {
+    const Linear& layer = *layers_[i];
+    // The output layer adds its bias; every layer has one.
+    if (i + 1 == layers_.size()) {
+      return tensor::AddRowBroadcast(z, layer.bias());
+    }
+    // Hidden layers: one BiasRelu in place of Linear's bias add and a
+    // Relu, bit-identical to them.
+    tensor::Tensor h = tensor::BiasRelu(z, layer.bias());
+    if (dropout_ > 0.0f) {
+      h = tensor::Dropout(h, dropout_, training, rng);
+    }
+    z = tensor::MatMul(h, layers_[i + 1]->weight());
+  }
 }
 
 std::vector<tensor::Tensor> Mlp::Parameters() const {

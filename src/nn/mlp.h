@@ -1,6 +1,7 @@
 #ifndef HYGNN_NN_MLP_H_
 #define HYGNN_NN_MLP_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -25,9 +26,22 @@ class Mlp : public Module {
   /// Inference-mode forward (no dropout).
   tensor::Tensor Forward(const tensor::Tensor& x) const;
 
+  /// Forward over the pair inputs h[a[i]] ‖ h[b[i]] of an [N, in / 2]
+  /// table h, without writing them: layer 0 runs as one
+  /// tensor::PairMatMul. Bit-identical to Forward of the concatenated
+  /// rows, values and gradients.
+  tensor::Tensor ForwardPairs(const tensor::Tensor& h,
+                              const std::vector<int32_t>& a,
+                              const std::vector<int32_t>& b, bool training,
+                              core::Rng* rng) const;
+
   std::vector<tensor::Tensor> Parameters() const override;
 
  private:
+  /// Every layer after layer 0's product z = x · W0.
+  tensor::Tensor FromFirstProduct(tensor::Tensor z, bool training,
+                                  core::Rng* rng) const;
+
   std::vector<std::unique_ptr<Linear>> layers_;
   float dropout_;
 };

@@ -18,7 +18,7 @@ namespace hygnn::obs {
 ///  - Backward: tensor::ExecuteNodeBackward (tensor/tape.cc) times
 ///    every node it runs, recorded or closure-based, and reports the
 ///    span through RecordBackward.
-///  - The fused ops PairConcat and BiasRelu are attributed under their
+///  - The fused ops PairMatMul and BiasRelu are attributed under their
 ///    own names, not under the ops they replace.
 /// Forward time is inclusive: a composite op that calls other ops
 /// between its own start and finish includes their time.

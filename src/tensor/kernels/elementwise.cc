@@ -157,19 +157,6 @@ void GatherRows(const float* src, int64_t d, const int32_t* indices,
   });
 }
 
-void GatherRowPairs(const float* src, int64_t d, const int32_t* a,
-                    const int32_t* b, int64_t n, float* dst) {
-  core::ParallelFor(0, n, kRowGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const float* sa = src + static_cast<int64_t>(a[i]) * d;
-      const float* sb = src + static_cast<int64_t>(b[i]) * d;
-      float* t = dst + i * 2 * d;
-      for (int64_t j = 0; j < d; ++j) t[j] = sa[j];
-      for (int64_t j = 0; j < d; ++j) t[d + j] = sb[j];
-    }
-  });
-}
-
 bool AllInRange(const int32_t* v, int64_t n, int32_t lo, int32_t hi) {
   for (int64_t i = 0; i < n; ++i) {
     if (v[i] < lo || v[i] >= hi) return false;

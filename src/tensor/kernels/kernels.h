@@ -79,6 +79,23 @@ inline constexpr int64_t kLineGrain = 16;
 // portable on every target. Both tiles give each element the float
 // operations above, in the same order, so they write the same bits.
 //
+// A tile may read a row of its left operand, of c or of the row its
+// sums start from through an index, and MatMulTN's reduction rows
+// through an index. That changes where the operands come from, not
+// what any element computes, so PairMatMul keeps the bits of the
+// products it replaces:
+//   forward: U = h·w[:d] over the rows of h that a names, then row i
+//     of z continues U[a[i]]'s MulAdd chains over h[b[i]]·w[d:], which
+//     are the steps the [n, 2d] pair input's row would take after its
+//     first d.
+//   dw: MatMulTN of the pair input, its reduction row t fetched as
+//     h[a[t]] for rows [0, d) of dw and as h[b[t]] for rows [d, 2d).
+//   dh: each pair's half of g·wᵀ as MatMulNT rounds it, added into
+//     dh's row one pair at a time: for each row, its b-half pairs in
+//     ascending order, then its a-half pairs, as the gathers' backward
+//     adds them. How the pairs are blocked, grouped and chunked on the
+//     way changes no row's order.
+//
 // Chunks come from the shape, never the thread count. A MatMul or
 // MatMulNT chunk is the fewest whole 4-row tiles of at least 2¹⁴
 // multiply-adds, so the decoder's m = 1 and k = 1 products run 256-row
@@ -123,6 +140,23 @@ void MatMulNT(const float* a, const float* b, float* c, int64_t n, int64_t k,
 /// over i ascending, 64 rows of a and b at a time.
 void MatMulTN(const float* a, const float* b, float* c, int64_t n, int64_t k,
               int64_t m);
+
+/// z[n,m] = (h[a[i]] ‖ h[b[i]])_i · w[2d,m] for h[rows,d], without the
+/// [n, 2d] pair input: the bits MatMul writes for that product (see the
+/// rounding contract). Parallel over rows of z. Never reads z.
+void PairMatMul(const float* h, int64_t rows, int64_t d, const int32_t* a,
+                const int32_t* b, int64_t n, const float* w, int64_t m,
+                float* z);
+
+/// Backward of PairMatMul from the incoming gradient g[n,m]: dw[2d,m]
+/// += the pair inputᵀ · g, then dh[rows,d] += each pair's halves of
+/// g · wᵀ, b half first. The bits MatMulTN, MatMulNT and the gathers'
+/// segment sums give over the pair input; dw and dh are each skipped
+/// when null. Parallel over rows of dw, then over rows of dh.
+void PairMatMulBackward(const float* h, int64_t rows, int64_t d,
+                        const int32_t* a, const int32_t* b, int64_t n,
+                        const float* w, int64_t m, const float* g, float* dh,
+                        float* dw);
 
 /// out[d,n] = xᵀ for x[n,d]. Parallel over output rows.
 void Transpose(const float* x, int64_t n, int64_t d, float* out);
@@ -200,12 +234,6 @@ void AccumulateColumnBlock(const float* src, int64_t n, int64_t src_d,
 /// dst[i] = src[indices[i]] (row gather, d columns). Parallel rows.
 void GatherRows(const float* src, int64_t d, const int32_t* indices,
                 int64_t n, float* dst);
-
-/// dst[i] = src[a[i]] ‖ src[b[i]] for dst[n, 2d]: PairConcat's forward,
-/// both rows of a pair gathered into one output row. Parallel rows. The
-/// backward is SegmentSumAccumulate over each half (see tape.cc).
-void GatherRowPairs(const float* src, int64_t d, const int32_t* a,
-                    const int32_t* b, int64_t n, float* dst);
 
 /// True iff every v[i] is in [lo, hi). Validation helper so the
 /// autograd layer can bounds-check indices without its own loop.

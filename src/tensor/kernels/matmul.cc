@@ -74,10 +74,25 @@ enum class Rounding {
   kSumThenAdd,
 };
 
+/// How a tile finds the rows of its operands and the steps of A.
+enum class Fetch {
+  /// Row r and step t themselves (MatMul, MatMulNT, MatMulTN).
+  kDirect,
+  /// Rows of A, of c and of the start through Product's row indices
+  /// (PairMatMul's forward and its dh).
+  kRows,
+  /// Steps of A through Product::a_steps (PairMatMul's dW: MatMulTN
+  /// with its reduction rows fetched through the pair indices).
+  kSteps,
+};
+
 /// c[r, j] (+)= Σ_t A(r, t) · B(t, j) for t ascending over [0, depth),
 /// where A(r, t) = a[r * a_row + t * a_step], B(t, j) = b[t * m + j]
 /// and c is row-major with m columns. Strides let one microkernel read
-/// a by rows (MatMul, MatMulNT) or by columns (MatMulTN).
+/// a by rows (MatMul, MatMulNT) or by columns (MatMulTN). The indices
+/// below replace r or t in those offsets with the row an index names,
+/// so a tile reads rows of a table where a product would need a
+/// gathered copy; no element's operations change.
 struct Product {
   const float* a;
   int64_t a_row;
@@ -86,37 +101,139 @@ struct Product {
   float* c;
   int64_t m;
   int64_t depth;
-  /// kOverwrite: the sum starts at +0 and is stored, so c is never
-  /// read. kAccumulate: MulAdd continues from c (MatMulTN); a summed
-  /// s is added into c once (MatMulNT).
+  /// kOverwrite: the sum starts at +0 (or at the start row) and is
+  /// stored, so c is never read. kAccumulate: MulAdd continues from c
+  /// (MatMulTN); a summed s is added into c once (MatMulNT).
   Store store;
+  /// Fetch::kRows: row r of A, of c and of `start` is row a_rows[r],
+  /// c_rows[r] and start_rows[r]; a null index reads row r. A's rows
+  /// are read with a_step = 1. Rows of c may repeat only under
+  /// kSumThenAdd with kAccumulate, whose tile adds its rows into c one
+  /// after another.
+  const int32_t* a_rows = nullptr;
+  const int32_t* c_rows = nullptr;
+  /// Fetch::kRows, kMulAdd with kOverwrite: when set, row r's MulAdd
+  /// chain continues from its start row (m columns, like c) instead of
+  /// from +0.
+  const float* start = nullptr;
+  const int32_t* start_rows = nullptr;
+  /// Fetch::kSteps: A(r, t) = a[r * a_row + a_steps[t] * a_step].
+  const int32_t* a_steps = nullptr;
+};
+
+/// Row r, or the row an index names for it.
+inline int64_t RowOf(const int32_t* index, int64_t r) {
+  return index != nullptr ? index[r] : r;
+}
+
+/// Where the R rows of the tile at (r0, j0) of p live: A(r, t), c's
+/// row r (from column j0), and where its accumulators start: c, a start
+/// row, or +0. Rows read through an index keep a pointer each; a direct
+/// tile keeps one base per operand and adds r times the row stride, a
+/// form the one-column 16-row tile keeps in registers. The start is
+/// chosen by two flags, not by testing a pointer per row: with the
+/// test, GCC 12 stored the direct tile's accumulators to the stack on
+/// every step of t.
+template <Rounding kRounding, Fetch kFetch, int64_t R>
+struct TileRows {
+  TileRows(const Product& p, int64_t r0, int64_t j0)
+      : a0(p.a + r0 * p.a_row), c0(p.c + r0 * p.m + j0) {
+    if constexpr (kFetch == Fetch::kRows) {
+      for (int64_t r = 0; r < R; ++r) {
+        a[r] = p.a + RowOf(p.a_rows, r0 + r) * p.a_row;
+        c[r] = p.c + RowOf(p.c_rows, r0 + r) * p.m + j0;
+        start[r] = p.start != nullptr
+                       ? p.start + RowOf(p.start_rows, r0 + r) * p.m + j0
+                       : nullptr;
+      }
+    }
+  }
+
+  /// Offset of step t in every row of A: through a_steps under
+  /// Fetch::kSteps.
+  static int64_t Step(const Product& p, int64_t t) {
+    if constexpr (kFetch == Fetch::kSteps) {
+      return static_cast<int64_t>(p.a_steps[t]) * p.a_step;
+    } else {
+      return t * p.a_step;
+    }
+  }
+
+  /// A(r, t) for the `step` of t.
+  float A(const Product& p, int64_t r, int64_t step) const {
+    if constexpr (kFetch == Fetch::kRows) {
+      return a[r][step];
+    } else {
+      return a0[r * p.a_row + step];
+    }
+  }
+
+  float* C(const Product& p, int64_t r) const {
+    if constexpr (kFetch == Fetch::kRows) {
+      return c[r];
+    } else {
+      return c0 + r * p.m;
+    }
+  }
+
+  /// True when every row's MulAdd chain continues from its row of c.
+  static bool FromC(const Product& p) {
+    return kRounding == Rounding::kMulAdd && p.store == Store::kAccumulate;
+  }
+
+  /// True when every row's MulAdd chain continues from its start row
+  /// (Product::start, under kRows).
+  static bool FromStart(const Product& p) {
+    if constexpr (kRounding == Rounding::kMulAdd && kFetch == Fetch::kRows) {
+      return p.start != nullptr;
+    } else {
+      return false;
+    }
+  }
+
+  /// Row r's start row: kRows only.
+  const float* StartRow(int64_t r) const {
+    if constexpr (kFetch == Fetch::kRows) {
+      return start[r];
+    } else {
+      return nullptr;
+    }
+  }
+
+  const float* a0;
+  float* c0;
+  // Fetch::kRows only.
+  static constexpr int64_t kIndexed = kFetch == Fetch::kRows ? R : 1;
+  const float* a[kIndexed];
+  float* c[kIndexed];
+  const float* start[kIndexed];
 };
 
 /// Accumulates the R × W tile of c at (r0, j0) in registers while t
 /// walks forward, then writes it back once. W == 0 is the runtime width
 /// w < kTileCols of the last column block.
-template <Rounding kRounding, int64_t R, int64_t W>
+template <Rounding kRounding, Fetch kFetch, int64_t R, int64_t W>
 void Tile(const Product& p, int64_t r0, int64_t j0, int64_t w) {
   constexpr int64_t kCap = W > 0 ? W : kTileCols;
   const int64_t width = W > 0 ? W : w;
   const int64_t m = p.m;
-  float* c = p.c + r0 * m + j0;
-  const bool accumulate = p.store == Store::kAccumulate;
+  const TileRows<kRounding, kFetch, R> rows(p, r0, j0);
+  const bool from_c = rows.FromC(p);
+  const bool from_start = rows.FromStart(p);
   float acc[R][kCap];
-  if (kRounding == Rounding::kMulAdd && accumulate) {
-    for (int64_t r = 0; r < R; ++r) {
-      for (int64_t j = 0; j < width; ++j) acc[r][j] = c[r * m + j];
-    }
-  } else {
-    for (int64_t r = 0; r < R; ++r) {
+  for (int64_t r = 0; r < R; ++r) {
+    if (from_c || from_start) {
+      const float* start = from_c ? rows.C(p, r) : rows.StartRow(r);
+      for (int64_t j = 0; j < width; ++j) acc[r][j] = start[j];
+    } else {
       for (int64_t j = 0; j < width; ++j) acc[r][j] = 0.0f;
     }
   }
-  const float* a = p.a + r0 * p.a_row;
   for (int64_t t = 0; t < p.depth; ++t) {
+    const int64_t step = rows.Step(p, t);
     const float* brow = p.b + t * m + j0;
     for (int64_t r = 0; r < R; ++r) {
-      const float av = a[r * p.a_row + t * p.a_step];
+      const float av = rows.A(p, r, step);
       if constexpr (kRounding == Rounding::kSumThenAdd) {
         for (int64_t j = 0; j < width; ++j) {
           acc[r][j] = acc[r][j] + av * brow[j];
@@ -131,15 +248,13 @@ void Tile(const Product& p, int64_t r0, int64_t j0, int64_t w) {
       }
     }
   }
-  if (kRounding == Rounding::kSumThenAdd && accumulate) {
-    for (int64_t r = 0; r < R; ++r) {
-      for (int64_t j = 0; j < width; ++j) {
-        c[r * m + j] = c[r * m + j] + acc[r][j];
-      }
-    }
-  } else {
-    for (int64_t r = 0; r < R; ++r) {
-      for (int64_t j = 0; j < width; ++j) c[r * m + j] = acc[r][j];
+  // Row by row: under kRows two rows may add into one row of c.
+  for (int64_t r = 0; r < R; ++r) {
+    float* c = rows.C(p, r);
+    if (kRounding == Rounding::kSumThenAdd && p.store == Store::kAccumulate) {
+      for (int64_t j = 0; j < width; ++j) c[j] = c[j] + acc[r][j];
+    } else {
+      for (int64_t j = 0; j < width; ++j) c[j] = acc[r][j];
     }
   }
 }
@@ -149,34 +264,34 @@ void Tile(const Product& p, int64_t r0, int64_t j0, int64_t w) {
 constexpr int64_t kLanes = 16;
 constexpr int64_t kRowVectors = kTileCols / kLanes;
 
-/// Tile<kRounding, R, kTileCols> in explicit 16-lane registers: R × 4
-/// accumulators, and b's row loaded once per t for all R rows. Each
-/// lane takes its element's float operations in the portable tile's
-/// order. MulAdd is one fused rounding under a mask of a != 0, which
-/// skips ±0 without a branch and keeps a NaN a (the compare is
+/// Tile<kRounding, kFetch, R, kTileCols> in explicit 16-lane registers:
+/// R × 4 accumulators, and b's row loaded once per t for all R rows.
+/// Each lane takes its element's float operations in the portable
+/// tile's order. MulAdd is one fused rounding under a mask of a != 0,
+/// which skips ±0 without a branch and keeps a NaN a (the compare is
 /// unordered); MatMulNT's step is a rounded product, then a rounded sum.
-template <Rounding kRounding, int64_t R>
+template <Rounding kRounding, Fetch kFetch, int64_t R>
 void VectorTile(const Product& p, int64_t r0, int64_t j0) {
-  const int64_t m = p.m;
-  float* c = p.c + r0 * m + j0;
-  const bool accumulate = p.store == Store::kAccumulate;
+  const TileRows<kRounding, kFetch, R> rows(p, r0, j0);
+  const bool from_c = rows.FromC(p);
+  const bool from_start = rows.FromStart(p);
   __m512 acc[R][kRowVectors];
   for (int64_t r = 0; r < R; ++r) {
     for (int64_t v = 0; v < kRowVectors; ++v) {
-      acc[r][v] = (kRounding == Rounding::kMulAdd && accumulate)
-                      ? _mm512_loadu_ps(c + r * m + v * kLanes)
-                      : _mm512_setzero_ps();
+      acc[r][v] = from_c       ? _mm512_loadu_ps(rows.C(p, r) + v * kLanes)
+                  : from_start ? _mm512_loadu_ps(rows.StartRow(r) + v * kLanes)
+                               : _mm512_setzero_ps();
     }
   }
-  const float* a = p.a + r0 * p.a_row;
   for (int64_t t = 0; t < p.depth; ++t) {
-    const float* brow = p.b + t * m + j0;
+    const int64_t step = rows.Step(p, t);
+    const float* brow = p.b + t * p.m + j0;
     __m512 b[kRowVectors];
     for (int64_t v = 0; v < kRowVectors; ++v) {
       b[v] = _mm512_loadu_ps(brow + v * kLanes);
     }
     for (int64_t r = 0; r < R; ++r) {
-      const __m512 av = _mm512_set1_ps(a[r * p.a_row + t * p.a_step]);
+      const __m512 av = _mm512_set1_ps(rows.A(p, r, step));
       if constexpr (kRounding == Rounding::kSumThenAdd) {
         for (int64_t v = 0; v < kRowVectors; ++v) {
           acc[r][v] = _mm512_add_ps(acc[r][v], _mm512_mul_ps(av, b[v]));
@@ -192,8 +307,9 @@ void VectorTile(const Product& p, int64_t r0, int64_t j0) {
   }
   for (int64_t r = 0; r < R; ++r) {
     for (int64_t v = 0; v < kRowVectors; ++v) {
-      float* out = c + r * m + v * kLanes;
-      if (kRounding == Rounding::kSumThenAdd && accumulate) {
+      float* out = rows.C(p, r) + v * kLanes;
+      if (kRounding == Rounding::kSumThenAdd &&
+          p.store == Store::kAccumulate) {
         _mm512_storeu_ps(out, _mm512_add_ps(_mm512_loadu_ps(out), acc[r][v]));
       } else {
         _mm512_storeu_ps(out, acc[r][v]);
@@ -205,45 +321,64 @@ void VectorTile(const Product& p, int64_t r0, int64_t j0) {
 
 /// Every column block of rows [r0, r0 + R). A single-column c is a
 /// matrix-vector product: its tile holds one accumulator per row.
-template <Rounding kRounding, int64_t R>
+template <Rounding kRounding, Fetch kFetch, int64_t R>
 void RowTile(const Product& p, int64_t r0) {
   if (p.m == 1) {
-    Tile<kRounding, R, 1>(p, r0, 0, 1);
+    Tile<kRounding, kFetch, R, 1>(p, r0, 0, 1);
     return;
   }
   int64_t j0 = 0;
   for (; j0 + kTileCols <= p.m; j0 += kTileCols) {
 #if HYGNN_DENSE_TILE_AVX512
-    VectorTile<kRounding, R>(p, r0, j0);
+    VectorTile<kRounding, kFetch, R>(p, r0, j0);
 #else
-    Tile<kRounding, R, kTileCols>(p, r0, j0, kTileCols);
+    Tile<kRounding, kFetch, R, kTileCols>(p, r0, j0, kTileCols);
 #endif
   }
-  if (j0 < p.m) Tile<kRounding, R, 0>(p, r0, j0, p.m - j0);
+  if (j0 < p.m) Tile<kRounding, kFetch, R, 0>(p, r0, j0, p.m - j0);
+}
+
+/// Floats per 64-byte cache line.
+constexpr int64_t kLineFloats = 16;
+
+/// Asks for A's rows [lo, hi) under Fetch::kRows ahead of their tile:
+/// rows read through an index are scattered over a table that need not
+/// fit in cache (PairMatMul's dh reads the incoming gradient's rows
+/// grouped by drug).
+void PrefetchRows(const Product& p, int64_t lo, int64_t hi) {
+  for (int64_t r = lo; r < hi; ++r) {
+    const float* row = p.a + RowOf(p.a_rows, r) * p.a_row;
+    for (int64_t t = 0; t < p.depth; t += kLineFloats) {
+      __builtin_prefetch(row + t);
+    }
+  }
 }
 
 /// Rows [lo, hi) of c in tiles of kTileRows (kVectorTileRows first
 /// when c has one column), then one shorter tile.
-template <Rounding kRounding>
+template <Rounding kRounding, Fetch kFetch>
 void Rows(const Product& p, int64_t lo, int64_t hi) {
   int64_t r0 = lo;
   if (p.m == 1) {
     for (; r0 + kVectorTileRows <= hi; r0 += kVectorTileRows) {
-      Tile<kRounding, kVectorTileRows, 1>(p, r0, 0, 1);
+      Tile<kRounding, kFetch, kVectorTileRows, 1>(p, r0, 0, 1);
     }
   }
   for (; r0 + kTileRows <= hi; r0 += kTileRows) {
-    RowTile<kRounding, kTileRows>(p, r0);
+    if constexpr (kFetch == Fetch::kRows) {
+      PrefetchRows(p, r0 + kTileRows, std::min(hi, r0 + 2 * kTileRows));
+    }
+    RowTile<kRounding, kFetch, kTileRows>(p, r0);
   }
   switch (hi - r0) {
     case 3:
-      RowTile<kRounding, 3>(p, r0);
+      RowTile<kRounding, kFetch, 3>(p, r0);
       break;
     case 2:
-      RowTile<kRounding, 2>(p, r0);
+      RowTile<kRounding, kFetch, 2>(p, r0);
       break;
     case 1:
-      RowTile<kRounding, 1>(p, r0);
+      RowTile<kRounding, kFetch, 1>(p, r0);
       break;
     default:
       break;
@@ -252,14 +387,14 @@ void Rows(const Product& p, int64_t lo, int64_t hi) {
 
 /// All rows of c, in chunks of the fewest whole tiles that hold
 /// kChunkMulAdds: a function of the shape, never of the thread count.
-template <Rounding kRounding>
+template <Rounding kRounding, Fetch kFetch = Fetch::kDirect>
 void ParallelRows(const Product& p, int64_t rows) {
   const int64_t tile_mul_adds =
       std::max<int64_t>(1, kTileRows * p.depth * p.m);
   const int64_t grain =
       kTileRows * ((kChunkMulAdds + tile_mul_adds - 1) / tile_mul_adds);
   core::ParallelFor(0, rows, grain, [&](int64_t lo, int64_t hi) {
-    Rows<kRounding>(p, lo, hi);
+    Rows<kRounding, kFetch>(p, lo, hi);
   });
 }
 
@@ -296,9 +431,127 @@ void MatMulTN(const float* a, const float* b, float* c, int64_t n, int64_t k,
       const Product block{a + t0 * k, 1, k, b + t0 * m, c, m,
                           std::min(kReductionBlockRows, n - t0),
                           Store::kAccumulate};
-      Rows<Rounding::kMulAdd>(block, lo, hi);
+      Rows<Rounding::kMulAdd, Fetch::kDirect>(block, lo, hi);
     }
   });
+}
+
+namespace {
+
+/// Pairs per block of AddPairHalfGradients: a block's rows of the
+/// incoming gradient (1 MiB at the decoder's 64 columns) stay in L2
+/// while every chunk of drugs reads its share of them.
+constexpr int64_t kPairBlockRows = 4096;
+
+/// dh[idx[i]] += g[i] · w_halfᵀ for every pair i, for a w_half of
+/// [d, m]. Each product is the value MatMulNT's overwrite mode writes
+/// for row i of the pair input's gradient, and each row of dh adds its
+/// pairs' products one at a time in ascending pair order: the segment
+/// sum of a gather's backward. The pairs go in blocks of
+/// kPairBlockRows, in order. Within a block they are grouped by the row
+/// of dh they add into (a stable counting sort), chunks are ranges of
+/// those rows, and a tile may span several of them. Taking all pairs at
+/// once instead reads g's rows scattered over the whole table: about a
+/// third slower at one thread and a sixth at two.
+void AddPairHalfGradients(const float* g, int64_t n, int64_t m,
+                          const float* w_half, const int32_t* idx,
+                          int64_t rows, int64_t d, float* dh) {
+  // Per-call scratch, kept for the next call. The pool workers read it
+  // through the pointers taken here: each worker has its own, empty
+  // thread_local.
+  thread_local std::vector<int64_t> t_offsets, t_cursor;
+  thread_local std::vector<int32_t> t_pairs, t_targets;
+  thread_local std::vector<float> t_packed;
+  t_packed.resize(static_cast<size_t>(m * d));
+  Transpose(w_half, d, m, t_packed.data());
+  for (int64_t first = 0; first < n; first += kPairBlockRows) {
+    const int64_t count = std::min(kPairBlockRows, n - first);
+    const int32_t* block = idx + first;
+    t_offsets.assign(static_cast<size_t>(rows) + 1, 0);
+    for (int64_t i = 0; i < count; ++i) ++t_offsets[block[i] + 1];
+    for (int64_t r = 0; r < rows; ++r) t_offsets[r + 1] += t_offsets[r];
+    t_cursor.assign(t_offsets.begin(), t_offsets.end() - 1);
+    t_pairs.resize(static_cast<size_t>(count));
+    t_targets.resize(static_cast<size_t>(count));
+    for (int64_t i = 0; i < count; ++i) {
+      const int64_t slot = t_cursor[block[i]]++;
+      t_pairs[slot] = static_cast<int32_t>(i);
+      t_targets[slot] = block[i];
+    }
+    Product p{g + first * m, m, 1, t_packed.data(), dh, d, m,
+              Store::kAccumulate};
+    p.a_rows = t_pairs.data();
+    p.c_rows = t_targets.data();
+    const int64_t* offsets = t_offsets.data();
+    core::ParallelFor(0, rows, kSegmentGrain, [&](int64_t lo, int64_t hi) {
+      Rows<Rounding::kSumThenAdd, Fetch::kRows>(p, offsets[lo], offsets[hi]);
+    });
+  }
+}
+
+}  // namespace
+
+void PairMatMul(const float* h, int64_t rows, int64_t d, const int32_t* a,
+                const int32_t* b, int64_t n, const float* w, int64_t m,
+                float* z) {
+  // U = h · w[:d] on the rows of h that a names, in a table indexed
+  // like h, whose other rows are never written or read. Per-call
+  // scratch as in AddPairHalfGradients.
+  thread_local std::vector<uint8_t> t_named;
+  thread_local std::vector<int32_t> t_rows;
+  thread_local std::vector<float> t_u;
+  t_named.assign(static_cast<size_t>(rows), 0);
+  for (int64_t i = 0; i < n; ++i) t_named[a[i]] = 1;
+  t_rows.clear();
+  for (int64_t r = 0; r < rows; ++r) {
+    if (t_named[r] != 0) t_rows.push_back(static_cast<int32_t>(r));
+  }
+  t_u.resize(static_cast<size_t>(rows * m));
+  float* u = t_u.data();
+  Product first{h, d, 1, w, u, m, d, Store::kOverwrite};
+  first.a_rows = t_rows.data();
+  first.c_rows = t_rows.data();
+  ParallelRows<Rounding::kMulAdd, Fetch::kRows>(
+      first, static_cast<int64_t>(t_rows.size()));
+  // Row i of z continues U[a[i]]'s MulAdd chains over h[b[i]] · w[d:].
+  Product second{h, d, 1, w + d * m, z, m, d, Store::kOverwrite};
+  second.a_rows = b;
+  second.start = u;
+  second.start_rows = a;
+  ParallelRows<Rounding::kMulAdd, Fetch::kRows>(second, n);
+}
+
+void PairMatMulBackward(const float* h, int64_t rows, int64_t d,
+                        const int32_t* a, const int32_t* b, int64_t n,
+                        const float* w, int64_t m, const float* g, float* dh,
+                        float* dw) {
+  if (dw != nullptr) {
+    // MatMulTN over the pair input, its reduction rows fetched through
+    // the indices: rows [0, d) of dw read h[a[t]], rows [d, 2d) h[b[t]].
+    // A chunk that spans both halves runs each block over its rows of
+    // the first half, then of the second.
+    core::ParallelFor(0, 2 * d, kReductionChunkRows,
+                      [&](int64_t lo, int64_t hi) {
+      for (int64_t t0 = 0; t0 < n; t0 += kReductionBlockRows) {
+        const int64_t depth = std::min(kReductionBlockRows, n - t0);
+        for (int64_t half = 0; half < 2; ++half) {
+          const int64_t first = half * d;
+          const int64_t from = std::max(lo, first) - first;
+          const int64_t to = std::min(hi, first + d) - first;
+          if (from >= to) continue;
+          Product block{h, 1, d, g + t0 * m, dw + first * m, m, depth,
+                        Store::kAccumulate};
+          block.a_steps = (half == 0 ? a : b) + t0;
+          Rows<Rounding::kMulAdd, Fetch::kSteps>(block, from, to);
+        }
+      }
+    });
+  }
+  if (dh != nullptr) {
+    // The b half first, then the a half.
+    AddPairHalfGradients(g, n, m, w + d * m, b, rows, d, dh);
+    AddPairHalfGradients(g, n, m, w, a, rows, d, dh);
+  }
 }
 
 void Transpose(const float* x, int64_t n, int64_t d, float* out) {

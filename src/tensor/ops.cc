@@ -97,18 +97,19 @@ Tensor IndexSelectRows(const Tensor& x, const std::vector<int32_t>& indices) {
   return FinishRecord(std::move(out));
 }
 
-Tensor PairConcat(const Tensor& x, const std::vector<int32_t>& a,
-                  const std::vector<int32_t>& b) {
-  HYGNN_CHECK(x.defined());
+Tensor PairMatMul(const Tensor& h, const std::vector<int32_t>& a,
+                  const std::vector<int32_t>& b, const Tensor& w) {
+  HYGNN_CHECK(h.defined() && w.defined());
+  HYGNN_CHECK_EQ(w.rows(), 2 * h.cols());
   const int64_t n = static_cast<int64_t>(a.size());
   HYGNN_CHECK_GT(n, 0);
   HYGNN_CHECK_EQ(static_cast<int64_t>(b.size()), n);
-  const auto rows = static_cast<int32_t>(x.rows());
+  const auto rows = static_cast<int32_t>(h.rows());
   HYGNN_CHECK(IndicesInRange(a.data(), n, 0, rows) &&
               IndicesInRange(b.data(), n, 0, rows))
-      << "PairConcat index out of range [0, " << x.rows() << ")";
-  auto out = RecordOp("PairConcat", OpKind::kPairConcat, n, 2 * x.cols(),
-                      {x.impl()});
+      << "PairMatMul index out of range [0, " << h.rows() << ")";
+  auto out = RecordOp("PairMatMul", OpKind::kPairMatMul, n, w.cols(),
+                      {h.impl(), w.impl()});
   out->rec->ibuf.reserve(static_cast<size_t>(2 * n));
   out->rec->ibuf.assign(a.begin(), a.end());
   out->rec->ibuf.insert(out->rec->ibuf.end(), b.begin(), b.end());

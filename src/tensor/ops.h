@@ -47,13 +47,14 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b);
 /// Gathers rows: out[i] = x[indices[i]]. Gradients scatter-add back.
 Tensor IndexSelectRows(const Tensor& x, const std::vector<int32_t>& indices);
 
-/// Gathers a pair of rows into one: out[i] = x[a[i]] ‖ x[b[i]], giving
-/// [n, 2d] for n = a.size() = b.size(). Values and gradients are
-/// bit-identical to ConcatCols(IndexSelectRows(x, a),
-/// IndexSelectRows(x, b)), without the two [n, d] intermediates. The
-/// pair decoders' input.
-Tensor PairConcat(const Tensor& x, const std::vector<int32_t>& a,
-                  const std::vector<int32_t>& b);
+/// The pair decoders' first product: out[i] = (h[a[i]] ‖ h[b[i]]) · w
+/// for h [rows, d] and w [2d, m], giving [n, m] for n = a.size() =
+/// b.size(). Values and gradients are bit-identical to
+/// MatMul(ConcatCols(IndexSelectRows(h, a), IndexSelectRows(h, b)), w)
+/// when w is a leaf, without the [n, 2d] pair input or its gradient:
+/// the kernels read h's rows through a and b.
+Tensor PairMatMul(const Tensor& h, const std::vector<int32_t>& a,
+                  const std::vector<int32_t>& b, const Tensor& w);
 
 /// Softmax of a [n,1] score column computed independently within each
 /// segment: out_i = exp(s_i) / sum_{j: seg[j]==seg[i]} exp(s_j).

@@ -176,7 +176,7 @@ bool AccumulatesIntoOutput(OpKind kind) {
     case OpKind::kSub:
     case OpKind::kConcatCols:
     case OpKind::kIndexSelectRows:
-    case OpKind::kPairConcat:
+    case OpKind::kPairMatMul:
     case OpKind::kSegmentSoftmax:
     case OpKind::kReduceSum:
     case OpKind::kRelu:
@@ -248,10 +248,13 @@ void DispatchForward(TensorImpl* node, OpRecord* rec) {
     case OpKind::kIndexSelectRows:
       kernels::GatherRows(x, node->cols, rec->ibuf.data(), node->rows, out);
       break;
-    case OpKind::kPairConcat:
-      kernels::GatherRowPairs(x, p0->cols, rec->ibuf.data(),
-                              rec->ibuf.data() + node->rows, node->rows, out);
+    case OpKind::kPairMatMul: {
+      const TensorImpl* w = node->parents[1].get();
+      kernels::PairMatMul(x, p0->rows, p0->cols, rec->ibuf.data(),
+                          rec->ibuf.data() + node->rows, node->rows,
+                          w->data.data(), w->cols, out);
       break;
+    }
     case OpKind::kSegmentSoftmax:
       kernels::SegmentSoftmax(x, rec->ibuf.data(), node->rows,
                               rec->num_segments, out);
@@ -327,7 +330,7 @@ void ExecuteNodeForward(TensorImpl* node) {
   DispatchForward(node, rec);
   g_ops_executed.fetch_add(1, std::memory_order_relaxed);
   const bool fused =
-      rec->kind == OpKind::kPairConcat || rec->kind == OpKind::kBiasRelu;
+      rec->kind == OpKind::kPairMatMul || rec->kind == OpKind::kBiasRelu;
   if (fused) g_fused_groups.fetch_add(1, std::memory_order_relaxed);
   node->materialized = true;
   obs::OpFinish(node, node->op);
@@ -460,17 +463,25 @@ void DispatchBackward(TensorImpl* node, OpRecord* rec) {
                                     node->rows, node->cols, p0->grad.data(),
                                     p0->rows);
       break;
-    case OpKind::kPairConcat: {
-      // The b half first, then the a half: the order in which the tape
-      // runs the backward of IndexSelectRows(x, b) and then of
-      // IndexSelectRows(x, a) under ConcatCols, so every row of x sums
-      // its gradients in the same order.
-      const int64_t d = p0->cols, n = node->rows;
-      p0->EnsureGrad();
-      kernels::SegmentSumAccumulate(g + d, 2 * d, rec->ibuf.data() + n, n, d,
-                                    p0->grad.data(), p0->rows);
-      kernels::SegmentSumAccumulate(g, 2 * d, rec->ibuf.data(), n, d,
-                                    p0->grad.data(), p0->rows);
+    case OpKind::kPairMatMul: {
+      // The bits of MatMul's backward over the pair input (dW, and dX
+      // that no buffer holds), then of the two gathers' backward into
+      // h: the composition ran them in that order, one after the other.
+      TensorImpl* w = node->parents[1].get();
+      float* dw = nullptr;
+      float* dh = nullptr;
+      if (w->requires_grad) {
+        w->EnsureGrad();
+        dw = w->grad.data();
+      }
+      if (p0->requires_grad) {
+        p0->EnsureGrad();
+        dh = p0->grad.data();
+      }
+      const int64_t n = node->rows;
+      kernels::PairMatMulBackward(p0->data.data(), p0->rows, p0->cols,
+                                  rec->ibuf.data(), rec->ibuf.data() + n, n,
+                                  w->data.data(), w->cols, g, dh, dw);
       break;
     }
     case OpKind::kSegmentSoftmax:

@@ -28,11 +28,12 @@ namespace hygnn::tensor {
 ///      invocation per op.
 ///
 /// Two ops stand for a composition of others on the decoder's hot path:
-/// PairConcat for ConcatCols of two IndexSelectRows of one table, and
-/// BiasRelu for Relu of AddRowBroadcast. Their kernels write the same
-/// bits, values and gradients, as the compositions they replace (see
-/// DESIGN.md §12). The backward pass keeps the seed engine's node order,
-/// so gradients are memcmp-equal at any thread count.
+/// PairMatMul for MatMul of ConcatCols of two IndexSelectRows of one
+/// table, and BiasRelu for Relu of AddRowBroadcast. Their kernels write
+/// the same bits, values and gradients, as the compositions they
+/// replace (see DESIGN.md §12). The backward pass keeps the seed
+/// engine's node order, so gradients are memcmp-equal at any thread
+/// count.
 
 /// Operator kinds the executor dispatches on — one per op in
 /// tensor/ops.h that records a tape node.
@@ -46,7 +47,7 @@ enum class OpKind : uint8_t {
   kMulColumnBroadcast,
   kConcatCols,
   kIndexSelectRows,
-  kPairConcat,
+  kPairMatMul,
   kSegmentSoftmax,
   kSegmentSum,
   kRowwiseDot,
@@ -71,7 +72,7 @@ struct OpRecord {
   /// Scalar parameter: Scale factor, LeakyRelu slope, Log /
   /// L2NormalizeRows epsilon. Unused otherwise.
   float alpha = 0.0f;
-  /// Integer payload: IndexSelectRows indices, PairConcat's a indices
+  /// Integer payload: IndexSelectRows indices, PairMatMul's a indices
   /// followed by its b indices, Segment* segment ids.
   std::vector<int32_t> ibuf;
   /// Float payload: the Dropout mask (drawn at record time so the RNG
@@ -102,7 +103,7 @@ Tensor FinishRecord(std::shared_ptr<TensorImpl> out);
 /// per-node wall time into the obs per-op attribution table.
 void ExecuteNodeBackward(TensorImpl* node, bool time_ops);
 
-/// Always true: PairConcat and BiasRelu, the engine's fused ops, have
+/// Always true: PairMatMul and BiasRelu, the engine's fused ops, have
 /// no unfused mode. Kept for the benchmark's run header.
 inline bool FusionEnabled() { return true; }
 
@@ -114,7 +115,7 @@ inline bool FusionEnabled() { return true; }
 /// overwrites them.
 struct ExecStatsSnapshot {
   uint64_t ops_executed = 0;       // kernel-level invocations
-  uint64_t fused_groups = 0;       // PairConcat and BiasRelu forwards
+  uint64_t fused_groups = 0;       // PairMatMul and BiasRelu forwards
   uint64_t buffers_allocated = 0;  // output data buffers allocated
   uint64_t buffers_recycled = 0;   // output and gradient buffers, filled
                                    // or not, served from held storage

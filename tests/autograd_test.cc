@@ -134,17 +134,24 @@ TEST(GradCheckTest, IndexSelectRows) {
       });
 }
 
-TEST(GradCheckTest, PairConcat) {
-  // Row 1 is in both halves, row 3 in none.
-  const std::vector<int32_t> a{0, 1, 2, 1};
-  const std::vector<int32_t> b{1, 2, 1, 0};
-  Tensor scale = FixedRandom(6, 1, 90, false);
-  ExpectGradMatchesNumeric(
-      [] { return FixedRandom(4, 3, 15); },
-      [&](const Tensor& x) {
-        Tensor pairs = PairConcat(x, a, b);
-        return ReduceSum(MatMul(Mul(pairs, pairs), scale));
-      });
+TEST(GradCheckTest, PairMatMul) {
+  // Row 1 is in both halves, row 3 in none, pair 3 pairs row 2 with
+  // itself and pair 4 repeats pair 1.
+  const std::vector<int32_t> a{0, 1, 2, 2, 1};
+  const std::vector<int32_t> b{1, 2, 1, 2, 2};
+  Tensor w = FixedRandom(6, 2, 91, false);
+  Tensor scale = FixedRandom(2, 1, 90, false);
+  const auto loss = [&](const Tensor& h, const Tensor& weight) {
+    Tensor z = PairMatMul(h, a, b, weight);
+    return ReduceSum(MatMul(Mul(z, z), scale));
+  };
+  ExpectGradMatchesNumeric([] { return FixedRandom(4, 3, 15); },
+                           [&](const Tensor& h) { return loss(h, w); });
+  Tensor h = FixedRandom(4, 3, 15, false);
+  ExpectGradMatchesNumeric([] { return FixedRandom(6, 2, 91); },
+                           [&](const Tensor& weight) {
+                             return loss(h, weight);
+                           });
 }
 
 TEST(GradCheckTest, BiasReluBothInputs) {

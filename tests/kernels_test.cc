@@ -155,16 +155,21 @@ TEST(KernelParityTest, ConcatAndGather) {
   });
 }
 
-TEST(KernelParityTest, PairConcatAndBiasRelu) {
-  ExpectThreadParity("PairConcat", [](std::vector<tensor::Tensor>* inputs) {
-    auto x = MakeLeaf(inputs, 28, kRows, kCols);
-    std::vector<int32_t> a, b;
-    for (int32_t i = 0; i < 64; ++i) {
-      a.push_back((i * 5) % static_cast<int32_t>(kRows));
-      b.push_back(i % 2 == 0 ? 3 : (i * 11) % static_cast<int32_t>(kRows));
-    }
-    return tensor::PairConcat(x, a, b);
-  });
+TEST(KernelParityTest, PairMatMulAndBiasRelu) {
+  // Ragged blocks (d = 19, m = 23), then the 16-lane tile (d = m = 64).
+  for (const int64_t d : {kCols, int64_t{64}}) {
+    ExpectThreadParity("PairMatMul", [d](std::vector<tensor::Tensor>* inputs) {
+      const int64_t m = d == 64 ? 64 : 23;
+      auto h = MakeLeaf(inputs, 28, kRows, d);
+      auto w = MakeLeaf(inputs, 31, 2 * d, m);
+      std::vector<int32_t> a, b;
+      for (int32_t i = 0; i < 203; ++i) {
+        a.push_back((i * 5) % static_cast<int32_t>(kRows));
+        b.push_back(i % 2 == 0 ? 3 : (i * 11) % static_cast<int32_t>(kRows));
+      }
+      return tensor::PairMatMul(h, a, b, w);
+    });
+  }
   ExpectThreadParity("BiasRelu", [](std::vector<tensor::Tensor>* inputs) {
     auto z = MakeLeaf(inputs, 29, kRows, 41);  // three line-wide chunks
     auto bias = MakeLeaf(inputs, 30, 1, 41);
@@ -585,27 +590,95 @@ TEST(GatherBackwardTest, IndexSelectRowsMatchesScalarScatter) {
   }
 }
 
-TEST(GatherBackwardTest, PairConcatMatchesScalarScatterBThenA) {
-  constexpr int64_t kD = 19;
-  const auto n = static_cast<int64_t>(kGatherA.size());
-  const std::vector<float> g = OrderSensitive(n * 2 * kD, 41);
-  // The b half first, then the a half: the order the tape ran the
-  // backward of the two gathers that PairConcat replaces.
-  std::vector<float> reference(static_cast<size_t>(kTableRows * kD), 0.0f);
-  ScalarScatterAdd(g.data() + kD, 2 * kD, kGatherB, kD, reference.data());
-  ScalarScatterAdd(g.data(), 2 * kD, kGatherA, kD, reference.data());
-  for (const int32_t threads : {1, 2, 4}) {
-    core::SetNumThreads(threads);
-    tensor::Tensor h = tensor::Tensor::Zeros(kTableRows, kD, true);
-    tensor::Tensor y = tensor::PairConcat(h, kGatherA, kGatherB);
-    (void)y.data();
-    y.impl()->EnsureGrad();
-    std::copy(g.begin(), g.end(), y.grad());
-    tensor::ExecuteNodeBackward(y.impl().get(), /*time_ops=*/false);
-    core::SetNumThreads(1);
-    EXPECT_TRUE(SameBits(std::vector<float>(h.grad(), h.grad() + h.size()),
-                         reference))
-        << threads << " threads";
+/// PairMatMul's forward and backward against the scalar references
+/// over its pair input X = h[a] ‖ h[b] ([n, 2d]): ReferenceMatMul for
+/// z, ReferenceMatMulTN for dw, and for dh each pair's row of
+/// ReferenceMatMulNT(g, w) scattered into h's rows, the b half for
+/// every pair first, then the a half. Column t of h is ±0 in every row
+/// and rows t and d + t of w are ±inf, and so are the rows of h that
+/// pair 0 names, with g's row 0 ±inf: a tile that forms 0·inf instead
+/// of skipping it writes NaN, in z and in dw. dw and dh start at values
+/// with some -0, and z at NaN, so a read of z shows. The shapes run the
+/// 16-lane tile, ragged blocks, one-column z and h, a dw chunk that
+/// spans both halves of w (d = 40), several reduction blocks, several
+/// chunks of drugs and three blocks of dh's pairs (9,001 pairs), the
+/// gather tests' pairs, and a 2n-row serving block.
+TEST(DenseProductTest, PairMatMulMatchesRoundingReference) {
+  struct PairProduct {
+    int64_t rows, d, n, m;
+  };
+  const std::vector<PairProduct> shapes = {
+      {9, 64, 30, 64},  {9, 21, 30, 13},   {40, 40, 130, 70},
+      {5, 1, 41, 3},    {30, 7, 6, 1},     {45, 64, 203, 64},
+      {180, 64, 90, 64}, {19, 65, 77, 129}, {37, 64, 9001, 64},
+  };
+  core::Rng rng(2025);
+  int failures = 0;
+  for (const auto& [rows, d, n, m] : shapes) {
+    std::vector<int32_t> a(static_cast<size_t>(n)), b(a.size());
+    for (int64_t i = 0; i < n; ++i) {
+      if (rows == 2 * n) {  // the serving block: pair i is (i, n + i)
+        a[i] = static_cast<int32_t>(i);
+        b[i] = static_cast<int32_t>(n + i);
+      } else if (n == static_cast<int64_t>(kGatherA.size())) {
+        a[i] = kGatherA[i];
+        b[i] = kGatherB[i];
+      } else {  // the last row is in no pair
+        a[i] = static_cast<int32_t>(rng.UniformInt(rows - 1));
+        b[i] = static_cast<int32_t>(rng.UniformInt(rows - 1));
+      }
+    }
+    auto h = DenseInput(&rng, rows * d, 0.3);
+    auto w = DenseInput(&rng, 2 * d * m, 0.1);
+    auto g = DenseInput(&rng, n * m, 0.1);
+    const auto dh0 = DenseInput(&rng, rows * d, 0.2);
+    const auto dw0 = DenseInput(&rng, 2 * d * m, 0.2);
+    const int64_t t = d / 2;
+    for (int64_t r = 0; r < rows; ++r) h[r * d + t] = r % 2 ? -0.0f : 0.0f;
+    for (int64_t j = 0; j < d; ++j) {
+      h[a[0] * d + j] = j % 2 ? -0.0f : 0.0f;
+      h[b[0] * d + j] = j % 2 ? 0.0f : -0.0f;
+    }
+    for (int64_t j = 0; j < m; ++j) {
+      w[t * m + j] = j % 2 ? -kInf : kInf;
+      w[(d + t) * m + j] = j % 2 ? kInf : -kInf;
+      g[j] = j % 2 ? -kInf : kInf;
+    }
+    std::vector<float> x(static_cast<size_t>(n * 2 * d));
+    for (int64_t i = 0; i < n; ++i) {
+      std::copy_n(h.begin() + a[i] * d, d, x.begin() + i * 2 * d);
+      std::copy_n(h.begin() + b[i] * d, d, x.begin() + i * 2 * d + d);
+    }
+    std::vector<float> z_ref(static_cast<size_t>(n * m), 0.0f);
+    ReferenceMatMul(x.data(), w.data(), z_ref.data(), n, 2 * d, m);
+    std::vector<float> dw_ref = dw0;
+    ReferenceMatMulTN(x.data(), g.data(), dw_ref.data(), n, 2 * d, m);
+    std::vector<float> dx(x.size(), 0.0f);
+    ReferenceMatMulNT(g.data(), w.data(), dx.data(), n, m, 2 * d);
+    std::vector<float> dh_ref = dh0;
+    ScalarScatterAdd(dx.data() + d, 2 * d, b, d, dh_ref.data());
+    ScalarScatterAdd(dx.data(), 2 * d, a, d, dh_ref.data());
+    for (const int32_t threads : {1, 2, 4}) {
+      core::SetNumThreads(threads);
+      std::vector<float> z(z_ref.size(), kNaN);
+      tensor::kernels::PairMatMul(h.data(), rows, d, a.data(), b.data(), n,
+                                  w.data(), m, z.data());
+      std::vector<float> dh = dh0, dw = dw0;
+      tensor::kernels::PairMatMulBackward(h.data(), rows, d, a.data(),
+                                          b.data(), n, w.data(), m, g.data(),
+                                          dh.data(), dw.data());
+      core::SetNumThreads(1);
+      const std::string shape =
+          "rows=" + std::to_string(rows) + " d=" + std::to_string(d) +
+          " n=" + std::to_string(n) + " m=" + std::to_string(m) +
+          " threads=" + std::to_string(threads);
+      const bool same = SameBits(z, z_ref) && SameBits(dw, dw_ref) &&
+                        SameBits(dh, dh_ref);
+      EXPECT_TRUE(SameBits(z, z_ref)) << "z " << shape;
+      EXPECT_TRUE(SameBits(dw, dw_ref)) << "dw " << shape;
+      EXPECT_TRUE(SameBits(dh, dh_ref)) << "dh " << shape;
+      if (!same && ++failures >= 5) return;
+    }
   }
 }
 
@@ -625,31 +698,6 @@ TEST(ColumnSumTest, MatchesSequentialColumnOrderAtEveryWidth) {
       EXPECT_TRUE(SameBits(out, reference))
           << "d = " << d << ", " << threads << " threads";
     }
-  }
-}
-
-TEST(FusedKernelTest, GatherRowPairsMatchesGatherAndCopy) {
-  constexpr int64_t kD = 23;
-  const std::vector<float> table = OrderSensitive(kTableRows * kD, 43);
-  const auto n = static_cast<int64_t>(kGatherA.size());
-  std::vector<float> q_a(static_cast<size_t>(n * kD));
-  std::vector<float> q_b(q_a.size());
-  tensor::kernels::GatherRows(table.data(), kD, kGatherA.data(), n,
-                              q_a.data());
-  tensor::kernels::GatherRows(table.data(), kD, kGatherB.data(), n,
-                              q_b.data());
-  std::vector<float> reference(static_cast<size_t>(n * 2 * kD));
-  tensor::kernels::CopyColumnBlock(q_a.data(), n, kD, 0, reference.data(),
-                                   2 * kD, 0, kD);
-  tensor::kernels::CopyColumnBlock(q_b.data(), n, kD, 0, reference.data(),
-                                   2 * kD, kD, kD);
-  for (const int32_t threads : {1, 2, 4}) {
-    core::SetNumThreads(threads);
-    std::vector<float> out(reference.size(), 0.0f);
-    tensor::kernels::GatherRowPairs(table.data(), kD, kGatherA.data(),
-                                    kGatherB.data(), n, out.data());
-    core::SetNumThreads(1);
-    EXPECT_TRUE(SameBits(out, reference)) << threads << " threads";
   }
 }
 

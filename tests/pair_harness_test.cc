@@ -7,21 +7,6 @@
 namespace hygnn::baselines {
 namespace {
 
-TEST(ConcatPairRowsTest, GathersAndConcatenates) {
-  tensor::Tensor embeddings =
-      tensor::Tensor::FromVector({1, 2, 3, 4, 5, 6}, 3, 2);
-  std::vector<data::LabeledPair> pairs{{0, 2, 1.0f}, {1, 1, 0.0f}};
-  tensor::Tensor features = ConcatPairRows(embeddings, pairs);
-  EXPECT_EQ(features.rows(), 2);
-  EXPECT_EQ(features.cols(), 4);
-  // Row 0: drug 0 (1,2) ++ drug 2 (5,6).
-  EXPECT_EQ(features.At(0, 0), 1.0f);
-  EXPECT_EQ(features.At(0, 2), 5.0f);
-  // Row 1: drug 1 twice.
-  EXPECT_EQ(features.At(1, 1), 4.0f);
-  EXPECT_EQ(features.At(1, 3), 4.0f);
-}
-
 TEST(EmbeddingsToTensorTest, RowMajorCopy) {
   std::vector<std::vector<float>> rows{{1.0f, 2.0f}, {3.0f, 4.0f}};
   tensor::Tensor t = EmbeddingsToTensor(rows);

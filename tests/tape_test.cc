@@ -1,4 +1,4 @@
-// Tape tests: (1) the fused ops PairConcat and BiasRelu are
+// Tape tests: (1) the fused ops PairMatMul and BiasRelu are
 // bit-identical to the compositions they replace — values and every
 // gradient, with duplicate indices, ±0, NaN and ±inf — alone and inside
 // the MLP decoder's chain, at 1, 2 and 4 threads; (2) full training runs
@@ -29,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/logging.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "data/featurize.h"
@@ -103,6 +104,8 @@ void ExpectBitsAtThreads(const Captured& reference,
 /// Holds NaN, ±inf and ±0, and magnitudes far apart, so a sum over a
 /// column or a source row rounds differently in another order.
 tensor::Tensor IncomingGradient(int64_t rows, int64_t cols, uint64_t seed) {
+  // The specials below sit at fixed positions up to 17.
+  HYGNN_CHECK_GE(rows * cols, 18);
   core::Rng rng(seed);
   std::vector<float> g(static_cast<size_t>(rows * cols));
   for (size_t i = 0; i < g.size(); ++i) {
@@ -122,24 +125,124 @@ tensor::Tensor IncomingGradient(int64_t rows, int64_t cols, uint64_t seed) {
 const std::vector<int32_t> kPairA = {2, 0, 6, 2, 1, 6, 0, 3};
 const std::vector<int32_t> kPairB = {5, 2, 0, 3, 0, 2, 6, 6};
 
-Captured RunPairConcat(bool fused) {
-  tensor::Tensor h = SeededInput(7, 21, /*seed=*/31);
-  h.data()[3] = -0.0f;
-  h.data()[22] = kNaN;
-  h.data()[40] = -kInf;
-  const tensor::Tensor y =
-      fused ? tensor::PairConcat(h, kPairA, kPairB)
-            : tensor::ConcatCols(tensor::IndexSelectRows(h, kPairA),
-                                 tensor::IndexSelectRows(h, kPairB));
-  const auto n = static_cast<int64_t>(kPairA.size());
-  tensor::ReduceSum(tensor::Mul(y, IncomingGradient(n, 42, 32))).Backward();
-  return {ValuesOf(y), GradOf(h)};
+/// One PairMatMul case: n pairs over a table of `rows` rows and d
+/// columns, and a [2d, m] weight. `block` pairs row i with row n + i of
+/// a 2n-row table, as PairScorer's serving block does; otherwise the
+/// pairs are drawn from every row but the last, pair 0 pairs a row with
+/// itself and pair 2 repeats pair 1.
+struct PairShape {
+  int64_t rows, d, n, m;
+  bool block = false;
+};
+
+std::pair<std::vector<int32_t>, std::vector<int32_t>> ShapePairs(
+    const PairShape& shape) {
+  std::vector<int32_t> a(static_cast<size_t>(shape.n));
+  std::vector<int32_t> b(a.size());
+  core::Rng rng(static_cast<uint64_t>(shape.rows * 7 + shape.n));
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (shape.block) {
+      a[i] = static_cast<int32_t>(i);
+      b[i] = static_cast<int32_t>(shape.n + static_cast<int64_t>(i));
+    } else {
+      a[i] = static_cast<int32_t>(rng.UniformInt(shape.rows - 1));
+      b[i] = static_cast<int32_t>(rng.UniformInt(shape.rows - 1));
+    }
+  }
+  if (!shape.block) {
+    b[0] = a[0];
+    a[2] = a[1];
+    b[2] = b[1];
+  }
+  return {std::move(a), std::move(b)};
 }
 
-TEST_F(TapeTest, PairConcatBitIdenticalToGatherAndConcat) {
-  const Captured reference = RunPairConcat(/*fused=*/false);
-  ExpectBitsAtThreads(reference, [] { return RunPairConcat(true); },
-                      "PairConcat");
+/// The NaN an invalid operation such as 0·inf produces on this target
+/// (0xffc00000 on x86), computed at run time. When two NaNs meet in an
+/// add, the one that survives depends on the operand order the compiler
+/// picked for that add, which no rounding contract fixes, so a memcmp
+/// of NaN bits would compare compiler choices. Where every NaN is this
+/// one, NaN meets only its own bits, and the memcmp sees every sign,
+/// zero and infinity.
+float DefaultNaN() {
+  volatile float zero = 0.0f;
+  return zero * kInf;
+}
+
+/// Sets -0, +0, NaN, +inf and -inf at spread positions of t.
+void PlantSpecials(tensor::Tensor* t) {
+  float* v = t->data();
+  const int64_t size = t->size();
+  v[(3 * size) / 7] = -0.0f;
+  v[(2 * size) / 5] = 0.0f;
+  v[size / 2] = DefaultNaN();
+  v[(2 * size) / 3] = kInf;
+  v[(5 * size) / 6] = -kInf;
+}
+
+/// IncomingGradient with its NaN replaced by DefaultNaN.
+tensor::Tensor IncomingGradientDefaultNaN(int64_t rows, int64_t cols,
+                                          uint64_t seed) {
+  tensor::Tensor g = IncomingGradient(rows, cols, seed);
+  std::replace_if(
+      g.data(), g.data() + g.size(), [](float v) { return std::isnan(v); },
+      DefaultNaN());
+  return g;
+}
+
+/// PairMatMul(h, a, b, w) or the ops it replaces, with specials in h
+/// and w and an incoming gradient that holds them too (every NaN is
+/// DefaultNaN): the output and the gradients of h and w. With `shared_h`, a second consumer of h
+/// runs its backward first, so the pair op adds into a gradient that
+/// is already started.
+Captured RunPairMatMul(const PairShape& shape, bool fused, bool shared_h) {
+  const auto [a, b] = ShapePairs(shape);
+  tensor::Tensor h = SeededInput(shape.rows, shape.d, /*seed=*/31);
+  tensor::Tensor w = SeededInput(2 * shape.d, shape.m, /*seed=*/32);
+  PlantSpecials(&h);
+  PlantSpecials(&w);
+  const tensor::Tensor y =
+      fused ? tensor::PairMatMul(h, a, b, w)
+            : tensor::MatMul(tensor::ConcatCols(tensor::IndexSelectRows(h, a),
+                                                tensor::IndexSelectRows(h, b)),
+                             w);
+  tensor::Tensor loss = tensor::ReduceSum(
+      tensor::Mul(y, IncomingGradientDefaultNaN(shape.n, shape.m, 33)));
+  if (shared_h) {
+    const tensor::Tensor scale = tensor::Tensor::FromVector(
+        ValuesOf(SeededInput(shape.rows, shape.d, /*seed=*/34)), shape.rows,
+        shape.d);
+    loss = tensor::Add(loss, tensor::ReduceSum(tensor::Mul(h, scale)));
+  }
+  loss.Backward();
+  return {ValuesOf(y), GradOf(h), GradOf(w)};
+}
+
+/// Each case's pair count is a multiple of neither 4 nor 16. They run
+/// the 16-lane tile (d = m = 64), ragged column blocks, a one-column
+/// output and a one-column table, dW chunks that span both halves of w
+/// (d = 40), several chunks of drugs in dh, two blocks of dh's pairs
+/// (4,500 pairs), and tables with more rows than pairs.
+const std::vector<PairShape> kPairShapes = {
+    {7, 21, 37, 13},         {30, 64, 101, 64},       {12, 40, 70, 70},
+    {9, 5, 19, 1},           {6, 1, 43, 3},           {50, 16, 7, 24},
+    {90, 64, 45, 64, true}, {20, 10, 9, 18, true},   {60, 64, 4500, 64},
+};
+
+TEST_F(TapeTest, PairMatMulBitIdenticalToComposition) {
+  for (const PairShape& shape : kPairShapes) {
+    for (const bool shared_h : {false, true}) {
+      const std::string what =
+          "PairMatMul rows=" + std::to_string(shape.rows) +
+          " d=" + std::to_string(shape.d) + " n=" + std::to_string(shape.n) +
+          " m=" + std::to_string(shape.m) +
+          (shared_h ? " shared h" : "");
+      const Captured reference = RunPairMatMul(shape, false, shared_h);
+      ExpectBitsAtThreads(
+          reference, [&] { return RunPairMatMul(shape, true, shared_h); },
+          what);
+    }
+  }
 }
 
 Captured RunBiasRelu(bool fused) {
@@ -180,11 +283,12 @@ Captured RunDecoderChain(bool fused) {
   tensor::Tensor b1 = SeededInput(1, 24, /*seed=*/38);
   tensor::Tensor w2 = SeededInput(24, 1, /*seed=*/39);
   core::Rng rng(17);
-  const tensor::Tensor input =
-      fused ? tensor::PairConcat(h, kPairA, kPairB)
-            : tensor::ConcatCols(tensor::IndexSelectRows(h, kPairA),
-                                 tensor::IndexSelectRows(h, kPairB));
-  const tensor::Tensor z = tensor::MatMul(input, w1);
+  const tensor::Tensor z =
+      fused ? tensor::PairMatMul(h, kPairA, kPairB, w1)
+            : tensor::MatMul(
+                  tensor::ConcatCols(tensor::IndexSelectRows(h, kPairA),
+                                     tensor::IndexSelectRows(h, kPairB)),
+                  w1);
   const tensor::Tensor hidden =
       fused ? tensor::BiasRelu(z, b1)
             : tensor::Relu(tensor::AddRowBroadcast(z, b1));
@@ -212,11 +316,11 @@ TEST_F(TapeTest, FusionReducesKernelInvocationsAndAllocations) {
   const auto fused = run_stats(true);
   const auto unfused = run_stats(false);
   EXPECT_EQ(unfused.fused_groups, 0u);
-  EXPECT_EQ(fused.fused_groups, 2u);  // one PairConcat, one BiasRelu
-  // Two gathers and a concat become one op, a bias add and a Relu one
-  // more: 3 fewer kernel launches and 3 fewer forward buffers.
-  EXPECT_EQ(fused.ops_executed + 3, unfused.ops_executed);
-  EXPECT_EQ(fused.buffers_allocated + 3, unfused.buffers_allocated);
+  EXPECT_EQ(fused.fused_groups, 2u);  // one PairMatMul, one BiasRelu
+  // Two gathers, a concat and a product become one op, a bias add and a
+  // Relu one more: 4 fewer kernel launches and 4 fewer forward buffers.
+  EXPECT_EQ(fused.ops_executed + 4, unfused.ops_executed);
+  EXPECT_EQ(fused.buffers_allocated + 4, unfused.buffers_allocated);
 }
 
 // ---------------------------------------------------------------------------
@@ -243,10 +347,14 @@ TEST_F(FusedGradcheckTest, Length3ChainWithDropout) {
         // Re-seeded per call so every finite-difference evaluation draws
         // the identical mask.
         core::Rng rng(5);
+        const tensor::Tensor w = tensor::Tensor::FromVector(
+            {0.9f, -0.4f, 0.3f, 1.2f, -0.7f, 0.5f, 0.2f, 0.8f, -1.1f, 0.6f,
+             0.4f, -0.2f, 0.3f, 0.7f, -0.5f, 1.0f},
+            8, 2);
         return tensor::ReduceMean(tensor::Scale(
             tensor::LeakyRelu(
-                tensor::Dropout(tensor::PairConcat(x, {0, 2, 2, 1, 3},
-                                                   {3, 3, 0, 2, 2}),
+                tensor::Dropout(tensor::PairMatMul(x, {0, 2, 2, 1, 3},
+                                                   {3, 3, 0, 2, 2}, w),
                                 0.25f, true, &rng),
                 0.2f),
             0.7f));
@@ -263,11 +371,10 @@ TEST_F(FusedGradcheckTest, Length4Chain) {
   testing::ExpectGradMatchesNumeric(
       [] { return SeededInput(6, 2); },
       [&](const tensor::Tensor& x) {
-        const tensor::Tensor pairs =
-            tensor::PairConcat(x, {0, 1, 5, 3}, {4, 1, 2, 0});
-        return tensor::ReduceMean(tensor::Scale(
-            tensor::Sigmoid(tensor::BiasRelu(tensor::MatMul(pairs, w), bias)),
-            0.7f));
+        const tensor::Tensor z =
+            tensor::PairMatMul(x, {0, 1, 5, 3}, {4, 1, 2, 0}, w);
+        return tensor::ReduceMean(
+            tensor::Scale(tensor::Sigmoid(tensor::BiasRelu(z, bias)), 0.7f));
       });
 }
 
@@ -299,14 +406,14 @@ TEST_F(FusedGradcheckTest, BroadcastOpsAtChainBoundary) {
 
 TEST_F(FusedGradcheckTest, SmallestShapes) {
   // Tensors cannot be empty (Tensor::Full checks rows/cols > 0), so the
-  // boundary cases are a one-row table paired with itself and a
-  // single-element bias.
+  // boundary cases are a one-row table paired with itself through a
+  // [2, 1] weight, and a single-element bias.
+  const tensor::Tensor w = tensor::Tensor::FromVector({0.8f, -0.6f}, 2, 1);
   testing::ExpectGradMatchesNumeric(
       [] { return SeededInput(1, 1); },
-      [](const tensor::Tensor& x) {
-        return tensor::ReduceMean(
-            tensor::Scale(tensor::Tanh(tensor::PairConcat(x, {0}, {0})),
-                          2.0f));
+      [&w](const tensor::Tensor& x) {
+        return tensor::ReduceMean(tensor::Scale(
+            tensor::Tanh(tensor::PairMatMul(x, {0}, {0}, w)), 2.0f));
       });
   const tensor::Tensor bias = tensor::Tensor::FromVector({0.35f}, 1, 1);
   testing::ExpectGradMatchesNumeric(
@@ -403,7 +510,7 @@ TEST_F(TapeTest, FusedGroupsAppearInOpTimeAttribution) {
   RunDecoderChain(/*fused=*/true);
   obs::SetKernelTimingEnabled(false);
   const auto snapshot = obs::OpTimeSnapshot();
-  for (const std::string op : {"PairConcat", "BiasRelu"}) {
+  for (const std::string op : {"PairMatMul", "BiasRelu"}) {
     const auto entry =
         std::find_if(snapshot.begin(), snapshot.end(),
                      [&op](const obs::OpTimeEntry& e) { return e.op == op; });
@@ -559,18 +666,18 @@ TEST_F(BufferRecyclerTest, ReusedStorageKeepsEveryBit) {
 /// The live tensors of one RunDecoderFloorPass.
 struct DecoderFloorPass {
   tensor::Tensor loss;
-  std::vector<tensor::Tensor> outputs;  // pairs, z, h, scores, y
+  std::vector<tensor::Tensor> outputs;  // z, h, scores, y
   std::vector<tensor::Tensor> leaves;   // table, w1, b1, w2
 };
 
-/// The MLP decoder's chain at the floor: PairConcat over kFloorRows
-/// pairs of a 64-wide table, whose [65,536 x 128] output is exactly
-/// 32 MiB, MatMul by [128 x 128], BiasRelu, MatMul by [128 x 1], then
-/// MulColumnBroadcast of the hidden layer by those scores, an
-/// accumulating kind on a floor-sized buffer, and ReduceSum, forward
-/// and backward. The hidden layer's gradient is started by
-/// MulColumnBroadcast and added to by the second MatMul; the first
-/// MatMul creates the pair input's gradient.
+/// The MLP decoder's chain at the floor: PairMatMul of kFloorRows pairs
+/// of a 64-wide table by [128 x 128], whose [65,536 x 128] output z is
+/// exactly 32 MiB, BiasRelu, MatMul by [128 x 1], then
+/// MulColumnBroadcast of z by those scores, an accumulating kind on a
+/// floor-sized buffer, and ReduceSum, forward and backward.
+/// MulColumnBroadcast starts z's gradient and BiasRelu adds to it; the
+/// second MatMul creates the hidden layer's gradient by overwriting it,
+/// as it does in the decoder.
 DecoderFloorPass RunDecoderFloorPass() {
   constexpr int64_t kTableRows = 97;
   std::vector<int32_t> a(static_cast<size_t>(kFloorRows));
@@ -584,12 +691,12 @@ DecoderFloorPass RunDecoderFloorPass() {
                  SeededInput(kCols, kCols, /*seed=*/42),
                  SeededInput(1, kCols, /*seed=*/43),
                  SeededInput(kCols, 1, /*seed=*/44)};
-  const tensor::Tensor pairs = tensor::PairConcat(pass.leaves[0], a, b);
-  const tensor::Tensor z = tensor::MatMul(pairs, pass.leaves[1]);
+  const tensor::Tensor z =
+      tensor::PairMatMul(pass.leaves[0], a, b, pass.leaves[1]);
   const tensor::Tensor h = tensor::BiasRelu(z, pass.leaves[2]);
   const tensor::Tensor scores = tensor::MatMul(h, pass.leaves[3]);
-  const tensor::Tensor y = tensor::MulColumnBroadcast(h, scores);
-  pass.outputs = {pairs, z, h, scores, y};
+  const tensor::Tensor y = tensor::MulColumnBroadcast(z, scores);
+  pass.outputs = {z, h, scores, y};
   pass.loss = tensor::ReduceSum(y);
   pass.loss.Backward();
   return pass;
@@ -614,8 +721,8 @@ void Poison(DecoderFloorPass* pass) {
 }
 
 TEST_F(BufferRecyclerTest, DecoderPassOnDirtyStorageKeepsEveryBit) {
-  // pairs, z, h and y, and their four gradients, are floor-sized.
-  constexpr uint64_t kFloorBuffers = 8;
+  // z, h and y, and their three gradients, are floor-sized.
+  constexpr uint64_t kFloorBuffers = 6;
   float fresh_loss = 0.0f;
   Captured fresh;
   {
