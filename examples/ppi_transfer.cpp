@@ -11,6 +11,7 @@
 //
 // Build & run:  ./build/examples/ppi_transfer
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <unordered_set>

@@ -7,9 +7,10 @@ Checks, over *tracked* files only (git ls-files):
   3. every .cc under src/ is listed in its directory's CMakeLists.txt
   4. no raw assert( in src/ — use HYGNN_CHECK / HYGNN_DCHECK
   5. no committed build artifacts (build trees, objects, caches)
-  6. src/tensor/ops.cc contains no raw compute loops — numeric work
-     belongs in src/tensor/kernels/ (the autograd layer only does shape
-     checks and graph wiring)
+  6. src/tensor/ops.cc and src/tensor/loss.cc contain no raw compute
+     loops — numeric work belongs in src/tensor/kernels/ (the recording
+     layer only does shape checks and graph wiring; it validates inputs
+     through helpers such as IndicesInRange)
   7. no raw std::ofstream/std::ifstream/std::fstream under src/serve/ or
      src/data/ — persistence there must go through core::FileSystem
      (src/core/fs.h) so fault injection and the durable-write protocol
@@ -37,11 +38,12 @@ the bit-identity guarantee survives concurrent code):
      routes through the annotated core::Mutex wrappers
      (src/core/mutex.h) so Clang Thread Safety Analysis sees every
      acquisition
- 13. src/tensor/ops.cc never invokes the kernel layer directly (no
-     `kernels::` calls, no `#include "tensor/kernels/...`) — ops only
-     *record* tape nodes (tensor/tape.h); all kernel dispatch lives in
-     the tape executor, which is what lets execution (threading,
-     kernel choice) change without touching the op API
+ 13. src/tensor/ops.cc and src/tensor/loss.cc never invoke the kernel
+     layer directly (no `kernels::` calls, no
+     `#include "tensor/kernels/...`) — ops and losses only *record* tape
+     nodes (tensor/tape.h); all kernel dispatch lives in the tape
+     executor, which is what lets execution (threading, kernel choice)
+     change without touching the op API
 
 Exits 0 when clean, 1 with one line per violation otherwise.
 """
@@ -67,16 +69,17 @@ USING_NAMESPACE = re.compile(r"^\s*using\s+namespace\b")
 LINE_COMMENT = re.compile(r"//.*$")
 RAW_LOOP = re.compile(r"(?<![\w_])(for|while)\s*\(")
 
-# Files that must stay loop-free: the autograd layer delegates all
+# Files that must stay loop-free: the recording layer delegates all
 # numeric iteration to the kernel layer (src/tensor/kernels/).
-NO_LOOP_FILES = {"src/tensor/ops.cc"}
+# sparse.cc records SpMM too but stays out: CsrMatrix::FromCoo loops.
+NO_LOOP_FILES = {"src/tensor/ops.cc", "src/tensor/loss.cc"}
 
 RAW_KERNEL_CALL = re.compile(
     r"\bkernels\s*::\s*\w+|#\s*include\s*\"tensor/kernels/")
 
 # Files that must never invoke the kernel layer: the op layer records
 # tape nodes only (tensor/tape.h); dispatch belongs to the executor.
-NO_KERNEL_CALL_FILES = {"src/tensor/ops.cc"}
+NO_KERNEL_CALL_FILES = {"src/tensor/ops.cc", "src/tensor/loss.cc"}
 
 RAW_FILE_STREAM = re.compile(
     r"(?:std::)?(?:o|i)?fstream\b|#\s*include\s*<fstream>")
@@ -208,8 +211,8 @@ def check_raw_assert(path, text, problems):
 
 
 def check_no_raw_loops(path, text, problems):
-    """The autograd layer (ops.cc) must contain zero numeric loops —
-    every for/while is compute that belongs in tensor/kernels/."""
+    """The recording layer (ops.cc, loss.cc) must contain zero numeric
+    loops — every for/while is compute that belongs in tensor/kernels/."""
     in_block_comment = False
     for i, line in enumerate(text.splitlines(), 1):
         code = line
@@ -230,8 +233,9 @@ def check_no_raw_loops(path, text, problems):
         code = LINE_COMMENT.sub("", code)
         if RAW_LOOP.search(code):
             problems.append(
-                f"{path}:{i}: raw loop in the autograd layer — move the "
-                "compute into src/tensor/kernels/ and call the kernel")
+                f"{path}:{i}: raw loop in the recording layer — move the "
+                "compute into src/tensor/kernels/ and let the executor "
+                "call it")
 
 
 def check_no_kernel_calls(path, text, problems):

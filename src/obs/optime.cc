@@ -30,15 +30,6 @@ struct OpSlot {
 
 OpSlot g_slots[kMaxOps];
 
-/// One in-flight op span on the current thread. Ops can nest (composite
-/// ops call other ops), so each thread keeps a small stack.
-struct PendingSpan {
-  const void* token;
-  uint64_t start_nanos;
-};
-
-thread_local std::vector<PendingSpan> t_pending;
-
 /// Finds (or claims) the slot for `op`. Tags are static strings, but
 /// identical literals in different translation units may have distinct
 /// addresses, so matching falls back to strcmp after the pointer check.
@@ -79,22 +70,9 @@ void SetKernelTimingEnabled(bool enabled) {
 
 uint64_t NowNanos() { return core::MonotonicClock().NowNanos(); }
 
-void OpStart(const void* token) {
+void RecordForward(const char* op, uint64_t nanos) {
   if (!KernelTimingEnabled()) return;
-  t_pending.push_back({token, NowNanos()});
-}
-
-void OpFinish(const void* token, const char* op) {
-  if (t_pending.empty()) return;  // timing enabled mid-op: drop
-  // Search from the top: spans close in LIFO order except when a
-  // composite op finished without the engine seeing its inner tokens.
-  for (size_t i = t_pending.size(); i > 0; --i) {
-    if (t_pending[i - 1].token != token) continue;
-    const uint64_t start = t_pending[i - 1].start_nanos;
-    t_pending.erase(t_pending.begin() + static_cast<ptrdiff_t>(i - 1));
-    if (KernelTimingEnabled()) Record(op, NowNanos() - start, false);
-    return;
-  }
+  Record(op, nanos, false);
 }
 
 void RecordBackward(const char* op, uint64_t nanos) {

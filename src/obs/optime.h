@@ -10,26 +10,25 @@ namespace hygnn::obs {
 
 /// Per-operator wall-time attribution for the tensor engine, keyed by
 /// the same static `TensorImpl::op` tags NumericsGuard and GraphLint
-/// use.
-///  - Forward: the tape executor (tensor/tape.cc) calls OpStart before
-///    it allocates a node's output and OpFinish once the kernel wrote
-///    it; closure-based ops that compute eagerly (the losses in
-///    tensor/loss.cc) bracket their own computation the same way.
-///  - Backward: tensor::ExecuteNodeBackward (tensor/tape.cc) times
-///    every node it runs, recorded or closure-based, and reports the
-///    span through RecordBackward.
+/// use. The tape executor (tensor/tape.cc) runs every node, so it is
+/// the one place that times them:
+///  - Forward: tensor::MaterializeTensor times each node from before it
+///    allocates the output until the kernel wrote it, and reports the
+///    span through RecordForward.
+///  - Backward: tensor::ExecuteNodeBackward times each node's gradient
+///    step and reports it through RecordBackward.
 ///  - The fused ops PairMatMul and BiasRelu are attributed under their
 ///    own names, not under the ops they replace.
-/// Forward time is inclusive: a composite op that calls other ops
-/// between its own start and finish includes their time.
+/// A node's span covers that node alone: no op runs inside another.
 ///
 /// Hot-path cost model (the part that must not perturb kernels):
-///  - disabled: one relaxed atomic load per op, nothing else;
-///  - enabled: two NowNanos reads plus relaxed fetch_adds into a
-///    fixed lock-free slot table. No mutexes, no per-sample allocation
-///    (the per-thread start stack reuses its capacity after warmup), so
-///    thread-pool workers scoring pairs concurrently aggregate into the
-///    same table without synchronization beyond the relaxed atomics.
+///  - disabled: one relaxed atomic load per tape execution or backward
+///    pass, nothing per op;
+///  - enabled: two NowNanos reads per node plus relaxed fetch_adds into
+///    a fixed lock-free slot table. No mutexes and no per-sample
+///    allocation, so thread-pool workers scoring pairs concurrently
+///    aggregate into the same table without synchronization beyond the
+///    relaxed atomics.
 /// Timing never touches tensor data: results are bit-identical with
 /// timing on or off.
 
@@ -48,23 +47,18 @@ void SetKernelTimingEnabled(bool enabled);
 /// Monotonic timestamp in nanoseconds: core::MonotonicClock(), never
 /// the ActiveClock seam, so a test's ManualClock cannot freeze
 /// observational time. Every span timer (Timer, ScopedTimer, this
-/// attribution table, tensor::ExecuteNodeBackward) reads it;
+/// attribution table, the tape executor) reads it;
 /// scripts/lint.py rule 10 keeps every other std::chrono clock read
 /// out of the tree.
 uint64_t NowNanos();
 
-/// Marks the start of the op that will produce `token` (the output
-/// TensorImpl address — an opaque match key). No-op when disabled.
-void OpStart(const void* token);
+/// Records `nanos` of forward time for `op`: tensor::MaterializeTensor
+/// times each node it executes. No-op when disabled.
+void RecordForward(const char* op, uint64_t nanos);
 
-/// Closes the span opened by OpStart(token) and attributes the elapsed
-/// time to `op` (a static string tag). Unmatched finishes (timing was
-/// enabled mid-op) are dropped, never misattributed.
-void OpFinish(const void* token, const char* op);
-
-/// Records `nanos` of backward time for `op` directly:
-/// tensor::ExecuteNodeBackward times each node's gradient step itself,
-/// with no OpStart token.
+/// Records `nanos` of backward time for `op`:
+/// tensor::ExecuteNodeBackward times each node's gradient step. No-op
+/// when disabled.
 void RecordBackward(const char* op, uint64_t nanos);
 
 /// Aggregated time of one operator, forward and backward.

@@ -31,7 +31,7 @@ std::string Describe(const TensorImpl* node) {
   return os.str();
 }
 
-/// Follows the first-parent chain upward, e.g. "Log <- Sub <- leaf".
+/// Follows the first-parent chain upward, e.g. "Relu <- MatMul <- leaf".
 std::string ProducerTrace(const TensorImpl* node) {
   constexpr int kMaxDepth = 10;
   std::ostringstream os;
@@ -130,31 +130,16 @@ LintReport GraphLint(const Tensor& root) {
                " times — gradients were double-accumulated into its "
                "parents"});
     }
-    if (node->backward_fn) {
-      if (node->parents.empty()) {
-        report.issues.push_back(
-            {LintKind::kDanglingBackwardFn,
-             Describe(node) +
-                 " holds a backward_fn but its parent list was released; "
-                 "the closure pins the detached subgraph alive"});
-      } else if (!node->requires_grad) {
-        report.issues.push_back(
-            {LintKind::kDanglingBackwardFn,
-             Describe(node) +
-                 " holds a backward_fn although requires_grad is false"});
-      }
-    } else if (node->rec != nullptr && node->parents.empty()) {
-      // A tape record without parents cannot execute or run backward —
-      // same manual-surgery hazard as a parentless backward_fn. (The
-      // executor itself always clears rec and parents together.)
+    if (node->rec != nullptr && node->parents.empty()) {
+      // A tape record without parents cannot execute or run backward.
+      // (The executor itself always clears rec and parents together.)
       report.issues.push_back(
-          {LintKind::kDanglingBackwardFn,
+          {LintKind::kDanglingRecord,
            Describe(node) +
                " holds a tape record but its parent list was released; "
                "the record can neither execute nor propagate gradients"});
     }
-    const bool is_leaf =
-        node->parents.empty() && !node->backward_fn && node->rec == nullptr;
+    const bool is_leaf = node->parents.empty() && node->rec == nullptr;
     if (is_leaf && node->requires_grad && max_backward_runs > 0 &&
         node->grad.empty()) {
       report.issues.push_back(
@@ -218,10 +203,6 @@ NumericsGuardScope::NumericsGuardScope(bool fatal)
 NumericsGuardScope::~NumericsGuardScope() {
   g_fatal.store(previous_fatal_, std::memory_order_relaxed);
   g_enabled.store(previous_enabled_, std::memory_order_relaxed);
-}
-
-void GuardOpResult(const std::shared_ptr<TensorImpl>& out) {
-  GuardOpResult(out.get());
 }
 
 void GuardOpResult(TensorImpl* out, const TensorImpl* input) {

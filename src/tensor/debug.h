@@ -2,7 +2,6 @@
 #define HYGNN_TENSOR_DEBUG_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,18 +24,18 @@ enum class LintKind {
   /// indicates manual TensorImpl surgery and a guaranteed shared_ptr
   /// leak).
   kCycle,
-  /// A node's backward_fn ran more than once, double-accumulating
+  /// A node's backward step ran more than once, double-accumulating
   /// gradients into its parents.
   kDoubleBackward,
   /// A reachable requires_grad leaf (parameter) never received a
   /// gradient even though Backward() ran — the chain rule path to it is
   /// broken.
   kParamWithoutGradient,
-  /// A node still holds a backward_fn although its parent list was
-  /// released, or carries one despite requires_grad being false; the
-  /// closure pins freed subgraphs alive and re-running it would write
-  /// into detached parents.
-  kDanglingBackwardFn,
+  /// A node still holds a tape record although its parent list was
+  /// released: the record can neither execute nor propagate gradients
+  /// (only manual TensorImpl surgery produces one; the executor clears
+  /// record and parents together).
+  kDanglingRecord,
   /// data/grad buffer sizes disagree with rows*cols.
   kShapeMismatch,
 };
@@ -111,13 +110,11 @@ class NumericsGuardScope {
   bool previous_fatal_;
 };
 
-/// Hook called after an op's forward value is written (the tape
-/// executor for recorded ops, loss.cc for opaque eager ones). No-op
-/// unless NumericsGuard is enabled and has not yet triggered. `input`,
-/// when set, is an operand whose non-finite values the output can hide
-/// (BiasRelu's bias, under its ReLU): it is scanned first, and a hit is
-/// reported under the op's name.
-void GuardOpResult(const std::shared_ptr<TensorImpl>& out);
+/// Hook the tape executor calls after an op's forward value is written.
+/// No-op unless NumericsGuard is enabled and has not yet triggered.
+/// `input`, when set, is an operand whose non-finite values the output
+/// can hide (BiasRelu's bias, under its ReLU): it is scanned first, and
+/// a hit is reported under the op's name.
 void GuardOpResult(TensorImpl* out, const TensorImpl* input = nullptr);
 
 }  // namespace hygnn::tensor

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "core/rng.h"
 #include "tensor/kernels/kernels.h"
@@ -10,12 +9,6 @@ namespace hygnn::tensor::kernels {
 void Add(const float* a, const float* b, float* c, int64_t n) {
   core::ParallelFor(0, n, kElementGrain, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) c[i] = a[i] + b[i];
-  });
-}
-
-void Sub(const float* a, const float* b, float* c, int64_t n) {
-  core::ParallelFor(0, n, kElementGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) c[i] = a[i] - b[i];
   });
 }
 
@@ -171,65 +164,53 @@ void DropoutMask(core::Rng* rng, float p, float keep_scale, float* mask,
   }
 }
 
-void L2NormalizeRows(const float* x, int64_t n, int64_t d, float eps,
-                     float* out, float* norms) {
-  core::ParallelFor(0, n, kRowGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      float acc = 0.0f;
-      for (int64_t j = 0; j < d; ++j) {
-        const float v = x[i * d + j];
-        acc += v * v;
-      }
-      norms[i] = std::max(std::sqrt(acc), eps);
-      const float inv = 1.0f / norms[i];
-      for (int64_t j = 0; j < d; ++j) out[i * d + j] = x[i * d + j] * inv;
-    }
-  });
+float BceWithLogits(const float* z, const float* y, int64_t n) {
+  double acc = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    acc += std::max(z[i], 0.0f) - z[i] * y[i] +
+           std::log1p(std::exp(-std::fabs(z[i])));
+  }
+  return static_cast<float>(acc / static_cast<double>(n));
 }
 
-void L2NormalizeRowsBackward(const float* g, const float* y,
-                             const float* norms, int64_t n, int64_t d,
-                             float* dx) {
-  core::ParallelFor(0, n, kRowGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      float dot = 0.0f;
-      for (int64_t j = 0; j < d; ++j) dot += g[i * d + j] * y[i * d + j];
-      const float inv = 1.0f / norms[i];
-      for (int64_t j = 0; j < d; ++j) {
-        dx[i * d + j] += (g[i * d + j] - y[i * d + j] * dot) * inv;
-      }
-    }
-  });
+void BceWithLogitsBackward(const float* z, const float* y, int64_t n, float g,
+                           float* dz) {
+  const float scale = g / static_cast<float>(n);
+  for (int64_t i = 0; i < n; ++i) {
+    dz[i] += scale * (ScalarSigmoid(z[i]) - y[i]);
+  }
 }
 
-void RowSoftmax(const float* x, int64_t n, int64_t k, float* out) {
-  core::ParallelFor(0, n, kRowGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      float row_max = -std::numeric_limits<float>::infinity();
-      for (int64_t j = 0; j < k; ++j) {
-        row_max = std::max(row_max, x[i * k + j]);
-      }
-      float denom = 0.0f;
-      for (int64_t j = 0; j < k; ++j) {
-        out[i * k + j] = std::exp(x[i * k + j] - row_max);
-        denom += out[i * k + j];
-      }
-      for (int64_t j = 0; j < k; ++j) out[i * k + j] /= denom;
+float SoftmaxCrossEntropy(const float* z, const int32_t* labels, int64_t n,
+                          int64_t k, float* softmax) {
+  double total = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const float* row = z + i * k;
+    float* soft = softmax + i * k;
+    float row_max = row[0];
+    for (int64_t j = 1; j < k; ++j) row_max = std::max(row_max, row[j]);
+    double denom = 0.0;
+    for (int64_t j = 0; j < k; ++j) {
+      const double e = std::exp(row[j] - row_max);
+      soft[j] = static_cast<float>(e);
+      denom += e;
     }
-  });
+    for (int64_t j = 0; j < k; ++j) soft[j] /= static_cast<float>(denom);
+    total -= std::log(std::max<double>(soft[labels[i]], 1e-30));
+  }
+  return static_cast<float>(total / static_cast<double>(n));
 }
 
-void RowSoftmaxBackward(const float* g, const float* y, int64_t n, int64_t k,
-                        float* dx) {
-  core::ParallelFor(0, n, kRowGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      float dot = 0.0f;
-      for (int64_t j = 0; j < k; ++j) dot += g[i * k + j] * y[i * k + j];
-      for (int64_t j = 0; j < k; ++j) {
-        dx[i * k + j] += y[i * k + j] * (g[i * k + j] - dot);
-      }
+void SoftmaxCrossEntropyBackward(const float* softmax, const int32_t* labels,
+                                 int64_t n, int64_t k, float g, float* dz) {
+  const float scale = g / static_cast<float>(n);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < k; ++j) {
+      float delta = softmax[i * k + j];
+      if (j == labels[i]) delta -= 1.0f;
+      dz[i * k + j] += scale * delta;
     }
-  });
+  }
 }
 
 }  // namespace hygnn::tensor::kernels

@@ -12,15 +12,21 @@ class Rng;
 }  // namespace hygnn::core
 
 /// Pure numeric kernel layer. Every function works on raw row-major
-/// float buffers — no Tensor, no autograd, no graph wiring — so the
-/// autograd layer (tensor/ops.cc) reduces to shape checks and
-/// forward/backward dispatch, and alternative backends (SIMD, blocked,
-/// sharded) can swap in underneath without touching the graph code.
+/// float buffers — no Tensor, no autograd, no graph wiring. The
+/// recording layer (ops.cc, loss.cc, sparse.cc) only records tape
+/// nodes, and the tape executor (tape.cc) is the one caller that
+/// dispatches them here, forward and backward, so alternative backends
+/// (SIMD, blocked, sharded) can swap in underneath without touching
+/// the graph code.
 ///
 /// Determinism contract: parallel kernels partition work so that every
 /// output element is written by exactly one chunk and accumulated in
 /// the same order as the sequential (threads = 1) execution. Results
-/// are therefore bit-identical at any thread count. Accumulating
+/// are therefore bit-identical at any thread count. Bit-identity covers
+/// every value except a NaN's sign and payload: where two NaNs meet in
+/// an add, x86 keeps the first operand's NaN, and the compiler picks
+/// the operand order, so which NaN survives is not part of any
+/// contract here. Accumulating
 /// kernels (named *Accumulate or *Backward, plus MatMulTN and Axpy) add
 /// into their destination; callers pass zero-filled buffers to get
 /// plain assignment. MatMul and every kernel that writes with `=`
@@ -61,6 +67,9 @@ inline constexpr int64_t kLineGrain = 16;
 //     zero skip, then c = s (Store::kOverwrite) or c = c + s
 //     (Store::kAccumulate). A sum that starts at +0 is never -0, so
 //     +0 + s is s bit for bit, and the two modes agree on a c of +0.
+// As in the determinism contract above, a NaN's sign and payload are
+// outside this contract: an element that is NaN stays NaN, but which
+// of two NaNs survives an add is the compiler's operand order.
 // matmul.cc alone builds with -ffp-contract=off. Without it the
 // compiler may fuse any a*b + c it sees into one FMA, and where it does
 // depends on how it vectorizes a loop; with it, the source decides.
@@ -158,18 +167,12 @@ void PairMatMulBackward(const float* h, int64_t rows, int64_t d,
                         const float* w, int64_t m, const float* g, float* dh,
                         float* dw);
 
-/// out[d,n] = xᵀ for x[n,d]. Parallel over output rows.
-void Transpose(const float* x, int64_t n, int64_t d, float* out);
-
 // ---------------------------------------------------------------------------
-// elementwise.cc — maps, broadcasts, copies, reductions
+// elementwise.cc — maps, broadcasts, copies, reductions and the losses
 // ---------------------------------------------------------------------------
 
 /// c[i] = a[i] + b[i].
 void Add(const float* a, const float* b, float* c, int64_t n);
-
-/// c[i] = a[i] - b[i].
-void Sub(const float* a, const float* b, float* c, int64_t n);
 
 /// y[i] += alpha * x[i].
 void Axpy(float alpha, const float* x, float* y, int64_t n);
@@ -245,26 +248,37 @@ bool AllInRange(const int32_t* v, int64_t n, int32_t lo, int32_t hi);
 void DropoutMask(core::Rng* rng, float p, float keep_scale, float* mask,
                  int64_t n);
 
-/// out_i = x_i / max(||x_i||, eps) per row; norms[i] receives the
-/// clamped norm for the backward pass. Parallel rows.
-void L2NormalizeRows(const float* x, int64_t n, int64_t d, float eps,
-                     float* out, float* norms);
+// The two losses are sequential by construction: each sums its terms
+// in double, in index order, and that order is part of the bits. Like
+// every file here but matmul.cc, elementwise.cc builds with the default
+// FP contraction, so the compiler fuses these loops' a*b + c terms into
+// FMAs where the target has them.
 
-/// dx_i += (g_i - y_i * (g_i · y_i)) / norms[i]. Parallel rows.
-void L2NormalizeRowsBackward(const float* g, const float* y,
-                             const float* norms, int64_t n, int64_t d,
-                             float* dx);
+/// Mean binary cross-entropy on logits z[n] against targets y[n]:
+/// mean_i [max(z,0) - z*y + log1p(exp(-|z|))], the double sum rounded
+/// to float once, after the division.
+float BceWithLogits(const float* z, const float* y, int64_t n);
 
-/// Numerically-stabilized softmax over each row of x[n,k]. Parallel
-/// rows.
-void RowSoftmax(const float* x, int64_t n, int64_t k, float* out);
+/// dz[i] += (g / n) * (ScalarSigmoid(z[i]) - y[i]) for the loss's
+/// incoming gradient g.
+void BceWithLogitsBackward(const float* z, const float* y, int64_t n, float g,
+                           float* dz);
 
-/// dx_i += y_i ⊙ (g_i - (g_i · y_i)) per row. Parallel rows.
-void RowSoftmaxBackward(const float* g, const float* y, int64_t n, int64_t k,
-                        float* dx);
+/// Mean softmax cross-entropy of logits z[n,k] against class indices
+/// labels[n], each in [0, k). Writes each row's softmax into
+/// softmax[n,k] for the backward pass (exp and the denominator in
+/// double, the quotient in float) and returns the mean of
+/// -log(max(softmax[label], 1e-30)).
+float SoftmaxCrossEntropy(const float* z, const int32_t* labels, int64_t n,
+                          int64_t k, float* softmax);
 
-/// out[i] = fn(x[i]) — the shared forward for activation / pointwise
-/// ops (Relu, Sigmoid, Tanh, Exp, Log, ...). Parallel over elements.
+/// dz[i,j] += (g / n) * (softmax[i,j] - [j == labels[i]]) for the
+/// loss's incoming gradient g.
+void SoftmaxCrossEntropyBackward(const float* softmax, const int32_t* labels,
+                                 int64_t n, int64_t k, float g, float* dz);
+
+/// out[i] = fn(x[i]) — the shared forward for the pointwise ops (Relu,
+/// LeakyRelu). Parallel over elements.
 template <typename Fn>
 void RowwiseMap(const float* x, float* out, int64_t n, Fn fn) {
   core::ParallelFor(0, n, kElementGrain, [&](int64_t lo, int64_t hi) {
@@ -283,8 +297,8 @@ void RowwiseMapGradAccumulate(const float* x, const float* y, const float* g,
 }
 
 // ---------------------------------------------------------------------------
-// Scalar activation bodies — shared by the RowwiseMap ops and BiasRelu,
-// so the one-op and the two-op forms round alike.
+// Scalar activation bodies — shared by the RowwiseMap ops, BiasRelu and
+// the BCE backward, so every form of one function rounds alike.
 // ---------------------------------------------------------------------------
 
 inline float ScalarRelu(float v) { return v > 0.0f ? v : 0.0f; }
@@ -306,19 +320,6 @@ inline float ScalarSigmoid(float v) {
   }
   const float z = std::exp(v);
   return z / (1.0f + z);
-}
-inline float ScalarSigmoidGrad(float y) { return y * (1.0f - y); }
-
-inline float ScalarTanh(float v) { return std::tanh(v); }
-inline float ScalarTanhGrad(float y) { return 1.0f - y * y; }
-
-inline float ScalarExp(float v) { return std::exp(v); }
-
-inline float ScalarLog(float v, float eps) {
-  return std::log(std::max(v, eps));
-}
-inline float ScalarLogGrad(float x, float eps) {
-  return 1.0f / std::max(x, eps);
 }
 
 // ---------------------------------------------------------------------------

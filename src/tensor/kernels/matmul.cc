@@ -398,6 +398,17 @@ void ParallelRows(const Product& p, int64_t rows) {
   });
 }
 
+/// out[d,n] = xᵀ for x[n,d]: the packing step of MatMulNT and of
+/// PairMatMul's dh. Parallel over output rows.
+void Transpose(const float* x, int64_t n, int64_t d, float* out) {
+  core::ParallelFor(0, d, kRowGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t j = lo; j < hi; ++j) {
+      float* orow = out + j * n;
+      for (int64_t i = 0; i < n; ++i) orow[i] = x[i * d + j];
+    }
+  });
+}
+
 }  // namespace
 
 void MatMul(const float* a, const float* b, float* c, int64_t n, int64_t k,
@@ -552,15 +563,6 @@ void PairMatMulBackward(const float* h, int64_t rows, int64_t d,
     AddPairHalfGradients(g, n, m, w + d * m, b, rows, d, dh);
     AddPairHalfGradients(g, n, m, w, a, rows, d, dh);
   }
-}
-
-void Transpose(const float* x, int64_t n, int64_t d, float* out) {
-  core::ParallelFor(0, d, kRowGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t j = lo; j < hi; ++j) {
-      float* orow = out + j * n;
-      for (int64_t i = 0; i < n; ++i) orow[i] = x[i * d + j];
-    }
-  });
 }
 
 }  // namespace hygnn::tensor::kernels

@@ -8,6 +8,10 @@
 
 namespace hygnn::tensor {
 
+/// Both losses record a tape node (tensor/tape.h) like every op in
+/// tensor/ops.h: the value is computed when the loss is first read
+/// (item(), Backward()), by the kernels in tensor/kernels/kernels.h.
+
 /// Numerically stable binary cross-entropy on raw scores (logits):
 ///   loss = mean_i [ max(z,0) - z*y + log(1 + exp(-|z|)) ]
 /// This is eq. (12) of the HyGNN paper (summed form there; we use the
@@ -17,14 +21,6 @@ namespace hygnn::tensor {
 /// `logits` is [n,1]; `targets` holds n labels in {0, 1}.
 Tensor BceWithLogitsLoss(const Tensor& logits,
                          const std::vector<float>& targets);
-
-/// Plain binary cross-entropy on probabilities in (0, 1); provided for
-/// parity with the paper's formulation. Prefer BceWithLogitsLoss.
-Tensor BceLoss(const Tensor& probs, const std::vector<float>& targets,
-               float eps = 1e-7f);
-
-/// Mean squared error between predictions [n,1] and targets.
-Tensor MseLoss(const Tensor& predictions, const std::vector<float>& targets);
 
 /// Fused softmax + cross-entropy on raw class scores: `logits` is
 /// [n, k], `labels` holds n class indices in [0, k). Mean over rows.

@@ -43,30 +43,6 @@ Tensor AddRowBroadcast(const Tensor& x, const Tensor& bias) {
   return FinishRecord(std::move(out));
 }
 
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  HYGNN_CHECK(a.defined() && b.defined());
-  HYGNN_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
-  auto out =
-      RecordOp("Sub", OpKind::kSub, a.rows(), a.cols(), {a.impl(), b.impl()});
-  return FinishRecord(std::move(out));
-}
-
-Tensor Mul(const Tensor& a, const Tensor& b) {
-  HYGNN_CHECK(a.defined() && b.defined());
-  HYGNN_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
-  auto out =
-      RecordOp("Mul", OpKind::kMul, a.rows(), a.cols(), {a.impl(), b.impl()});
-  return FinishRecord(std::move(out));
-}
-
-Tensor Scale(const Tensor& x, float s) {
-  HYGNN_CHECK(x.defined());
-  HYGNN_DCHECK(std::isfinite(s)) << "Scale by non-finite constant " << s;
-  auto out = RecordOp("Scale", OpKind::kScale, x.rows(), x.cols(), {x.impl()});
-  out->rec->alpha = s;
-  return FinishRecord(std::move(out));
-}
-
 Tensor MulColumnBroadcast(const Tensor& x, const Tensor& w) {
   HYGNN_CHECK(x.defined() && w.defined());
   HYGNN_CHECK_EQ(w.cols(), 1);
@@ -162,11 +138,6 @@ Tensor ReduceSum(const Tensor& x) {
   return FinishRecord(std::move(out));
 }
 
-Tensor ReduceMean(const Tensor& x) {
-  const float inv = 1.0f / static_cast<float>(x.size());
-  return Scale(ReduceSum(x), inv);
-}
-
 Tensor Relu(const Tensor& x) {
   HYGNN_CHECK(x.defined());
   auto out = RecordOp("Relu", OpKind::kRelu, x.rows(), x.cols(), {x.impl()});
@@ -194,33 +165,6 @@ Tensor LeakyRelu(const Tensor& x, float slope) {
   return FinishRecord(std::move(out));
 }
 
-Tensor Sigmoid(const Tensor& x) {
-  HYGNN_CHECK(x.defined());
-  auto out =
-      RecordOp("Sigmoid", OpKind::kSigmoid, x.rows(), x.cols(), {x.impl()});
-  return FinishRecord(std::move(out));
-}
-
-Tensor Tanh(const Tensor& x) {
-  HYGNN_CHECK(x.defined());
-  auto out = RecordOp("Tanh", OpKind::kTanh, x.rows(), x.cols(), {x.impl()});
-  return FinishRecord(std::move(out));
-}
-
-Tensor Exp(const Tensor& x) {
-  HYGNN_CHECK(x.defined());
-  auto out = RecordOp("Exp", OpKind::kExp, x.rows(), x.cols(), {x.impl()});
-  return FinishRecord(std::move(out));
-}
-
-Tensor Log(const Tensor& x, float eps) {
-  HYGNN_CHECK(x.defined());
-  HYGNN_DCHECK_GE(eps, 0.0f);
-  auto out = RecordOp("Log", OpKind::kLog, x.rows(), x.cols(), {x.impl()});
-  out->rec->alpha = eps;
-  return FinishRecord(std::move(out));
-}
-
 Tensor Dropout(const Tensor& x, float p, bool training, core::Rng* rng) {
   HYGNN_CHECK(x.defined());
   HYGNN_CHECK(p >= 0.0f && p < 1.0f);
@@ -236,29 +180,6 @@ Tensor Dropout(const Tensor& x, float p, bool training, core::Rng* rng) {
   out->rec->fbuf = std::make_shared<std::vector<float>>(
       static_cast<size_t>(total), 0.0f);
   DrawDropoutMask(rng, p, keep_scale, out->rec->fbuf->data(), total);
-  return FinishRecord(std::move(out));
-}
-
-Tensor L2NormalizeRows(const Tensor& x, float eps) {
-  HYGNN_CHECK(x.defined());
-  HYGNN_DCHECK_GT(eps, 0.0f);
-  auto out = RecordOp("L2NormalizeRows", OpKind::kL2NormalizeRows, x.rows(),
-                      x.cols(), {x.impl()});
-  out->rec->alpha = eps;
-  return FinishRecord(std::move(out));
-}
-
-Tensor RowSoftmax(const Tensor& x) {
-  HYGNN_CHECK(x.defined());
-  auto out = RecordOp("RowSoftmax", OpKind::kRowSoftmax, x.rows(), x.cols(),
-                      {x.impl()});
-  return FinishRecord(std::move(out));
-}
-
-Tensor TransposeNoGrad(const Tensor& x) {
-  HYGNN_CHECK(x.defined());
-  auto out = RecordOp("TransposeNoGrad", OpKind::kTranspose, x.cols(),
-                      x.rows(), {x.impl()}, /*detached=*/true);
   return FinishRecord(std::move(out));
 }
 

@@ -10,13 +10,14 @@
 namespace hygnn::tensor {
 
 /// All operators build the dynamic autograd graph: the result requires
-/// grad iff any input does, and carries a closure that back-propagates
-/// into its inputs when `Tensor::Backward()` runs on a downstream scalar.
+/// grad iff any input does, and carries a tape record (tensor/tape.h)
+/// that the executor runs forward on the first read and backward when
+/// `Tensor::Backward()` runs on a downstream scalar.
 ///
-/// This is the *autograd layer*: shape checks and graph wiring only.
-/// The numeric work (forward and backward) is delegated to the raw
-/// float kernels in tensor/kernels/kernels.h, which parallelize over
-/// the global core::ThreadPool with bit-identical results at any
+/// This is the *recording layer*: shape checks and graph wiring only.
+/// The numeric work (forward and backward) is the executor's, through
+/// the raw float kernels in tensor/kernels/kernels.h, which parallelize
+/// over the global core::ThreadPool with bit-identical results at any
 /// thread count (see DESIGN.md §7).
 
 /// Dense matrix product: [n,k] x [k,m] -> [n,m].
@@ -27,15 +28,6 @@ Tensor Add(const Tensor& a, const Tensor& b);
 
 /// Adds a [1,d] bias row to every row of a [n,d] tensor.
 Tensor AddRowBroadcast(const Tensor& x, const Tensor& bias);
-
-/// Elementwise difference of same-shape tensors.
-Tensor Sub(const Tensor& a, const Tensor& b);
-
-/// Elementwise (Hadamard) product of same-shape tensors.
-Tensor Mul(const Tensor& a, const Tensor& b);
-
-/// Multiplies every element by the constant `s`.
-Tensor Scale(const Tensor& x, float s);
 
 /// Multiplies row i of x [n,d] by the scalar w[i] (w is [n,1]). This is
 /// the attention-weighting primitive: out_i = w_i * x_i.
@@ -75,9 +67,6 @@ Tensor RowwiseDot(const Tensor& a, const Tensor& b);
 /// Sum of all elements -> scalar [1,1].
 Tensor ReduceSum(const Tensor& x);
 
-/// Mean of all elements -> scalar [1,1].
-Tensor ReduceMean(const Tensor& x);
-
 /// Elementwise max(x, 0).
 Tensor Relu(const Tensor& x);
 
@@ -90,30 +79,9 @@ Tensor BiasRelu(const Tensor& z, const Tensor& bias);
 /// Elementwise x >= 0 ? x : slope * x.
 Tensor LeakyRelu(const Tensor& x, float slope = 0.01f);
 
-/// Elementwise logistic sigmoid.
-Tensor Sigmoid(const Tensor& x);
-
-/// Elementwise hyperbolic tangent.
-Tensor Tanh(const Tensor& x);
-
-/// Elementwise exponential.
-Tensor Exp(const Tensor& x);
-
-/// Elementwise natural log of max(x, eps) for numerical safety.
-Tensor Log(const Tensor& x, float eps = 1e-12f);
-
 /// Inverted dropout: when `training`, zeroes each element with
 /// probability p and scales survivors by 1/(1-p); identity otherwise.
 Tensor Dropout(const Tensor& x, float p, bool training, core::Rng* rng);
-
-/// Row-wise L2 normalization: out_i = x_i / max(||x_i||, eps).
-Tensor L2NormalizeRows(const Tensor& x, float eps = 1e-12f);
-
-/// Row-wise softmax of a [n, k] tensor (numerically stabilized).
-Tensor RowSoftmax(const Tensor& x);
-
-/// Transpose without autograd support (helper for inference paths).
-Tensor TransposeNoGrad(const Tensor& x);
 
 }  // namespace hygnn::tensor
 

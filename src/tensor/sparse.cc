@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "core/logging.h"
+#include "tensor/tape.h"
 
 namespace hygnn::tensor {
 
@@ -71,31 +73,9 @@ Tensor SpMM(const std::shared_ptr<const CsrMatrix>& a, const Tensor& x) {
   HYGNN_CHECK(a != nullptr);
   HYGNN_CHECK(x.defined());
   HYGNN_CHECK_EQ(a->cols(), x.rows());
-  const int64_t n = a->rows(), d = x.cols();
-  auto xi = x.impl();
-  // SpMM is an opaque eager op reading xi->data inline; run any
-  // pending recorded graph below it first.
-  MaterializeTensor(xi);
-  auto out = std::make_shared<TensorImpl>();
-  out->rows = n;
-  out->cols = d;
-  AssignZeros(out.get());
-  out->requires_grad = xi->requires_grad && !InferenceModeEnabled();
-  a->MultiplyInto(xi->data.data(), d, out->data.data());
-  if (out->requires_grad) {
-    out->parents = {xi};
-    TensorImpl* oi = out.get();
-    out->backward_fn = [a, xi, oi, d]() {
-      if (oi->grad.empty()) return;
-      xi->EnsureGrad();
-      auto at = a->Transpose();
-      // dx += A^T * dout
-      std::vector<float> tmp(xi->data.size(), 0.0f);
-      at->MultiplyInto(oi->grad.data(), d, tmp.data());
-      for (size_t i = 0; i < tmp.size(); ++i) xi->grad[i] += tmp[i];
-    };
-  }
-  return Tensor(out);
+  auto out = RecordOp("SpMM", OpKind::kSpMM, a->rows(), x.cols(), {x.impl()});
+  out->rec->csr = a;
+  return FinishRecord(std::move(out));
 }
 
 }  // namespace hygnn::tensor

@@ -45,8 +45,9 @@ class CsrMatrix {
 };
 
 /// Autograd-aware sparse-dense product: out = A * x, where A is
-/// [n, m] CSR and x is [m, d]. Gradient flows to x only (A is constant):
-/// dx = A^T * dout.
+/// [n, m] CSR and x is [m, d]. Records a tape node (tensor/tape.h) that
+/// the executor runs through MultiplyInto. Gradient flows to x only (A
+/// is constant): dx = A^T * dout.
 Tensor SpMM(const std::shared_ptr<const CsrMatrix>& a, const Tensor& x);
 
 }  // namespace hygnn::tensor

@@ -1,8 +1,8 @@
 // Tape linearizer and executor (see tape.h for the design overview).
-// This file owns all numeric dispatch for recorded ops: the recording
-// layer (ops.cc) never touches the kernel layer, and the forward /
-// backward kernel calls here replicate the eager engine's exact
-// arguments and operand order so results stay bit-identical.
+// This file owns all numeric dispatch, forward and backward: the
+// recording layer (ops.cc, loss.cc, sparse.cc) never touches the kernel
+// layer, and every node, SpMM and the losses included, runs through
+// the one dispatch below.
 
 #include "tensor/tape.h"
 
@@ -19,6 +19,7 @@
 #include "obs/optime.h"
 #include "tensor/debug.h"
 #include "tensor/kernels/kernels.h"
+#include "tensor/sparse.h"
 
 namespace hygnn::tensor {
 
@@ -163,8 +164,6 @@ std::atomic<uint64_t> g_buffers_allocated{0};
 /// element of its output before it reads any.
 bool AccumulatesIntoOutput(OpKind kind) {
   switch (kind) {
-    case OpKind::kMul:
-    case OpKind::kScale:
     case OpKind::kMulColumnBroadcast:
     case OpKind::kSegmentSum:
     case OpKind::kRowwiseDot:
@@ -173,7 +172,6 @@ bool AccumulatesIntoOutput(OpKind kind) {
     case OpKind::kMatMul:
     case OpKind::kAdd:
     case OpKind::kAddRowBroadcast:
-    case OpKind::kSub:
     case OpKind::kConcatCols:
     case OpKind::kIndexSelectRows:
     case OpKind::kPairMatMul:
@@ -182,13 +180,9 @@ bool AccumulatesIntoOutput(OpKind kind) {
     case OpKind::kRelu:
     case OpKind::kBiasRelu:
     case OpKind::kLeakyRelu:
-    case OpKind::kSigmoid:
-    case OpKind::kTanh:
-    case OpKind::kExp:
-    case OpKind::kLog:
-    case OpKind::kL2NormalizeRows:
-    case OpKind::kRowSoftmax:
-    case OpKind::kTranspose:
+    case OpKind::kSpMM:  // MultiplyInto zero-fills each row, then adds
+    case OpKind::kBceWithLogitsLoss:
+    case OpKind::kSoftmaxCrossEntropyLoss:
       return false;
   }
   return true;
@@ -203,8 +197,7 @@ void AllocateOutput(TensorImpl* node, OpKind kind) {
   g_buffers_allocated.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// Dispatches one op to the kernel layer. The kernel names and argument
-/// order mirror the eager ops.cc exactly.
+/// Dispatches one op's forward to the kernel layer.
 void DispatchForward(TensorImpl* node, OpRecord* rec) {
   float* out = node->data.data();
   const int64_t total = node->size();
@@ -222,15 +215,6 @@ void DispatchForward(TensorImpl* node, OpRecord* rec) {
     case OpKind::kAddRowBroadcast:
       kernels::AddRowBroadcast(x, node->parents[1]->data.data(), out,
                                node->rows, node->cols);
-      break;
-    case OpKind::kSub:
-      kernels::Sub(x, node->parents[1]->data.data(), out, total);
-      break;
-    case OpKind::kMul:
-      kernels::MulAccumulate(x, node->parents[1]->data.data(), out, total);
-      break;
-    case OpKind::kScale:
-      kernels::Axpy(rec->alpha, x, out, total);
       break;
     case OpKind::kMulColumnBroadcast:
       // parents = {x, w}; the kernel takes the [n,1] scale first.
@@ -283,57 +267,44 @@ void DispatchForward(TensorImpl* node, OpRecord* rec) {
         return kernels::ScalarLeakyRelu(v, slope);
       });
       break;
-    case OpKind::kSigmoid:
-      kernels::RowwiseMap(x, out, total,
-                          [](float v) { return kernels::ScalarSigmoid(v); });
-      break;
-    case OpKind::kTanh:
-      kernels::RowwiseMap(x, out, total,
-                          [](float v) { return kernels::ScalarTanh(v); });
-      break;
-    case OpKind::kExp:
-      kernels::RowwiseMap(x, out, total,
-                          [](float v) { return kernels::ScalarExp(v); });
-      break;
-    case OpKind::kLog:
-      kernels::RowwiseMap(x, out, total, [eps = rec->alpha](float v) {
-        return kernels::ScalarLog(v, eps);
-      });
-      break;
     case OpKind::kDropout:
       kernels::MulAccumulate(x, rec->fbuf->data(), out, total);
       break;
-    case OpKind::kL2NormalizeRows:
-      // The norms cache feeds the backward pass; allocated here, at
-      // execution time, like the eager engine allocated it per call.
-      rec->fbuf = std::make_shared<std::vector<float>>(
-          static_cast<size_t>(node->rows), 0.0f);
-      kernels::L2NormalizeRows(x, node->rows, node->cols, rec->alpha, out,
-                               rec->fbuf->data());
+    case OpKind::kSpMM:
+      // The loop EmbeddingStore::AddDrug also runs, so a drug added
+      // online gets the bits a full re-encode gives it.
+      rec->csr->MultiplyInto(x, node->cols, out);
       break;
-    case OpKind::kRowSoftmax:
-      kernels::RowSoftmax(x, node->rows, node->cols, out);
+    case OpKind::kBceWithLogitsLoss:
+      node->data[0] = kernels::BceWithLogits(x, rec->fbuf->data(), p0->rows);
       break;
-    case OpKind::kTranspose:
-      kernels::Transpose(x, p0->rows, p0->cols, out);
+    case OpKind::kSoftmaxCrossEntropyLoss:
+      // The softmax cache feeds the backward pass; allocated here, at
+      // execution time.
+      rec->fbuf =
+          std::make_shared<std::vector<float>>(static_cast<size_t>(p0->size()));
+      node->data[0] = kernels::SoftmaxCrossEntropy(
+          x, rec->ibuf.data(), p0->rows, p0->cols, rec->fbuf->data());
       break;
   }
 }
 
 /// Executes one tape node: allocates its output, runs the kernel, and
-/// reports to obs / NumericsGuard.
-void ExecuteNodeForward(TensorImpl* node) {
+/// reports to obs / NumericsGuard. With `time_ops`, the node's span runs
+/// from before the allocation until the kernel returns, as
+/// ExecuteNodeBackward times the backward step.
+void ExecuteNodeForward(TensorImpl* node, bool time_ops) {
   OpRecord* rec = node->rec.get();
   HYGNN_DCHECK(rec != nullptr) << "pending node without a tape record";
-  obs::OpStart(node);
+  const uint64_t start = time_ops ? obs::NowNanos() : 0;
   AllocateOutput(node, rec->kind);
   DispatchForward(node, rec);
+  if (time_ops) obs::RecordForward(node->op, obs::NowNanos() - start);
   g_ops_executed.fetch_add(1, std::memory_order_relaxed);
   const bool fused =
       rec->kind == OpKind::kPairMatMul || rec->kind == OpKind::kBiasRelu;
   if (fused) g_fused_groups.fetch_add(1, std::memory_order_relaxed);
   node->materialized = true;
-  obs::OpFinish(node, node->op);
   // BiasRelu's ReLU maps a NaN sum to 0, so its output alone would hide
   // a non-finite bias; the guard reads the bias too.
   GuardOpResult(node, rec->kind == OpKind::kBiasRelu
@@ -341,10 +312,8 @@ void ExecuteNodeForward(TensorImpl* node) {
                           : nullptr);
 }
 
-/// Gradient dispatch for one recorded op — a line-for-line mirror of
-/// the eager engine's backward closures (same kernels, same operand
-/// order, same NeedsGrad gating), driven by OpKind instead of a
-/// captured lambda.
+/// Gradient dispatch for one recorded op: each input that requires grad
+/// gets the kernel's contribution added into its gradient.
 void DispatchBackward(TensorImpl* node, OpRecord* rec) {
   if (node->grad.empty()) return;  // no gradient reached this node
   const float* g = node->grad.data();
@@ -396,36 +365,6 @@ void DispatchBackward(TensorImpl* node, OpRecord* rec) {
       }
       break;
     }
-    case OpKind::kSub: {
-      TensorImpl* p1 = node->parents[1].get();
-      if (p0->requires_grad) {
-        p0->EnsureGrad();
-        kernels::Axpy(1.0f, g, p0->grad.data(), total);
-      }
-      if (p1->requires_grad) {
-        p1->EnsureGrad();
-        kernels::Axpy(-1.0f, g, p1->grad.data(), total);
-      }
-      break;
-    }
-    case OpKind::kMul: {
-      TensorImpl* p1 = node->parents[1].get();
-      if (p0->requires_grad) {
-        p0->EnsureGrad();
-        kernels::MulAccumulate(g, p1->data.data(), p0->grad.data(), total);
-      }
-      if (p1->requires_grad) {
-        p1->EnsureGrad();
-        kernels::MulAccumulate(g, p0->data.data(), p1->grad.data(), total);
-      }
-      break;
-    }
-    case OpKind::kScale:
-      if (p0->requires_grad) {
-        p0->EnsureGrad();
-        kernels::Axpy(rec->alpha, g, p0->grad.data(), total);
-      }
-      break;
     case OpKind::kMulColumnBroadcast: {
       TensorImpl* p1 = node->parents[1].get();  // the [n,1] weights
       if (p0->requires_grad) {
@@ -543,49 +482,30 @@ void DispatchBackward(TensorImpl* node, OpRecord* rec) {
             return kernels::ScalarLeakyReluGrad(v, slope);
           });
       break;
-    case OpKind::kSigmoid:
-      p0->EnsureGrad();
-      kernels::RowwiseMapGradAccumulate(
-          p0->data.data(), node->data.data(), g, p0->grad.data(), total,
-          [](float, float y) { return kernels::ScalarSigmoidGrad(y); });
-      break;
-    case OpKind::kTanh:
-      p0->EnsureGrad();
-      kernels::RowwiseMapGradAccumulate(
-          p0->data.data(), node->data.data(), g, p0->grad.data(), total,
-          [](float, float y) { return kernels::ScalarTanhGrad(y); });
-      break;
-    case OpKind::kExp:
-      p0->EnsureGrad();
-      kernels::RowwiseMapGradAccumulate(
-          p0->data.data(), node->data.data(), g, p0->grad.data(), total,
-          [](float, float y) { return y; });
-      break;
-    case OpKind::kLog:
-      p0->EnsureGrad();
-      kernels::RowwiseMapGradAccumulate(
-          p0->data.data(), node->data.data(), g, p0->grad.data(), total,
-          [eps = rec->alpha](float v, float) {
-            return kernels::ScalarLogGrad(v, eps);
-          });
-      break;
     case OpKind::kDropout:
       p0->EnsureGrad();
       kernels::MulAccumulate(g, rec->fbuf->data(), p0->grad.data(), total);
       break;
-    case OpKind::kL2NormalizeRows:
+    case OpKind::kSpMM: {
+      // dx += Aᵀ·g: the product goes into a zeroed temporary, then one
+      // add per element into x's gradient.
       p0->EnsureGrad();
-      kernels::L2NormalizeRowsBackward(g, node->data.data(),
-                                       rec->fbuf->data(), node->rows,
-                                       node->cols, p0->grad.data());
+      std::vector<float> product(p0->data.size(), 0.0f);
+      rec->csr->Transpose()->MultiplyInto(g, node->cols, product.data());
+      kernels::Add(p0->grad.data(), product.data(), p0->grad.data(),
+                   p0->size());
       break;
-    case OpKind::kRowSoftmax:
+    }
+    case OpKind::kBceWithLogitsLoss:
       p0->EnsureGrad();
-      kernels::RowSoftmaxBackward(g, node->data.data(), node->rows,
-                                  node->cols, p0->grad.data());
+      kernels::BceWithLogitsBackward(p0->data.data(), rec->fbuf->data(),
+                                     p0->rows, g[0], p0->grad.data());
       break;
-    case OpKind::kTranspose:
-      // Recorded detached; never reached with requires_grad set.
+    case OpKind::kSoftmaxCrossEntropyLoss:
+      p0->EnsureGrad();
+      kernels::SoftmaxCrossEntropyBackward(rec->fbuf->data(), rec->ibuf.data(),
+                                           p0->rows, p0->cols, g[0],
+                                           p0->grad.data());
       break;
   }
 }
@@ -594,7 +514,7 @@ void DispatchBackward(TensorImpl* node, OpRecord* rec) {
 
 std::shared_ptr<TensorImpl> RecordOp(
     const char* op, OpKind kind, int64_t rows, int64_t cols,
-    std::vector<std::shared_ptr<TensorImpl>> parents, bool detached) {
+    std::vector<std::shared_ptr<TensorImpl>> parents) {
   HYGNN_CHECK_GT(rows, 0);
   HYGNN_CHECK_GT(cols, 0);
   auto out = std::make_shared<TensorImpl>();
@@ -603,7 +523,7 @@ std::shared_ptr<TensorImpl> RecordOp(
   out->cols = cols;
   out->materialized = false;
   out->requires_grad =
-      !detached && !InferenceModeEnabled() &&
+      !InferenceModeEnabled() &&
       std::any_of(parents.begin(), parents.end(),
                   [](const std::shared_ptr<TensorImpl>& p) {
                     return p->requires_grad;
@@ -616,8 +536,8 @@ std::shared_ptr<TensorImpl> RecordOp(
 
 Tensor FinishRecord(std::shared_ptr<TensorImpl> out) {
   // Under the numerics watchdog every op materializes at the call site,
-  // restoring the eager engine's program-order NaN attribution (a lazy
-  // first-read would blame the op whose *read* triggered execution).
+  // so NaN attribution follows program order (a lazy first read would
+  // blame the op whose *read* triggered execution).
   if (NumericsGuard::enabled()) MaterializeTensor(out);
   return Tensor(std::move(out));
 }
@@ -645,7 +565,8 @@ void MaterializeTensor(const std::shared_ptr<TensorImpl>& root) {
       stack.pop_back();
     }
   }
-  for (TensorImpl* node : order) ExecuteNodeForward(node);
+  const bool time_ops = obs::KernelTimingEnabled();
+  for (TensorImpl* node : order) ExecuteNodeForward(node, time_ops);
   // Nodes that will never run backward keep neither graph edges nor
   // tape state — inference forwards end up as plain value nodes (the
   // serve tests pin this with GraphLint).
@@ -658,19 +579,6 @@ void MaterializeTensor(const std::shared_ptr<TensorImpl>& root) {
 }
 
 void ExecuteNodeBackward(TensorImpl* node, bool time_ops) {
-  if (node->backward_fn) {
-    ++node->backward_runs;
-    if (time_ops) {
-      // Attribute each node's gradient kernel to its producing op —
-      // the backward half of the obs per-op attribution table.
-      const uint64_t start = obs::NowNanos();
-      node->backward_fn();
-      obs::RecordBackward(node->op, obs::NowNanos() - start);
-    } else {
-      node->backward_fn();
-    }
-    return;
-  }
   OpRecord* rec = node->rec.get();
   if (rec == nullptr || !node->requires_grad) return;
   ++node->backward_runs;

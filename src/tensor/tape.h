@@ -15,17 +15,22 @@ namespace hygnn::tensor {
 
 /// Record-then-execute tape for the autograd engine (DESIGN.md §12).
 ///
-/// The operator layer (tensor/ops.cc) no longer computes anything: each
-/// op call records a pending TensorImpl carrying an OpRecord — the op
-/// kind plus whatever payload the kernel dispatch needs — and returns
-/// immediately. The first read of a pending tensor (Tensor::data / At /
-/// item / Backward / ...) calls MaterializeTensor, which
+/// The operator layer (tensor/ops.cc, and SpMM and the losses in
+/// sparse.cc and loss.cc) computes nothing: each op call records a
+/// pending TensorImpl carrying an OpRecord — the op kind plus whatever
+/// payload the kernel dispatch needs — and returns immediately. The
+/// first read of a pending tensor (Tensor::data / At / item / Backward
+/// / ...) calls MaterializeTensor, which
 ///
 ///   1. *linearizes* the pending subgraph into a topologically-ordered
 ///      op tape (the same post-order DFS Tensor::Backward uses, so the
 ///      execution order is deterministic);
 ///   2. *executes* the tape through the kernel layer, one kernel
 ///      invocation per op.
+///
+/// Backward runs through the same executor: ExecuteNodeBackward
+/// dispatches on the node's OpKind. There is no other way to run a
+/// node, forward or backward.
 ///
 /// Two ops stand for a composition of others on the decoder's hot path:
 /// PairMatMul for MatMul of ConcatCols of two IndexSelectRows of one
@@ -35,15 +40,14 @@ namespace hygnn::tensor {
 /// engine's node order, so gradients are memcmp-equal at any thread
 /// count.
 
-/// Operator kinds the executor dispatches on — one per op in
-/// tensor/ops.h that records a tape node.
+class CsrMatrix;
+
+/// Operator kinds the executor dispatches on — one per op that records
+/// a tape node: tensor/ops.h, SpMM (sparse.h) and the losses (loss.h).
 enum class OpKind : uint8_t {
   kMatMul,
   kAdd,
   kAddRowBroadcast,
-  kSub,
-  kMul,
-  kScale,
   kMulColumnBroadcast,
   kConcatCols,
   kIndexSelectRows,
@@ -55,52 +59,49 @@ enum class OpKind : uint8_t {
   kRelu,
   kBiasRelu,
   kLeakyRelu,
-  kSigmoid,
-  kTanh,
-  kExp,
-  kLog,
   kDropout,
-  kL2NormalizeRows,
-  kRowSoftmax,
-  kTranspose,
+  kSpMM,
+  kBceWithLogitsLoss,
+  kSoftmaxCrossEntropyLoss,
 };
 
 /// Payload of one recorded op. Inputs are implicit: `parents` on the
 /// owning TensorImpl, in the operand order the kernels expect.
 struct OpRecord {
   OpKind kind = OpKind::kAdd;
-  /// Scalar parameter: Scale factor, LeakyRelu slope, Log /
-  /// L2NormalizeRows epsilon. Unused otherwise.
+  /// Scalar parameter: the LeakyRelu slope. Unused otherwise.
   float alpha = 0.0f;
   /// Integer payload: IndexSelectRows indices, PairMatMul's a indices
-  /// followed by its b indices, Segment* segment ids.
+  /// followed by its b indices, Segment* segment ids, or the
+  /// SoftmaxCrossEntropyLoss labels.
   std::vector<int32_t> ibuf;
   /// Float payload: the Dropout mask (drawn at record time so the RNG
-  /// stream order matches eager execution), or the L2NormalizeRows
-  /// norms cache (filled at execution time for the backward pass).
+  /// stream order matches program order), the BceWithLogitsLoss
+  /// targets, or the SoftmaxCrossEntropyLoss softmax cache (filled at
+  /// execution time for the backward pass).
   std::shared_ptr<std::vector<float>> fbuf;
+  /// The constant sparse matrix SpMM multiplies by.
+  std::shared_ptr<const CsrMatrix> csr;
   int64_t num_segments = 0;
 };
 
 /// Allocates a pending tape node: shape, static op name, kind, and
 /// parents (always stored — the executor needs them even for no-grad
 /// nodes; they are released after execution when requires_grad is
-/// false). `detached` forces requires_grad off regardless of parents
-/// (TransposeNoGrad). No data is allocated and no kernel runs.
+/// false). No data is allocated and no kernel runs.
 std::shared_ptr<TensorImpl> RecordOp(
     const char* op, OpKind kind, int64_t rows, int64_t cols,
-    std::vector<std::shared_ptr<TensorImpl>> parents, bool detached = false);
+    std::vector<std::shared_ptr<TensorImpl>> parents);
 
 /// Final step of every recorded op: wraps the node into a Tensor. When
 /// NumericsGuard is enabled the node is materialized immediately so the
-/// guard attributes the first NaN/Inf to the op in program order, the
-/// same behavior the eager engine had.
+/// guard attributes the first NaN/Inf to the op in program order.
 Tensor FinishRecord(std::shared_ptr<TensorImpl> out);
 
-/// Runs one node's backward step: the legacy backward_fn closure when
-/// present, otherwise the OpRecord kind dispatch. Called by
-/// Tensor::Backward in reverse topological order; `time_ops` routes
-/// per-node wall time into the obs per-op attribution table.
+/// Runs one node's backward step by its OpRecord kind; leaves and
+/// nodes without a record have none. Called by Tensor::Backward in
+/// reverse topological order; `time_ops` routes per-node wall time into
+/// the obs per-op attribution table.
 void ExecuteNodeBackward(TensorImpl* node, bool time_ops);
 
 /// Always true: PairMatMul and BiasRelu, the engine's fused ops, have
@@ -149,7 +150,7 @@ class ReleaseHeldBuffersOnReturn {
 bool IndicesInRange(const int32_t* v, int64_t n, int32_t lo, int32_t hi);
 
 /// Draws the inverted-dropout mask at record time (index-order RNG
-/// stream, matching eager execution and any thread count).
+/// stream, so the draws follow program order at any thread count).
 void DrawDropoutMask(core::Rng* rng, float p, float keep_scale, float* mask,
                      int64_t n);
 

@@ -2,7 +2,6 @@
 #define HYGNN_TENSOR_TENSOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,8 +14,9 @@ namespace hygnn::tensor {
 struct OpRecord;
 
 /// Internal storage and autograd node for a Tensor. Holds the value, the
-/// accumulated gradient, and the closure that propagates gradients to the
-/// node's parents in the dynamic computation graph.
+/// accumulated gradient, the node's parents in the dynamic computation
+/// graph, and the tape record (tensor/tape.h) the executor runs forward
+/// and backward.
 struct TensorImpl {
   std::vector<float> data;
   std::vector<float> grad;  // same length as data once EnsureGrad ran
@@ -24,10 +24,6 @@ struct TensorImpl {
   int64_t cols = 0;
   bool requires_grad = false;
 
-  /// Propagates this node's gradient into its parents' gradients. Used
-  /// by opaque eager ops (loss.cc, sparse.cc, hand-built nodes); ops
-  /// recorded through tensor/ops.cc carry an OpRecord instead.
-  std::function<void()> backward_fn;
   std::vector<std::shared_ptr<TensorImpl>> parents;
 
   /// Name of the operator that produced this node ("leaf" for inputs and
@@ -35,9 +31,9 @@ struct TensorImpl {
   /// GraphLint (see tensor/debug.h).
   const char* op = "leaf";
 
-  /// How many times Backward() has run this node's backward_fn. A value
-  /// above 1 means gradients were double-accumulated through this node
-  /// (flagged by GraphLint).
+  /// How many times Backward() has run this node's backward step. A
+  /// value above 1 means gradients were double-accumulated through this
+  /// node (flagged by GraphLint).
   int32_t backward_runs = 0;
 
   /// False while the node is a recorded tape op whose value has not been
@@ -45,10 +41,10 @@ struct TensorImpl {
   /// `data`. Leaves and hand-built nodes are born materialized.
   bool materialized = true;
 
-  /// Present on every node produced by the recording layer
-  /// (tensor/ops.cc): the op kind plus op-specific payload the executor
-  /// dispatches on. Cleared after execution for nodes that will never
-  /// run backward, so inference graphs carry no tape state.
+  /// Present on every node produced by the recording layer (ops.cc,
+  /// loss.cc, sparse.cc): the op kind plus op-specific payload the
+  /// executor dispatches on. Cleared after execution for nodes that will
+  /// never run backward, so inference graphs carry no tape state.
   std::unique_ptr<OpRecord> rec;
 
   /// Set when the tape or AssignZeros sized `data` / EnsureGrad or
@@ -82,9 +78,9 @@ struct TensorImpl {
   bool EnsureGradToOverwrite();  // defined in tape.cc
 };
 
-/// Sizes `node->data` to node->size() zeros (loss and SpMM outputs,
-/// Tensor::Zeros) by the one fill path behind every tensor buffer,
-/// ZeroFill in tape.cc, which also sizes tape outputs and gradients. A
+/// Sizes `node->data` to node->size() zeros (Tensor::Zeros) by the one
+/// fill path behind every tensor buffer, ZeroFill in tape.cc, which
+/// also sizes tape outputs and gradients. A
 /// request of at least 32 MiB first takes a held buffer of exactly that
 /// length, if the recycler has one (see ~TensorImpl in tape.cc); either
 /// way every element is then zeroed, so recycled storage is
@@ -98,12 +94,12 @@ void AssignZeros(TensorImpl* node);
 void MaterializeTensor(const std::shared_ptr<TensorImpl>& root);
 
 /// RAII guard that switches the whole tensor engine into inference
-/// mode while alive: every operator executed inside the scope produces
-/// a detached result — requires_grad is forced off, no parents are
-/// recorded, and no backward_fn closure is allocated — regardless of
+/// mode while alive: every operator recorded inside the scope produces
+/// a detached result — requires_grad is forced off, so once executed
+/// the node keeps neither parents nor a tape record — regardless of
 /// whether the inputs are trainable parameters. Serving paths wrap
 /// their forward passes in this scope so scoring millions of pairs
-/// allocates zero autograd graph nodes (verified with GraphLint in the
+/// leaves zero autograd graph nodes (verified with GraphLint in the
 /// serve tests).
 ///
 /// Scopes nest; the engine leaves inference mode when the outermost
@@ -212,8 +208,8 @@ class Tensor {
 
  private:
   /// Runs the recorded tape below this tensor if its value is pending.
-  /// Reading through `impl()` directly bypasses this — callers doing so
-  /// must call MaterializeTensor themselves (see loss.cc, sparse.cc).
+  /// Reading through `impl()` directly bypasses this; inside the engine
+  /// only the executor reads a node's data, after running its inputs.
   void EnsureValue() const {
     if (impl_ != nullptr && !impl_->materialized) MaterializeTensor(impl_);
   }

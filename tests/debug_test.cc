@@ -16,6 +16,7 @@
 #include "tensor/loss.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
+#include "tensor/sparse.h"
 #include "tensor/tensor.h"
 
 namespace hygnn::tensor {
@@ -31,23 +32,23 @@ bool HasFinding(const LintReport& report, LintKind kind) {
 TEST(GraphLintTest, CleanGraphAfterBackward) {
   Tensor w = Tensor::Full(2, 2, 0.5f, /*requires_grad=*/true);
   Tensor x = Tensor::Full(2, 2, 1.0f);
-  Tensor loss = ReduceMean(Relu(MatMul(x, w)));
+  Tensor loss = ReduceSum(Relu(MatMul(x, w)));
   loss.Backward();
   LintReport report = GraphLint(loss);
   EXPECT_TRUE(report.clean()) << report.ToString();
-  EXPECT_GE(report.nodes_visited, 5);  // w, x, MatMul, Relu, sum, scale
+  EXPECT_EQ(report.nodes_visited, 5);  // w, x, MatMul, Relu, sum
 }
 
 TEST(GraphLintTest, CleanBeforeBackwardToo) {
   Tensor w = Tensor::Full(1, 1, 2.0f, /*requires_grad=*/true);
-  Tensor y = Scale(w, 3.0f);
+  Tensor y = Relu(w);
   // No Backward yet: the requires_grad leaf legitimately has no grad.
   EXPECT_TRUE(GraphLint(y).clean());
 }
 
 TEST(GraphLintTest, DetectsDoubleBackward) {
   Tensor w = Tensor::Full(1, 1, 2.0f, /*requires_grad=*/true);
-  Tensor y = Mul(w, w);
+  Tensor y = RowwiseDot(w, w);
   y.Backward();
   y.Backward();  // double-accumulates dw
   LintReport report = GraphLint(y);
@@ -59,17 +60,17 @@ TEST(GraphLintTest, DetectsDoubleBackward) {
 
 TEST(GraphLintTest, DetectsParamThatNeverReceivedGradient) {
   Tensor w = Tensor::Full(2, 1, 1.0f, /*requires_grad=*/true);
-  // Hand-built op node whose backward_fn "forgets" to propagate to w —
+  // Hand-built node with w as its parent but no tape record, so it has
+  // no backward step: the gradient reaching it never flows on to w —
   // the broken-chain-rule bug GraphLint exists to catch.
-  auto out = std::make_shared<TensorImpl>();
-  out->op = "BrokenOp";
-  out->rows = 1;
-  out->cols = 1;
-  out->data.assign(1, 3.0f);
-  out->requires_grad = true;
-  out->parents = {w.impl()};
-  out->backward_fn = [] {};
-  Tensor y(out);
+  auto broken = std::make_shared<TensorImpl>();
+  broken->op = "BrokenOp";
+  broken->rows = 1;
+  broken->cols = 1;
+  broken->data.assign(1, 3.0f);
+  broken->requires_grad = true;
+  broken->parents = {w.impl()};
+  Tensor y = ReduceSum(Tensor(broken));
   y.Backward();
   LintReport report = GraphLint(y);
   EXPECT_TRUE(HasFinding(report, LintKind::kParamWithoutGradient))
@@ -77,13 +78,13 @@ TEST(GraphLintTest, DetectsParamThatNeverReceivedGradient) {
   EXPECT_FALSE(w.has_grad());
 }
 
-TEST(GraphLintTest, DetectsDanglingBackwardFnAfterRelease) {
+TEST(GraphLintTest, DetectsDanglingRecordAfterRelease) {
   Tensor w = Tensor::Full(1, 1, 1.0f, /*requires_grad=*/true);
-  Tensor y = Scale(w, 2.0f);
-  // Simulate graph "release" that clears parents but leaks the closure.
+  Tensor y = Relu(w);
+  // Simulate a graph "release" that clears parents but keeps the record.
   y.impl()->parents.clear();
   LintReport report = GraphLint(y);
-  EXPECT_TRUE(HasFinding(report, LintKind::kDanglingBackwardFn))
+  EXPECT_TRUE(HasFinding(report, LintKind::kDanglingRecord))
       << report.ToString();
 }
 
@@ -115,12 +116,12 @@ TEST(GraphLintTest, DetectsShapeMismatch) {
 
 TEST(GraphLintTest, ReportPrintsAllIssues) {
   Tensor w = Tensor::Full(1, 1, 2.0f, /*requires_grad=*/true);
-  Tensor y = Mul(w, w);
+  Tensor y = RowwiseDot(w, w);
   y.Backward();
   y.Backward();
   const std::string text = GraphLint(y).ToString();
   EXPECT_NE(text.find("backward"), std::string::npos) << text;
-  EXPECT_NE(text.find("'Mul'"), std::string::npos) << text;
+  EXPECT_NE(text.find("'RowwiseDot'"), std::string::npos) << text;
 }
 
 class NumericsGuardTest : public ::testing::Test {
@@ -136,35 +137,51 @@ TEST_F(NumericsGuardTest, DisabledByDefaultAndSilentOnFiniteMath) {
   EXPECT_FALSE(NumericsGuard::enabled());
   NumericsGuardScope scope;
   Tensor x = Tensor::Full(3, 3, 2.0f, /*requires_grad=*/true);
-  ReduceMean(Sigmoid(MatMul(x, x))).Backward();
+  BceWithLogitsLoss(MatMul(x, Tensor::Full(3, 1, -0.5f)), {1.0f, 0.0f, 1.0f})
+      .Backward();
   EXPECT_FALSE(NumericsGuard::triggered());
   EXPECT_EQ(NumericsGuard::report(), "");
 }
 
-TEST_F(NumericsGuardTest, AttributesLogOfNonPositiveValue) {
-  NumericsGuardScope scope;
-  // eps = 0 disables Log's clamp: log(0) = -inf.
-  Tensor x = Tensor::FromVector({1.0f, 0.0f, 2.0f}, 3, 1);
-  Tensor y = Log(x, /*eps=*/0.0f);
-  ASSERT_TRUE(NumericsGuard::triggered());
-  const std::string report = NumericsGuard::report();
-  EXPECT_NE(report.find("'Log'"), std::string::npos) << report;
-  EXPECT_NE(report.find("index 1"), std::string::npos) << report;
-  EXPECT_NE(report.find("trace"), std::string::npos) << report;
+/// A [2, 1] column whose product with 1e30 overflows to +inf.
+Tensor OverflowingProduct() {
+  return MatMul(Tensor::Full(2, 1, 1e30f), Tensor::Scalar(1e30f));
 }
 
 TEST_F(NumericsGuardTest, NamesFirstOpNotDownstreamContamination) {
   NumericsGuardScope scope;
-  // Scale overflows to inf first; Sub then turns it into NaN. The
-  // report must blame Scale, not Sub.
-  Tensor x = Tensor::Full(2, 1, 1e30f);
-  Tensor big = Scale(x, 1e30f);             // inf — first violation
-  Tensor nan = Sub(big, big);               // inf - inf = NaN
+  // MatMul overflows to inf first; Add then turns it into NaN. The
+  // report must blame MatMul, not Add.
+  Tensor big = OverflowingProduct();  // inf — the first violation
+  Tensor nan = Add(big, MatMul(big, Tensor::Scalar(-1.0f)));  // inf - inf
   (void)nan;
   ASSERT_TRUE(NumericsGuard::triggered());
   const std::string report = NumericsGuard::report();
-  EXPECT_NE(report.find("'Scale'"), std::string::npos) << report;
-  EXPECT_EQ(report.find("'Sub' produced"), std::string::npos) << report;
+  EXPECT_NE(report.find("op 'MatMul' produced non-finite value inf"),
+            std::string::npos)
+      << report;
+  EXPECT_EQ(report.find("'Add' produced"), std::string::npos) << report;
+}
+
+TEST_F(NumericsGuardTest, NamesSpMMAndTracesItsInput) {
+  NumericsGuardScope scope;
+  // A NaN in SpMM's input: SpMM is the first op whose output holds it,
+  // and it is a product, not a leaf.
+  Tensor x = Tensor::FromVector(
+      {1.0f, std::numeric_limits<float>::quiet_NaN(), 2.0f, 3.0f}, 2, 2);
+  auto a = CsrMatrix::FromCoo(2, 2, {0, 1}, {0, 1}, {1.0f, 1.0f});
+  Tensor y = LeakyRelu(SpMM(a, x));
+  (void)y;
+  ASSERT_TRUE(NumericsGuard::triggered());
+  const std::string report = NumericsGuard::report();
+  EXPECT_NE(report.find("op 'SpMM' produced non-finite value nan"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("inputs: 'leaf' Tensor[2x2] (already non-finite)"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("trace: SpMM <- leaf"), std::string::npos) << report;
+  EXPECT_EQ(report.find("LeakyRelu"), std::string::npos) << report;
 }
 
 TEST_F(NumericsGuardTest, ReportsInsideSmallTrainingStep) {
@@ -225,14 +242,13 @@ TEST_F(NumericsGuardTest, ScopeRestoresPreviousState) {
 
 TEST_F(NumericsGuardTest, ResetClearsTriggeredState) {
   NumericsGuardScope scope;
-  Tensor x = Tensor::Full(1, 1, -1.0f);
-  (void)Log(x, 0.0f);
+  (void)OverflowingProduct();
   ASSERT_TRUE(NumericsGuard::triggered());
   NumericsGuard::Reset();
   EXPECT_FALSE(NumericsGuard::triggered());
   EXPECT_EQ(NumericsGuard::report(), "");
   // Still enabled: next violation is caught again.
-  (void)Log(x, 0.0f);
+  (void)OverflowingProduct();
   EXPECT_TRUE(NumericsGuard::triggered());
 }
 

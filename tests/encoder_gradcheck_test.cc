@@ -29,7 +29,7 @@ TEST(EncoderGradCheckTest, AllParametersMatchNumericGradients) {
 
   auto loss_value = [&]() {
     tensor::Tensor q = encoder.Forward(context, false, nullptr);
-    return tensor::ReduceSum(tensor::Mul(q, q));
+    return tensor::ReduceSum(tensor::RowwiseDot(q, q));
   };
 
   // Analytic gradients.

@@ -120,7 +120,7 @@ TEST(StackedEncoderTest, DeepGradientsFlowToFirstLayer) {
   config.output_dim = 8;
   StackedEncoder stacked(5, config, 3, &rng);
   tensor::Tensor q = stacked.Forward(context, true, &rng);
-  tensor::Tensor loss = tensor::ReduceSum(tensor::Mul(q, q));
+  tensor::Tensor loss = tensor::ReduceSum(tensor::RowwiseDot(q, q));
   loss.Backward();
   auto params = stacked.Parameters();
   // First layer's W_q is params[0]; it must receive gradient through

@@ -83,7 +83,7 @@ TEST(EncoderTest, GradientsReachAllParameters) {
   EncoderConfig config;
   HypergraphEdgeEncoder encoder(5, config, &rng);
   tensor::Tensor q = encoder.Forward(context, true, &rng);
-  tensor::Tensor loss = tensor::ReduceSum(tensor::Mul(q, q));
+  tensor::Tensor loss = tensor::ReduceSum(tensor::RowwiseDot(q, q));
   loss.Backward();
   for (auto& param : encoder.Parameters()) {
     ASSERT_TRUE(param.has_grad());

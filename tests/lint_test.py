@@ -136,6 +136,20 @@ class NoRawLoopsTest(unittest.TestCase):  # rule 6
         self.assertEqual([], problems_of(
             lint.check_no_raw_loops, "src/tensor/ops.cc", clean))
 
+    def test_covers_the_recording_files(self):
+        self.assertEqual({"src/tensor/ops.cc", "src/tensor/loss.cc"},
+                         lint.NO_LOOP_FILES)
+
+    def test_fires_on_validation_loop_in_loss_cc(self):
+        self.assertTrue(problems_of(
+            lint.check_no_raw_loops, "src/tensor/loss.cc",
+            "for (int32_t label : labels) HYGNN_CHECK(label < k);\n"))
+
+    def test_repo_loss_cc_is_clean(self):
+        text = (lint.REPO / "src/tensor/loss.cc").read_text(encoding="utf-8")
+        self.assertEqual([], problems_of(
+            lint.check_no_raw_loops, "src/tensor/loss.cc", text))
+
 
 class NoKernelCallsTest(unittest.TestCase):  # rule 13
     def test_fires_on_kernel_call(self):
@@ -161,6 +175,20 @@ class NoKernelCallsTest(unittest.TestCase):  # rule 13
         text = (lint.REPO / "src/tensor/ops.cc").read_text(encoding="utf-8")
         self.assertEqual([], problems_of(
             lint.check_no_kernel_calls, "src/tensor/ops.cc", text))
+
+    def test_covers_the_recording_files(self):
+        self.assertEqual({"src/tensor/ops.cc", "src/tensor/loss.cc"},
+                         lint.NO_KERNEL_CALL_FILES)
+
+    def test_fires_on_kernel_call_in_loss_cc(self):
+        self.assertTrue(problems_of(
+            lint.check_no_kernel_calls, "src/tensor/loss.cc",
+            "out->data[0] = kernels::BceWithLogits(z, y, n);\n"))
+
+    def test_repo_loss_cc_is_clean(self):
+        text = (lint.REPO / "src/tensor/loss.cc").read_text(encoding="utf-8")
+        self.assertEqual([], problems_of(
+            lint.check_no_kernel_calls, "src/tensor/loss.cc", text))
 
 
 class RawFileStreamTest(unittest.TestCase):  # rule 7

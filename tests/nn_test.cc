@@ -114,7 +114,7 @@ TEST(SageTest, OutputShapeAndGrad) {
   tensor::Tensor x = tensor::Tensor::Full(5, 8, 0.5f);
   tensor::Tensor y = layer.Forward(g.MeanAdjacency(), x);
   EXPECT_EQ(y.cols(), 16);
-  tensor::Tensor loss = tensor::ReduceSum(tensor::Mul(y, y));
+  tensor::Tensor loss = tensor::ReduceSum(tensor::RowwiseDot(y, y));
   loss.Backward();
   EXPECT_TRUE(layer.Parameters()[0].has_grad());
 }
@@ -153,8 +153,8 @@ TEST(GatTest, AttentionTrainable) {
   auto edges = GatEdgeIndex::FromGraph(g);
   tensor::Tensor x = tensor::Tensor::Full(5, 4, 1.0f);
   tensor::Tensor loss =
-      tensor::ReduceSum(tensor::Mul(layer.Forward(edges, x),
-                                    layer.Forward(edges, x)));
+      tensor::ReduceSum(tensor::RowwiseDot(layer.Forward(edges, x),
+                                           layer.Forward(edges, x)));
   loss.Backward();
   EXPECT_TRUE(layer.Parameters()[1].has_grad());
 }

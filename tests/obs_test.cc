@@ -4,6 +4,7 @@
 // contract — recording metrics never perturbs training numerics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include "serve/scoring.h"
 #include "tensor/loss.h"
 #include "tensor/ops.h"
+#include "tensor/sparse.h"
 
 namespace hygnn::obs {
 namespace {
@@ -201,25 +203,28 @@ TEST(MetricsRecorderTest, RejectsForeignFile) {
 TEST(OpTimeTest, AttributesForwardAndBackwardToOpTags) {
   ResetOpTimes();
   SetKernelTimingEnabled(true);
+  const auto a = tensor::CsrMatrix::FromCoo(4, 4, {0, 1, 2, 3, 3},
+                                            {1, 0, 3, 2, 3},
+                                            {1.0f, 0.5f, 2.0f, 1.0f, 0.25f});
   tensor::Tensor x = tensor::Tensor::Full(4, 4, 0.5f, /*requires_grad=*/true);
-  tensor::Tensor w = tensor::Tensor::Full(4, 4, 0.25f, /*requires_grad=*/true);
-  tensor::Tensor loss = tensor::ReduceMean(tensor::MatMul(x, w));
+  tensor::Tensor w = tensor::Tensor::Full(4, 1, 0.25f, /*requires_grad=*/true);
+  tensor::Tensor loss = tensor::BceWithLogitsLoss(
+      tensor::MatMul(tensor::SpMM(a, x), w), {1.0f, 0.0f, 1.0f, 0.0f});
   loss.Backward();
   SetKernelTimingEnabled(false);
 
-  bool saw_matmul = false, saw_reduce = false;
+  // Every node of the graph is one tape op: one forward and one
+  // backward call each, SpMM and the loss included.
+  std::vector<std::string> seen;
   for (const auto& entry : OpTimeSnapshot()) {
-    if (entry.op == "MatMul") {
-      saw_matmul = true;
-      EXPECT_EQ(entry.forward_calls, 1u);
-      EXPECT_EQ(entry.backward_calls, 1u);
-      EXPECT_GE(entry.forward_ms, 0.0);
-    }
-    // ReduceMean is composite: ReduceSum then Scale.
-    if (entry.op == "ReduceSum") saw_reduce = true;
+    seen.push_back(entry.op);
+    EXPECT_EQ(entry.forward_calls, 1u) << entry.op;
+    EXPECT_EQ(entry.backward_calls, 1u) << entry.op;
+    EXPECT_GE(entry.forward_ms, 0.0) << entry.op;
   }
-  EXPECT_TRUE(saw_matmul);
-  EXPECT_TRUE(saw_reduce);
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<std::string>{"BceWithLogitsLoss", "MatMul",
+                                            "SpMM"}));
 
   // Disabled timing records nothing.
   ResetOpTimes();
@@ -236,9 +241,7 @@ TEST(OpTimeTest, AggregatesAcrossThreadPoolWorkers) {
   constexpr int64_t kSpans = 512;
   core::ParallelFor(0, kSpans, /*grain=*/8, [](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
-      int token = 0;  // any address works; matched per-thread by value
-      OpStart(&token);
-      OpFinish(&token, "TestConcurrentOp");
+      RecordForward("TestConcurrentOp", 100);
       RecordBackward("TestConcurrentOp", 100);
     }
   });

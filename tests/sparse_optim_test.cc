@@ -86,7 +86,7 @@ TEST(SpMMTest, GradCheck) {
       },
       [&a](const Tensor& x) {
         Tensor y = SpMM(a, x);
-        return ReduceSum(Mul(y, y));
+        return ReduceSum(RowwiseDot(y, y));
       });
 }
 
@@ -98,8 +98,8 @@ TEST(SgdTest, MinimizesQuadratic) {
   Sgd sgd({w}, 0.1f);
   for (int step = 0; step < 200; ++step) {
     sgd.ZeroGrad();
-    Tensor diff = Sub(w, Tensor::Full(1, 1, 3.0f));
-    Tensor loss = Mul(diff, diff);
+    Tensor diff = Add(w, Tensor::Full(1, 1, -3.0f));
+    Tensor loss = RowwiseDot(diff, diff);
     loss.Backward();
     sgd.Step();
   }
@@ -111,7 +111,7 @@ TEST(AdamTest, MinimizesQuadraticBowl) {
   Adam adam({w}, 0.1f);
   for (int step = 0; step < 500; ++step) {
     adam.ZeroGrad();
-    Tensor loss = ReduceSum(Mul(w, w));
+    Tensor loss = ReduceSum(RowwiseDot(w, w));
     loss.Backward();
     adam.Step();
   }
@@ -125,7 +125,7 @@ TEST(AdamTest, WeightDecayShrinksWeights) {
   // Zero data gradient; only the decay term acts.
   for (int step = 0; step < 100; ++step) {
     adam.ZeroGrad();
-    Tensor loss = Scale(w, 0.0f);
+    Tensor loss = MatMul(w, Tensor::Scalar(0.0f));
     loss.Backward();
     adam.Step();
   }
@@ -135,7 +135,7 @@ TEST(AdamTest, WeightDecayShrinksWeights) {
 TEST(OptimizerTest, ClipGradNormScales) {
   Tensor w = Tensor::FromVector({3.0f, 4.0f}, 2, 1, true);
   Sgd sgd({w}, 1.0f);
-  Tensor loss = ReduceSum(Mul(w, w));  // grad = 2w = (6, 8), norm 10
+  Tensor loss = ReduceSum(RowwiseDot(w, w));  // grad = 2w = (6, 8), norm 10
   loss.Backward();
   const float norm = sgd.ClipGradNorm(5.0f);
   EXPECT_NEAR(norm, 10.0f, 1e-4f);
@@ -146,7 +146,7 @@ TEST(OptimizerTest, ClipGradNormScales) {
 TEST(OptimizerTest, ClipBelowThresholdNoChange) {
   Tensor w = Tensor::FromVector({0.3f, 0.4f}, 2, 1, true);
   Sgd sgd({w}, 1.0f);
-  Tensor loss = ReduceSum(Mul(w, w));
+  Tensor loss = ReduceSum(RowwiseDot(w, w));
   loss.Backward();
   const float before0 = w.grad()[0];
   sgd.ClipGradNorm(100.0f);
@@ -181,17 +181,18 @@ TEST(LossTest, BceWithLogitsStableAtExtremes) {
 }
 
 TEST(LossTest, BceMatchesBceWithLogits) {
-  Tensor logits = Tensor::FromVector({0.7f, -1.2f, 2.0f}, 3, 1);
-  std::vector<float> targets{1.0f, 0.0f, 1.0f};
-  Tensor fused = BceWithLogitsLoss(logits, targets);
-  Tensor composed = BceLoss(Sigmoid(logits), targets);
-  EXPECT_NEAR(fused.item(), composed.item(), 1e-5f);
-}
-
-TEST(LossTest, MseValue) {
-  Tensor pred = Tensor::FromVector({1.0f, 2.0f}, 2, 1);
-  Tensor loss = MseLoss(pred, {0.0f, 4.0f});
-  EXPECT_NEAR(loss.item(), (1.0f + 4.0f) / 2.0f, 1e-6f);
+  // The logits form against the paper's eq. (12) on probabilities,
+  // -mean(y log p + (1 - y) log(1 - p)) with p = sigmoid(z).
+  const std::vector<float> z{0.7f, -1.2f, 2.0f};
+  const std::vector<float> targets{1.0f, 0.0f, 1.0f};
+  double expected = 0.0;
+  for (size_t i = 0; i < z.size(); ++i) {
+    const double p = 1.0 / (1.0 + std::exp(-static_cast<double>(z[i])));
+    expected -= targets[i] * std::log(p) + (1.0 - targets[i]) * std::log1p(-p);
+  }
+  expected /= static_cast<double>(z.size());
+  Tensor fused = BceWithLogitsLoss(Tensor::FromVector(z, 3, 1), targets);
+  EXPECT_NEAR(fused.item(), expected, 1e-5);
 }
 
 }  // namespace

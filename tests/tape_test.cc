@@ -6,7 +6,8 @@
 // (3) gradcheck passes over chains through the fused ops; (4) the fused
 // ops save kernel invocations and buffers (ExecStats) and appear by name
 // in the obs attribution table; (5) laziness semantics: pending graphs
-// lint clean, and an intermediate's value stays readable; (6) MatMul's
+// lint clean, an intermediate's value stays readable, and SpMM and the
+// losses record without executing anything; (6) MatMul's
 // backward adds into a gradient another consumer already started; (7)
 // the buffer recycler: reused storage keeps every result bit, also when
 // the decoder's overwriting kernels run on dirty storage, only buffers
@@ -40,8 +41,10 @@
 #include "hygnn/trainer.h"
 #include "obs/optime.h"
 #include "tensor/debug.h"
+#include "tensor/loss.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
+#include "tensor/sparse.h"
 #include "tensor/tensor.h"
 #include "tests/gradcheck.h"
 
@@ -75,6 +78,12 @@ std::vector<float> GradOf(const tensor::Tensor& t) {
   return std::vector<float>(t.grad(), t.grad() + t.size());
 }
 
+/// SeededInput's values in a tensor that takes no gradient.
+tensor::Tensor FixedInput(int64_t rows, int64_t cols, uint64_t seed) {
+  return tensor::Tensor::FromVector(ValuesOf(SeededInput(rows, cols, seed)),
+                                    rows, cols);
+}
+
 /// Specials a case sets at fixed positions of its inputs.
 constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
@@ -100,7 +109,8 @@ void ExpectBitsAtThreads(const Captured& reference,
   }
 }
 
-/// Incoming gradient for y: loss = sum(y ⊙ g), so y's gradient is g.
+/// Incoming gradient for y: loss = sum of y's row dots with g, so y's
+/// gradient is g.
 /// Holds NaN, ±inf and ±0, and magnitudes far apart, so a sum over a
 /// column or a source row rounds differently in another order.
 tensor::Tensor IncomingGradient(int64_t rows, int64_t cols, uint64_t seed) {
@@ -206,13 +216,11 @@ Captured RunPairMatMul(const PairShape& shape, bool fused, bool shared_h) {
             : tensor::MatMul(tensor::ConcatCols(tensor::IndexSelectRows(h, a),
                                                 tensor::IndexSelectRows(h, b)),
                              w);
-  tensor::Tensor loss = tensor::ReduceSum(
-      tensor::Mul(y, IncomingGradientDefaultNaN(shape.n, shape.m, 33)));
+  tensor::Tensor loss = tensor::ReduceSum(tensor::RowwiseDot(
+      y, IncomingGradientDefaultNaN(shape.n, shape.m, 33)));
   if (shared_h) {
-    const tensor::Tensor scale = tensor::Tensor::FromVector(
-        ValuesOf(SeededInput(shape.rows, shape.d, /*seed=*/34)), shape.rows,
-        shape.d);
-    loss = tensor::Add(loss, tensor::ReduceSum(tensor::Mul(h, scale)));
+    const tensor::Tensor scale = FixedInput(shape.rows, shape.d, /*seed=*/34);
+    loss = tensor::Add(loss, tensor::ReduceSum(tensor::RowwiseDot(h, scale)));
   }
   loss.Backward();
   return {ValuesOf(y), GradOf(h), GradOf(w)};
@@ -264,7 +272,8 @@ Captured RunBiasRelu(bool fused) {
   const tensor::Tensor y =
       fused ? tensor::BiasRelu(z, bias)
             : tensor::Relu(tensor::AddRowBroadcast(z, bias));
-  tensor::ReduceSum(tensor::Mul(y, IncomingGradient(kN, kD, 35))).Backward();
+  tensor::ReduceSum(tensor::RowwiseDot(y, IncomingGradient(kN, kD, 35)))
+      .Backward();
   return {ValuesOf(y), GradOf(z), GradOf(bias)};
 }
 
@@ -292,11 +301,8 @@ Captured RunDecoderChain(bool fused) {
   const tensor::Tensor hidden =
       fused ? tensor::BiasRelu(z, b1)
             : tensor::Relu(tensor::AddRowBroadcast(z, b1));
-  tensor::Tensor y = tensor::ReduceMean(tensor::MatMul(
-      tensor::Scale(
-          tensor::LeakyRelu(tensor::Dropout(hidden, 0.3f, true, &rng), 0.1f),
-          0.5f),
-      w2));
+  tensor::Tensor y = tensor::ReduceSum(tensor::MatMul(
+      tensor::LeakyRelu(tensor::Dropout(hidden, 0.3f, true, &rng), 0.1f), w2));
   y.Backward();
   return {{y.item()}, GradOf(h), GradOf(w1), GradOf(b1), GradOf(w2)};
 }
@@ -329,14 +335,21 @@ TEST_F(TapeTest, FusionReducesKernelInvocationsAndAllocations) {
 
 using FusedGradcheckTest = TapeTest;
 
+/// Sum over rows of y's row dot with itself: a loss whose incoming
+/// gradient, 2y, differs at every element.
+tensor::Tensor SumOfSquares(const tensor::Tensor& y) {
+  return tensor::ReduceSum(tensor::RowwiseDot(y, y));
+}
+
 TEST_F(FusedGradcheckTest, Length2Chain) {
   const tensor::Tensor bias =
       tensor::Tensor::FromVector({0.25f, -0.3f, 0.1f}, 1, 3);
+  const tensor::Tensor mix = FixedInput(5, 3, /*seed=*/6);
   testing::ExpectGradMatchesNumeric(
       [] { return SeededInput(5, 3); },
-      [&bias](const tensor::Tensor& x) {
-        return tensor::ReduceMean(
-            tensor::Scale(tensor::BiasRelu(x, bias), 0.5f));
+      [&](const tensor::Tensor& x) {
+        return tensor::ReduceSum(
+            tensor::RowwiseDot(tensor::BiasRelu(x, bias), mix));
       });
 }
 
@@ -351,13 +364,13 @@ TEST_F(FusedGradcheckTest, Length3ChainWithDropout) {
             {0.9f, -0.4f, 0.3f, 1.2f, -0.7f, 0.5f, 0.2f, 0.8f, -1.1f, 0.6f,
              0.4f, -0.2f, 0.3f, 0.7f, -0.5f, 1.0f},
             8, 2);
-        return tensor::ReduceMean(tensor::Scale(
+        return tensor::ReduceSum(tensor::RowwiseDot(
             tensor::LeakyRelu(
                 tensor::Dropout(tensor::PairMatMul(x, {0, 2, 2, 1, 3},
                                                    {3, 3, 0, 2, 2}, w),
                                 0.25f, true, &rng),
                 0.2f),
-            0.7f));
+            FixedInput(5, 2, /*seed=*/7)));
       });
 }
 
@@ -373,8 +386,7 @@ TEST_F(FusedGradcheckTest, Length4Chain) {
       [&](const tensor::Tensor& x) {
         const tensor::Tensor z =
             tensor::PairMatMul(x, {0, 1, 5, 3}, {4, 1, 2, 0}, w);
-        return tensor::ReduceMean(
-            tensor::Scale(tensor::Sigmoid(tensor::BiasRelu(z, bias)), 0.7f));
+        return SumOfSquares(tensor::BiasRelu(z, bias));
       });
 }
 
@@ -391,16 +403,16 @@ TEST_F(FusedGradcheckTest, BroadcastOpsAtChainBoundary) {
                                           /*requires_grad=*/true);
       },
       [&z](const tensor::Tensor& bias) {
-        return tensor::ReduceMean(
-            tensor::Sigmoid(tensor::BiasRelu(tensor::Scale(z, 1.3f), bias)));
+        return SumOfSquares(tensor::BiasRelu(
+            tensor::MulColumnBroadcast(z, tensor::Tensor::Full(4, 1, 1.3f)),
+            bias));
       });
   const tensor::Tensor w =
       tensor::Tensor::FromVector({0.5f, -1.0f, 2.0f, 0.25f}, 4, 1);
   testing::ExpectGradMatchesNumeric(
       [] { return SeededInput(4, 3, /*seed=*/9); },
       [&w](const tensor::Tensor& x) {
-        return tensor::ReduceMean(
-            tensor::Tanh(tensor::MulColumnBroadcast(x, w)));
+        return SumOfSquares(tensor::MulColumnBroadcast(x, w));
       });
 }
 
@@ -412,15 +424,13 @@ TEST_F(FusedGradcheckTest, SmallestShapes) {
   testing::ExpectGradMatchesNumeric(
       [] { return SeededInput(1, 1); },
       [&w](const tensor::Tensor& x) {
-        return tensor::ReduceMean(tensor::Scale(
-            tensor::Tanh(tensor::PairMatMul(x, {0}, {0}, w)), 2.0f));
+        return SumOfSquares(tensor::PairMatMul(x, {0}, {0}, w));
       });
   const tensor::Tensor bias = tensor::Tensor::FromVector({0.35f}, 1, 1);
   testing::ExpectGradMatchesNumeric(
       [] { return SeededInput(1, 1, /*seed=*/4); },
       [&bias](const tensor::Tensor& x) {
-        return tensor::ReduceMean(
-            tensor::Sigmoid(tensor::BiasRelu(x, bias)));
+        return SumOfSquares(tensor::BiasRelu(x, bias));
       });
 }
 
@@ -435,10 +445,9 @@ TEST_F(FusedGradcheckTest, SmallestShapes) {
 /// operand of the sum (both MatMuls add), and last when it is the first
 /// (MatMul(x, b) creates the gradient, then MatMul(x, a) and Relu add).
 TEST_F(TapeTest, MatMulBackwardAddsToAGradientAlreadyStarted) {
-  const tensor::Tensor a =
-      tensor::Tensor::FromVector(ValuesOf(SeededInput(6, 6, 51)), 6, 6);
-  const tensor::Tensor b =
-      tensor::Tensor::FromVector(ValuesOf(SeededInput(6, 6, 52)), 6, 6);
+  const tensor::Tensor a = FixedInput(6, 6, 51);
+  const tensor::Tensor b = FixedInput(6, 6, 52);
+  const tensor::Tensor mix = FixedInput(5, 6, 54);
   const auto products = [&](const tensor::Tensor& x) {
     return tensor::Add(tensor::MatMul(x, a), tensor::MatMul(x, b));
   };
@@ -447,14 +456,14 @@ TEST_F(TapeTest, MatMulBackwardAddsToAGradientAlreadyStarted) {
     testing::ExpectGradMatchesNumeric(
         [] { return SeededInput(5, 6, 53); },
         [&](const tensor::Tensor& x) {
-          return tensor::ReduceMean(
-              tensor::Tanh(tensor::Add(products(x), tensor::Relu(x))));
+          return tensor::ReduceSum(tensor::RowwiseDot(
+              tensor::Add(products(x), tensor::Relu(x)), mix));
         });
     testing::ExpectGradMatchesNumeric(
         [] { return SeededInput(5, 6, 53); },
         [&](const tensor::Tensor& x) {
-          return tensor::ReduceMean(
-              tensor::Tanh(tensor::Add(tensor::Relu(x), products(x))));
+          return tensor::ReduceSum(tensor::RowwiseDot(
+              tensor::Add(tensor::Relu(x), products(x)), mix));
         });
   }
 }
@@ -465,7 +474,8 @@ TEST_F(TapeTest, MatMulBackwardAddsToAGradientAlreadyStarted) {
 
 TEST_F(TapeTest, PendingGraphLintsCleanAndMaterializesOnRead) {
   tensor::Tensor x = SeededInput(3, 3);
-  tensor::Tensor y = tensor::Scale(tensor::Relu(x), 2.0f);
+  tensor::Tensor y = tensor::MulColumnBroadcast(
+      tensor::Relu(x), tensor::Tensor::Full(3, 1, 2.0f));
   // Nothing has executed yet; the pending graph must still lint clean.
   EXPECT_TRUE(tensor::GraphLint(y).clean());
   // First read executes the tape.
@@ -479,7 +489,7 @@ TEST_F(TapeTest, ExternalHandleOnIntermediateKeepsItsValue) {
   // `mid` is a live external handle on an intermediate: after the
   // backward pass its value is still there to read.
   tensor::Tensor mid = tensor::Relu(x);
-  tensor::Tensor y = tensor::ReduceMean(tensor::Scale(mid, 3.0f));
+  tensor::Tensor y = SumOfSquares(mid);
   y.Backward();
   for (int64_t i = 0; i < mid.size(); ++i) {
     const int64_t r = i / mid.cols(), c = i % mid.cols();
@@ -488,10 +498,38 @@ TEST_F(TapeTest, ExternalHandleOnIntermediateKeepsItsValue) {
   EXPECT_TRUE(x.has_grad());
 }
 
+TEST_F(TapeTest, SpMMAndLossesRecordWithoutExecuting) {
+  // Recorded over a pending input, SpMM and both losses execute nothing:
+  // the input and every result stay pending until item() or Backward().
+  const auto a = tensor::CsrMatrix::FromCoo(4, 3, {0, 1, 1, 3}, {2, 0, 1, 2},
+                                            {0.5f, 1.0f, -2.0f, 1.5f});
+  tensor::Tensor x = SeededInput(3, 2);
+  tensor::ResetExecStats();
+  const tensor::Tensor hidden = tensor::Relu(x);
+  const tensor::Tensor product = tensor::SpMM(a, hidden);
+  const tensor::Tensor bce = tensor::BceWithLogitsLoss(
+      tensor::MatMul(product, FixedInput(2, 1, /*seed=*/8)),
+      {1.0f, 0.0f, 0.0f, 1.0f});
+  tensor::Tensor ce = tensor::SoftmaxCrossEntropyLoss(product, {1, 0, 1, 1});
+  EXPECT_EQ(tensor::ExecStats().ops_executed, 0u);
+  for (const auto& node :
+       {hidden.impl(), product.impl(), bce.impl(), ce.impl()}) {
+    EXPECT_FALSE(node->materialized) << node->op;
+  }
+  (void)bce.item();  // Relu, SpMM, MatMul and the BCE loss
+  EXPECT_EQ(tensor::ExecStats().ops_executed, 4u);
+  EXPECT_TRUE(product.impl()->materialized);
+  EXPECT_FALSE(ce.impl()->materialized);
+  ce.Backward();
+  EXPECT_EQ(tensor::ExecStats().ops_executed, 5u);
+  EXPECT_TRUE(ce.impl()->materialized);
+  EXPECT_TRUE(x.has_grad());
+}
+
 TEST_F(TapeTest, InferenceForwardLeavesPlainValueNodes) {
   tensor::Tensor x = SeededInput(4, 4);
   tensor::InferenceModeScope inference;
-  tensor::Tensor y = tensor::Scale(tensor::Sigmoid(x), 2.0f);
+  tensor::Tensor y = tensor::LeakyRelu(tensor::Relu(x), 0.2f);
   (void)y.At(0, 0);  // materialize
   // After execution the no-grad nodes drop parents and tape records:
   // serving allocates no graph.

@@ -45,7 +45,7 @@ TEST(TensorTest, HandleSemantics) {
 
 TEST(TensorTest, DetachDropsGraphAndGrad) {
   Tensor a = Tensor::Full(1, 1, 2.0f, /*requires_grad=*/true);
-  Tensor b = Scale(a, 3.0f);
+  Tensor b = MatMul(a, Tensor::Scalar(3.0f));
   Tensor d = b.Detach();
   EXPECT_FALSE(d.requires_grad());
   EXPECT_EQ(d.item(), 6.0f);
@@ -71,13 +71,13 @@ TEST(OpsTest, MatMulRectangular) {
   EXPECT_EQ(c.At(1, 1), 5.0f + 6.0f);
 }
 
-TEST(OpsTest, AddSubMulScale) {
+TEST(OpsTest, Add) {
   Tensor a = Tensor::FromVector({1, 2, 3, 4}, 2, 2);
-  Tensor b = Tensor::FromVector({4, 3, 2, 1}, 2, 2);
-  EXPECT_EQ(Add(a, b).At(0, 0), 5.0f);
-  EXPECT_EQ(Sub(a, b).At(0, 0), -3.0f);
-  EXPECT_EQ(Mul(a, b).At(1, 0), 6.0f);
-  EXPECT_EQ(Scale(a, -2.0f).At(1, 1), -8.0f);
+  Tensor b = Tensor::FromVector({4, 3, -2, 1}, 2, 2);
+  Tensor c = Add(a, b);
+  EXPECT_EQ(c.At(0, 0), 5.0f);
+  EXPECT_EQ(c.At(1, 0), 1.0f);
+  EXPECT_EQ(c.At(1, 1), 5.0f);
 }
 
 TEST(OpsTest, AddRowBroadcast) {
@@ -177,7 +177,6 @@ TEST(OpsTest, RowwiseDot) {
 TEST(OpsTest, Reductions) {
   Tensor x = Tensor::FromVector({1, 2, 3, 4}, 2, 2);
   EXPECT_EQ(ReduceSum(x).item(), 10.0f);
-  EXPECT_EQ(ReduceMean(x).item(), 2.5f);
 }
 
 TEST(OpsTest, ActivationValues) {
@@ -189,25 +188,6 @@ TEST(OpsTest, ActivationValues) {
   Tensor leaky = LeakyRelu(x, 0.1f);
   EXPECT_NEAR(leaky.At(0, 0), -0.2f, 1e-6f);
   EXPECT_EQ(leaky.At(2, 0), 2.0f);
-
-  Tensor sig = Sigmoid(x);
-  EXPECT_NEAR(sig.At(1, 0), 0.5f, 1e-6f);
-  EXPECT_NEAR(sig.At(2, 0), 1.0f / (1.0f + std::exp(-2.0f)), 1e-6f);
-
-  Tensor tanh = Tanh(x);
-  EXPECT_NEAR(tanh.At(2, 0), std::tanh(2.0f), 1e-6f);
-
-  EXPECT_NEAR(Exp(x).At(2, 0), std::exp(2.0f), 1e-4f);
-  Tensor pos = Tensor::FromVector({0.5f}, 1, 1);
-  EXPECT_NEAR(Log(pos).item(), std::log(0.5f), 1e-6f);
-}
-
-TEST(OpsTest, SigmoidExtremeInputsStable) {
-  Tensor x = Tensor::FromVector({-100.0f, 100.0f}, 2, 1);
-  Tensor y = Sigmoid(x);
-  EXPECT_TRUE(std::isfinite(y.At(0, 0)));
-  EXPECT_NEAR(y.At(0, 0), 0.0f, 1e-6f);
-  EXPECT_NEAR(y.At(1, 0), 1.0f, 1e-6f);
 }
 
 TEST(OpsTest, DropoutIdentityInEval) {
@@ -230,23 +210,6 @@ TEST(OpsTest, DropoutScalesSurvivors) {
     }
   }
   EXPECT_NEAR(zeros / 1000.0, 0.5, 0.07);
-}
-
-TEST(OpsTest, L2NormalizeRows) {
-  Tensor x = Tensor::FromVector({3, 4, 0, 0}, 2, 2);
-  Tensor y = L2NormalizeRows(x);
-  EXPECT_NEAR(y.At(0, 0), 0.6f, 1e-6f);
-  EXPECT_NEAR(y.At(0, 1), 0.8f, 1e-6f);
-  // Zero row stays finite (zero).
-  EXPECT_EQ(y.At(1, 0), 0.0f);
-}
-
-TEST(OpsTest, TransposeNoGrad) {
-  Tensor x = Tensor::FromVector({1, 2, 3, 4, 5, 6}, 2, 3);
-  Tensor t = TransposeNoGrad(x);
-  EXPECT_EQ(t.rows(), 3);
-  EXPECT_EQ(t.cols(), 2);
-  EXPECT_EQ(t.At(2, 1), 6.0f);
 }
 
 TEST(InitTest, XavierBounds) {

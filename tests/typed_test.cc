@@ -6,7 +6,6 @@
 #include "graph/builders.h"
 #include "hygnn/typed.h"
 #include "tensor/loss.h"
-#include "tensor/ops.h"
 #include "tests/gradcheck.h"
 
 namespace hygnn::model {
@@ -37,32 +36,6 @@ TEST(SoftmaxCrossEntropyTest, GradCheck) {
       },
       [&labels](const tensor::Tensor& logits) {
         return tensor::SoftmaxCrossEntropyLoss(logits, labels);
-      });
-}
-
-TEST(RowSoftmaxTest, RowsSumToOne) {
-  tensor::Tensor x = tensor::Tensor::FromVector({1, 2, 3, -1, 0, 1}, 2, 3);
-  tensor::Tensor y = tensor::RowSoftmax(x);
-  for (int64_t i = 0; i < 2; ++i) {
-    float sum = 0.0f;
-    for (int64_t j = 0; j < 3; ++j) sum += y.At(i, j);
-    EXPECT_NEAR(sum, 1.0f, 1e-6f);
-  }
-  EXPECT_GT(y.At(0, 2), y.At(0, 0));
-}
-
-TEST(RowSoftmaxTest, GradCheck) {
-  tensor::Tensor mix = tensor::Tensor::FromVector(
-      {0.3f, -0.7f, 1.1f, 0.2f, 0.9f, -0.4f}, 2, 3);
-  hygnn::testing::ExpectGradMatchesNumeric(
-      [] {
-        core::Rng rng(56);
-        std::vector<float> values(6);
-        for (auto& v : values) v = (rng.UniformFloat() - 0.5f) * 2.0f;
-        return tensor::Tensor::FromVector(std::move(values), 2, 3, true);
-      },
-      [&mix](const tensor::Tensor& x) {
-        return tensor::ReduceSum(tensor::Mul(tensor::RowSoftmax(x), mix));
       });
 }
 
