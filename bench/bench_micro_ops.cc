@@ -5,12 +5,13 @@
 // and 4 threads, verifying bit-identical outputs against the 1-thread
 // reference, counting minor page faults and recycled tensor buffers
 // per iteration, and writing machine-readable JSON to BENCH_micro_ops.json
-// (override with --json_out=PATH), followed by the decoder-glue rows:
-// PairMatMul and BiasRelu, forward and backward at the paper's
-// 136,241-pair training shape, each timed against the op composition it
-// replaces (MatMul of a ConcatCols of two IndexSelectRows;
-// AddRowBroadcast and Relu) and checked bit for bit against it. Exits 1
-// on any mismatch.
+// (override with --json_out=PATH), followed by the fused-op rows, each
+// forward and backward, timed against the op composition it replaces
+// and checked bit for bit against it: PairMatMul (MatMul of a
+// ConcatCols of two IndexSelectRows) and BiasRelu (AddRowBroadcast and
+// Relu) at the paper's 136,241-pair training shape, and LeakyPairScore
+// (MatMul of a LeakyRelu of a ConcatCols with an IndexSelectRows) at
+// the k-mer encoder's 24,262 incidences. Exits 1 on any mismatch.
 // The output opens with a header: build type, compiler, nproc, and which
 // dense-product tile the build runs (HYGNN_DENSE_TILE_AVX512).
 
@@ -257,10 +258,10 @@ void SweepDenseProducts(std::vector<ScalingResult>* results) {
 }
 
 // ---------------------------------------------------------------------------
-// Decoder glue: the fused ops against the compositions they replace
+// The fused ops against the compositions they replace
 // ---------------------------------------------------------------------------
 
-/// One glue op at one thread count: fused and composed cost per
+/// One fused op at one thread count: fused and composed cost per
 /// forward+backward iteration.
 struct GlueResult {
   std::string op;
@@ -275,7 +276,7 @@ struct GlueResult {
 
 /// Backward from a non-scalar `y` whose gradient is seeded with `g`, in
 /// the reverse post-order Tensor::Backward walks, so the timed backward
-/// is the glue's own kernels and nothing downstream of it.
+/// is the op's own kernels and nothing downstream of it.
 void BackwardFrom(const tensor::Tensor& y, const std::vector<float>& g) {
   std::vector<tensor::TensorImpl*> order;
   std::unordered_set<tensor::TensorImpl*> visited;
@@ -342,7 +343,7 @@ void SweepGlue(const std::string& op, const std::string& composed_of,
         got.size() == reference.size() &&
         std::memcmp(got.data(), reference.data(),
                     got.size() * sizeof(float)) == 0;
-    std::printf("%-10s fwd+bwd threads=%d  %12.0f ns/iter  vs %s "
+    std::printf("%-14s fwd+bwd threads=%d  %12.0f ns/iter  vs %s "
                 "%12.0f ns/iter  x%.2f  %s\n",
                 op.c_str(), threads, r.fused.ns, composed_of.c_str(),
                 r.composed.ns, r.composed.ns / r.fused.ns,
@@ -352,11 +353,13 @@ void SweepGlue(const std::string& op, const std::string& composed_of,
   core::SetNumThreads(1);
 }
 
-/// The two glue rows at the MLP decoder's training shape: layer 1 of
-/// 136,241 pairs over an 824-drug, 64-wide embedding table to 64 hidden
-/// units, and the [136241 x 64] hidden pre-activation. The incoming
-/// gradients are Gaussian.
-std::vector<GlueResult> SweepDecoderGlue() {
+/// The decoder's two rows at its training shape: layer 1 of 136,241
+/// pairs over an 824-drug, 64-wide embedding table to 64 hidden units,
+/// and the [136241 x 64] hidden pre-activation. Then the encoder's
+/// node-level score at HyGNN-kmer's (k = 10) shape: 24,262 incidences,
+/// each a 64-wide W_p p_i row and one of the 824 drugs' 64-wide W_q q_j
+/// rows, LeakyRelu slope 0.2. The incoming gradients are Gaussian.
+std::vector<GlueResult> SweepFusedOps() {
   constexpr int64_t kD = 64;
   core::Rng rng(11);
   std::vector<GlueResult> results;
@@ -389,6 +392,32 @@ std::vector<GlueResult> SweepDecoderGlue() {
         std::vector<float>(g.data(), g.data() + g.size()),
         [&] { return tensor::BiasRelu(z, bias); },
         [&] { return tensor::Relu(tensor::AddRowBroadcast(z, bias)); },
+        &results);
+  }
+  {
+    constexpr int64_t kIncidences = 24262;
+    constexpr float kSlope = 0.2f;
+    const tensor::Tensor x =
+        tensor::NormalInit(kIncidences, kD, 1.0f, &rng, true);
+    const tensor::Tensor table =
+        tensor::NormalInit(kDrugs, kD, 1.0f, &rng, true);
+    const tensor::Tensor w = tensor::NormalInit(2 * kD, 1, 0.1f, &rng, true);
+    std::vector<int32_t> idx(static_cast<size_t>(kIncidences));
+    for (int32_t& i : idx) i = static_cast<int32_t>(rng.UniformInt(kDrugs));
+    const tensor::Tensor g =
+        tensor::NormalInit(kIncidences, 1, 1.0f, &rng, false);
+    SweepGlue(
+        "LeakyPairScore",
+        "MatMul(LeakyRelu(ConcatCols(x,IndexSelectRows)))", {x, table, w},
+        std::vector<float>(g.data(), g.data() + g.size()),
+        [&] { return tensor::LeakyPairScore(x, table, idx, w, kSlope); },
+        [&] {
+          return tensor::MatMul(
+              tensor::LeakyRelu(
+                  tensor::ConcatCols(x, tensor::IndexSelectRows(table, idx)),
+                  kSlope),
+              w);
+        },
         &results);
   }
   return results;
@@ -446,7 +475,7 @@ int RunScalingHarness(const std::string& json_path) {
     SweepOp("Relu", n, 1, [&] { return tensor::Relu(x); }, &results);
   }
 
-  const std::vector<GlueResult> glue = SweepDecoderGlue();
+  const std::vector<GlueResult> glue = SweepFusedOps();
 
   std::FILE* file = std::fopen(json_path.c_str(), "w");
   if (file == nullptr) {
@@ -470,7 +499,7 @@ int RunScalingHarness(const std::string& json_path) {
                  r.bit_identical ? "true" : "false",
                  i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(file, "  ],\n  \"decoder_glue\": [\n");
+  std::fprintf(file, "  ],\n  \"fused_ops\": [\n");
   for (size_t i = 0; i < glue.size(); ++i) {
     const auto& r = glue[i];
     std::fprintf(file,

@@ -87,19 +87,16 @@ tensor::Tensor HypergraphEdgeEncoder::ForwardFromProjection(
       config_.leaky_slope);
 
   // ----- Node-level attention (eqs. 7-9) -----
-  // W_p p_i  [V, out]; per-pair v_i = LeakyReLU(W_p p_i || W_q q_j).
+  // W_p p_i  [V, out]; per-pair score g2 . LeakyReLU(W_p p_i || W_q q_j),
+  // one op that reads W_q q_j through pair_edges.
   tensor::Tensor p_proj = tensor::MatMul(p, w_p_);
   tensor::Tensor pair_node_feat =
       tensor::IndexSelectRows(p_proj, context.pair_nodes);  // [P, out]
-  tensor::Tensor pair_edge_feat =
-      tensor::IndexSelectRows(q_proj, context.pair_edges);  // [P, hidden]
   tensor::Tensor x;
   if (config_.use_attention) {
-    tensor::Tensor v_feat = tensor::LeakyRelu(
-        tensor::ConcatCols(pair_node_feat, pair_edge_feat),
-        config_.leaky_slope);
-    tensor::Tensor pair_scores_node =
-        tensor::MatMul(v_feat, g2_);  // [P, 1]
+    tensor::Tensor pair_scores_node = tensor::LeakyPairScore(
+        pair_node_feat, q_proj, context.pair_edges, g2_,
+        config_.leaky_slope);  // [P, 1]
     // X_ji: softmax over the member nodes of each hyperedge e_j.
     x = tensor::SegmentSoftmax(pair_scores_node, context.pair_edges,
                                context.num_edges);

@@ -17,8 +17,8 @@ namespace hygnn::obs {
 ///    span through RecordForward.
 ///  - Backward: tensor::ExecuteNodeBackward times each node's gradient
 ///    step and reports it through RecordBackward.
-///  - The fused ops PairMatMul and BiasRelu are attributed under their
-///    own names, not under the ops they replace.
+///  - The fused ops PairMatMul, BiasRelu and LeakyPairScore are
+///    attributed under their own names, not under the ops they replace.
 /// A node's span covers that node alone: no op runs inside another.
 ///
 /// Hot-path cost model (the part that must not perturb kernels):

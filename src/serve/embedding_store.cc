@@ -15,16 +15,6 @@ namespace hygnn::serve {
 using core::Result;
 using core::Status;
 
-namespace {
-
-/// Must match the LeakyRelu lambda in tensor/ops.cc exactly — the
-/// incremental path applies it elementwise outside the tensor layer.
-float LeakyRelu(float v, float slope) {
-  return v >= 0.0f ? v : slope * v;
-}
-
-}  // namespace
-
 std::atomic<int64_t> StoreSnapshot::live_count_{0};
 
 const float* StoreSnapshot::Row(int32_t drug) const {
@@ -196,7 +186,8 @@ Result<int32_t> EmbeddingStore::AddDrugLocked(
   if (config.use_attention) {
     std::vector<float> e_feat(static_cast<size_t>(hidden));
     for (int64_t j = 0; j < hidden; ++j) {
-      e_feat[static_cast<size_t>(j)] = LeakyRelu(q_new[j], slope);
+      e_feat[static_cast<size_t>(j)] =
+          kernels::ScalarLeakyRelu(q_new[j], slope);
     }
     kernels::MatMul(e_feat.data(), layer.g1().data(), &score_new, 1, hidden,
                     1);
@@ -242,8 +233,8 @@ Result<int32_t> EmbeddingStore::AddDrugLocked(
     kernels::SegmentSumAccumulate(weighted.data(), hidden, seg.data(), n_inc,
                                   hidden, p.data(), 1);
     for (int64_t j = 0; j < hidden; ++j) {
-      p[static_cast<size_t>(j)] = LeakyRelu(p[static_cast<size_t>(j)],
-                                            slope);
+      p[static_cast<size_t>(j)] =
+          kernels::ScalarLeakyRelu(p[static_cast<size_t>(j)], slope);
     }
     kernels::MatMul(p.data(), layer.w_p().data(),
                     &p_proj_members[static_cast<size_t>(mi * out_dim)], 1,
@@ -252,24 +243,15 @@ Result<int32_t> EmbeddingStore::AddDrugLocked(
 
   // 4. Node-level attention over the new hyperedge's members, then the
   //    weighted aggregation that yields its embedding.
+  //    The scores are the encoder's LeakyPairScore kernel, with q_new
+  //    as a one-row table that every member reads as row 0.
+  const std::vector<int32_t> seg(static_cast<size_t>(n_members), 0);
   std::vector<float> member_scores(static_cast<size_t>(n_members), 0.0f);
   if (config.use_attention && n_members > 0) {
-    const int64_t cat = out_dim + hidden;
-    std::vector<float> v_feat(static_cast<size_t>(n_members * cat));
-    for (int64_t mi = 0; mi < n_members; ++mi) {
-      float* row = &v_feat[static_cast<size_t>(mi * cat)];
-      const float* p_row = &p_proj_members[static_cast<size_t>(mi * out_dim)];
-      for (int64_t o = 0; o < out_dim; ++o) {
-        row[o] = LeakyRelu(p_row[o], slope);
-      }
-      for (int64_t j = 0; j < hidden; ++j) {
-        row[out_dim + j] = LeakyRelu(q_new[static_cast<size_t>(j)], slope);
-      }
-    }
-    kernels::MatMul(v_feat.data(), layer.g2().data(), member_scores.data(),
-                    n_members, cat, 1);
+    kernels::LeakyPairScore(p_proj_members.data(), n_members, out_dim,
+                            q_new.data(), hidden, seg.data(),
+                            layer.g2().data(), slope, member_scores.data());
   }
-  const std::vector<int32_t> seg(static_cast<size_t>(n_members), 0);
   std::vector<float> x(static_cast<size_t>(n_members));
   kernels::SegmentSoftmax(member_scores.data(), seg.data(), n_members, 1,
                           x.data());
@@ -283,7 +265,7 @@ Result<int32_t> EmbeddingStore::AddDrugLocked(
                                 n_members, out_dim, q_out.data(), 1);
   for (int64_t o = 0; o < out_dim; ++o) {
     q_out[static_cast<size_t>(o)] =
-        LeakyRelu(q_out[static_cast<size_t>(o)], slope);
+        kernels::ScalarLeakyRelu(q_out[static_cast<size_t>(o)], slope);
   }
 
   // 5. Commit: build the next epoch off to the side (existing rows are

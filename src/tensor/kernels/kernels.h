@@ -104,6 +104,27 @@ inline constexpr int64_t kLineGrain = 16;
 //     ascending order, then its a-half pairs, as the gathers' backward
 //     adds them. How the pairs are blocked, grouped and chunked on the
 //     way changes no row's order.
+// LeakyPairScore keeps the bits of
+// MatMul(LeakyRelu(ConcatCols(x, IndexSelectRows(table, idx))), w) for a
+// one-column w the same way. Row i of its input is x's row i followed by
+// table's row idx[i], each value LeakyRelu'd (ScalarLeakyRelu) as it is
+// read:
+//   forward: MatMul's one-column chain: +0, then MulAddUnlessZero over
+//     LR(x[i][t])·w[t] for t < dx, then over LR(table[idx[i]][t])·w[dx+t].
+//     Sixteen rows run side by side, one chain per lane, on values
+//     transposed in registers (AVX-512) or on the stack (portable).
+//   dw: MatMulTN's chain from dw's value over LR(·)·g[i], i ascending,
+//     rows [0, dx) reading x and rows [dx, dx+dt) table through idx.
+//   dx, dtable: per element, dv = +0 + round(g[i]·w[t]) (MatMulNT's
+//     overwrite value), then d = +0 + round(dv·ScalarLeakyReluGrad(·)):
+//     LeakyRelu's backward into a zero-filled gradient, whose
+//     `dx += g * dydx` GCC does not fuse (it selects g or g·slope, then
+//     adds; objdump of tape.cc.o shows vmulps, a blend and vaddps). Then
+//     dx[i][t] = dx[i][t] + d, as ConcatCols's backward adds it, and
+//     dtable[idx[i]][t] = dtable[idx[i]][t] + (+0 + d) for each table
+//     row's pairs in ascending order, as the gather's scatter adds its
+//     zero-filled copy. The slope factor is applied per pair, before
+//     the scatter.
 //
 // Chunks come from the shape, never the thread count. A MatMul or
 // MatMulNT chunk is the fewest whole 4-row tiles of at least 2¹⁴
@@ -166,6 +187,27 @@ void PairMatMulBackward(const float* h, int64_t rows, int64_t d,
                         const int32_t* a, const int32_t* b, int64_t n,
                         const float* w, int64_t m, const float* g, float* dh,
                         float* dw);
+
+/// z[n,1] = LeakyRelu(x[i] ‖ table[idx[i]], slope) · w for x[n,dx],
+/// table[·,dt] and a one-column w[dx+dt,1], without the [n, dx+dt]
+/// input: the bits MatMul writes for that product (see the rounding
+/// contract). Parallel over rows of z. Never reads z.
+void LeakyPairScore(const float* x, int64_t n, int64_t dx, const float* table,
+                    int64_t dt, const int32_t* idx, const float* w,
+                    float slope, float* z);
+
+/// Backward of LeakyPairScore from the incoming gradient g[n,1], for a
+/// table of `rows` rows: grad_w += the LeakyRelu'd inputᵀ · g, then
+/// grad_x and grad_table += each pair's halves of the input gradient,
+/// the bits MatMul's, LeakyRelu's, ConcatCols's and the gather's
+/// backward give in that order (see the rounding contract). Each
+/// gradient is skipped when null. Parallel over rows of grad_w, then of
+/// grad_x, then of grad_table.
+void LeakyPairScoreBackward(const float* x, int64_t n, int64_t dx,
+                            const float* table, int64_t rows, int64_t dt,
+                            const int32_t* idx, const float* w, float slope,
+                            const float* g, float* grad_x, float* grad_table,
+                            float* grad_w);
 
 // ---------------------------------------------------------------------------
 // elementwise.cc — maps, broadcasts, copies, reductions and the losses

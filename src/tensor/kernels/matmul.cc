@@ -57,13 +57,25 @@ inline float MulAdd(float a, float b, float c) {
 #endif
 }
 
-/// MulAdd(a, b, c) when a != 0, else c, decided by a mask instead of a
-/// branch: the zeros of a ReLU output are not predictable.
+/// a when `keep`, else b, decided by a mask instead of a branch: both
+/// are computed either way, so the compiler selects per lane. Given a
+/// branch, it will not compute a product that only one side uses ahead
+/// of it (the product could trap), and the loop stays scalar.
+inline float Select(bool keep, float a, float b) {
+  const uint32_t mask = 0u - static_cast<uint32_t>(keep);
+  return std::bit_cast<float>((std::bit_cast<uint32_t>(a) & mask) |
+                              (std::bit_cast<uint32_t>(b) & ~mask));
+}
+
+/// MulAdd(a, b, c) when a != 0, else c: the zeros of a ReLU output are
+/// not predictable.
 inline float MulAddUnlessZero(float a, float b, float c) {
-  const uint32_t keep = 0u - static_cast<uint32_t>(a != 0.0f);
-  return std::bit_cast<float>(
-      (std::bit_cast<uint32_t>(MulAdd(a, b, c)) & keep) |
-      (std::bit_cast<uint32_t>(c) & ~keep));
+  return Select(a != 0.0f, MulAdd(a, b, c), c);
+}
+
+/// ScalarLeakyRelu's value, v >= 0 ? v : slope · v, as a Select.
+inline float LeakyReluSelect(float v, float slope) {
+  return Select(v >= 0.0f, v, slope * v);
 }
 
 /// How each output element combines its products.
@@ -562,6 +574,335 @@ void PairMatMulBackward(const float* h, int64_t rows, int64_t d,
     // The b half first, then the a half.
     AddPairHalfGradients(g, n, m, w + d * m, b, rows, d, dh);
     AddPairHalfGradients(g, n, m, w, a, rows, d, dh);
+  }
+}
+
+namespace {
+
+#if HYGNN_DENSE_TILE_AVX512
+/// ScalarLeakyRelu in 16 lanes: v where v >= 0, else slope·v, so a NaN
+/// lane (the compare is ordered) takes the product, as the scalar does.
+inline __m512 LeakyRelu16(__m512 v, __m512 slope) {
+  const __mmask16 keep = _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_GE_OQ);
+  return _mm512_mask_blend_ps(keep, _mm512_mul_ps(slope, v), v);
+}
+
+/// MulAddUnlessZero in 16 lanes, as VectorTile's MulAdd step: one fused
+/// rounding under a mask of a != 0 (unordered, so a NaN a is kept).
+inline __m512 MulAddUnlessZero16(__m512 a, __m512 b, __m512 c) {
+  const __mmask16 nonzero =
+      _mm512_cmp_ps_mask(a, _mm512_setzero_ps(), _CMP_NEQ_UQ);
+  return _mm512_mask3_fmadd_ps(a, b, c, nonzero);
+}
+
+/// The first `width` <= 16 lanes.
+inline __mmask16 FirstLanes(int64_t width) {
+  return static_cast<__mmask16>(width >= kLanes ? 0xffff
+                                                : (1u << width) - 1u);
+}
+
+/// Lane indices for _mm512_permutex2var_ps that swap bit b of the row
+/// index with bit b of the lane index between rows i and i | b (bit b
+/// of i clear): kSwapIndices[s][0] gives row i, [s][1] row i | b, for
+/// b = 1 << s. Lane j of row i keeps its own element where bit b of j
+/// is clear and takes row i | b's lane j ^ b elsewhere; row i | b the
+/// other way round. An index of 16 or more reads the second row.
+struct SwapIndices {
+  alignas(64) int32_t lanes[4][2][kLanes];
+};
+
+constexpr SwapIndices MakeSwapIndices() {
+  SwapIndices swap{};
+  for (int32_t s = 0; s < 4; ++s) {
+    const int32_t b = 1 << s;
+    for (int32_t j = 0; j < kLanes; ++j) {
+      const bool high = (j & b) != 0;
+      swap.lanes[s][0][j] = high ? kLanes + (j ^ b) : j;
+      swap.lanes[s][1][j] = high ? kLanes + j : j ^ b;
+    }
+  }
+  return swap;
+}
+
+constexpr SwapIndices kSwapIndices = MakeSwapIndices();
+
+/// One round of TransposeColumns: swaps bit 1 << kRound of the row
+/// index with the same bit of the lane index.
+template <int32_t kRound>
+inline void SwapIndexBit(__m512* columns) {
+  constexpr int64_t kBit = int64_t{1} << kRound;
+  const __m512i keep_low = _mm512_load_si512(kSwapIndices.lanes[kRound][0]);
+  const __m512i keep_high = _mm512_load_si512(kSwapIndices.lanes[kRound][1]);
+  for (int64_t i = 0; i < kLanes; ++i) {
+    if ((i & kBit) != 0) continue;
+    const __m512 low = columns[i];
+    const __m512 high = columns[i | kBit];
+    columns[i] = _mm512_permutex2var_ps(low, keep_low, high);
+    columns[i | kBit] = _mm512_permutex2var_ps(low, keep_high, high);
+  }
+}
+
+/// columns[k], lane r = rows[r][t0 + k] for the first `width` <= 16
+/// columns from t0: a 16 × 16 transpose in registers, four rounds that
+/// each swap one bit of the row index with the same bit of the lane
+/// index. Columns past `width` are never loaded and read +0.
+inline void TransposeColumns(const float* const* rows, int64_t t0,
+                             int64_t width, __m512* columns) {
+  const __mmask16 lanes = FirstLanes(width);
+  for (int64_t i = 0; i < kLanes; ++i) {
+    columns[i] = _mm512_maskz_loadu_ps(lanes, rows[i] + t0);
+  }
+  SwapIndexBit<0>(columns);
+  SwapIndexBit<1>(columns);
+  SwapIndexBit<2>(columns);
+  SwapIndexBit<3>(columns);
+}
+
+/// Continues the sixteen MulAdd chains in acc's lanes over `width`
+/// steps of one half of the tile's input rows, src[r][t]:
+/// LeakyRelu(src[r][t]) times w[t] for t ascending, skipping zeros, as
+/// MatMul's one-column tile does. Sixteen steps at a time come out of
+/// one transpose.
+__m512 ContinueScoreChains(const float* const* src, int64_t width,
+                           const float* w, float slope, __m512 acc) {
+  const __m512 slopes = _mm512_set1_ps(slope);
+  int64_t t0 = 0;
+  for (; t0 + kLanes <= width; t0 += kLanes) {
+    __m512 columns[kLanes];
+    TransposeColumns(src, t0, kLanes, columns);
+    for (int64_t k = 0; k < kLanes; ++k) {
+      acc = MulAddUnlessZero16(LeakyRelu16(columns[k], slopes),
+                               _mm512_set1_ps(w[t0 + k]), acc);
+    }
+  }
+  if (t0 < width) {
+    // A separate array: indexed by a runtime bound, it lives in memory,
+    // where the full blocks' array stays in registers.
+    __m512 columns[kLanes];
+    TransposeColumns(src, t0, width - t0, columns);
+    for (int64_t k = 0; k < width - t0; ++k) {
+      acc = MulAddUnlessZero16(LeakyRelu16(columns[k], slopes),
+                               _mm512_set1_ps(w[t0 + k]), acc);
+    }
+  }
+  return acc;
+}
+
+/// z's rows [r0, r0 + count) for count <= 16, from the tile's row
+/// pointers into x and table: one chain per lane.
+void ScoreTile(const float* const* x_rows, int64_t dx,
+               const float* const* table_rows, int64_t dt, const float* w,
+               float slope, int64_t count, float* z) {
+  __m512 acc = _mm512_setzero_ps();
+  acc = ContinueScoreChains(x_rows, dx, w, slope, acc);
+  acc = ContinueScoreChains(table_rows, dt, w + dx, slope, acc);
+  _mm512_mask_storeu_ps(z, FirstLanes(count), acc);
+}
+
+/// dw[j] for the `width` <= kReductionChunkRows columns of one half from
+/// `col`: MatMulTN's m = 1 chain, from dw[j], over
+/// LeakyRelu(row_i[col + j]) times g[i] for i ascending, skipping
+/// zeros, in two registers of 16 columns. Row i is src's row i, or row
+/// rows[i].
+void ScoreWeightColumns(const float* src, int64_t d, const int32_t* rows,
+                        int64_t n, int64_t col, int64_t width, float slope,
+                        const float* g, float* dw) {
+  static_assert(kReductionChunkRows == 2 * kLanes);
+  const __m512 slopes = _mm512_set1_ps(slope);
+  const __mmask16 low = FirstLanes(width);
+  const __mmask16 high = FirstLanes(std::max<int64_t>(0, width - kLanes));
+  __m512 acc0 = _mm512_maskz_loadu_ps(low, dw);
+  __m512 acc1 = _mm512_maskz_loadu_ps(high, dw + kLanes);
+  for (int64_t i = 0; i < n; ++i) {
+    const float* row = src + RowOf(rows, i) * d + col;
+    const __m512 gi = _mm512_set1_ps(g[i]);
+    acc0 = MulAddUnlessZero16(
+        LeakyRelu16(_mm512_maskz_loadu_ps(low, row), slopes), gi, acc0);
+    acc1 = MulAddUnlessZero16(
+        LeakyRelu16(_mm512_maskz_loadu_ps(high, row + kLanes), slopes), gi,
+        acc1);
+  }
+  _mm512_mask_storeu_ps(dw, low, acc0);
+  _mm512_mask_storeu_ps(dw + kLanes, high, acc1);
+}
+#else
+/// Steps per block of the portable score tile: a block's LeakyRelu
+/// values fill a [64][16] array on the stack (4 KiB).
+constexpr int64_t kScoreBlockSteps = 64;
+
+/// Continues the sixteen MulAdd chains acc[r] over `width` steps of
+/// one half of the tile's input rows, src[r][t]: LeakyRelu(src[r][t])
+/// times w[t] for t ascending, skipping zeros, as MatMul's one-column
+/// tile does. Each block's values are laid out [step][row] first, so
+/// one step of all sixteen chains reads one contiguous line.
+void ContinueScoreChains(const float* const* src, int64_t width,
+                         const float* w, float slope, float* acc) {
+  alignas(64) float lr[kScoreBlockSteps][kVectorTileRows];
+  for (int64_t t0 = 0; t0 < width; t0 += kScoreBlockSteps) {
+    const int64_t steps = std::min(kScoreBlockSteps, width - t0);
+    for (int64_t r = 0; r < kVectorTileRows; ++r) {
+      const float* row = src[r] + t0;
+      for (int64_t t = 0; t < steps; ++t) {
+        lr[t][r] = LeakyReluSelect(row[t], slope);
+      }
+    }
+    for (int64_t t = 0; t < steps; ++t) {
+      const float wt = w[t0 + t];
+      for (int64_t r = 0; r < kVectorTileRows; ++r) {
+        acc[r] = MulAddUnlessZero(lr[t][r], wt, acc[r]);
+      }
+    }
+  }
+}
+
+/// z's rows [r0, r0 + count) for count <= 16, from the tile's row
+/// pointers into x and table: one chain per row.
+void ScoreTile(const float* const* x_rows, int64_t dx,
+               const float* const* table_rows, int64_t dt, const float* w,
+               float slope, int64_t count, float* z) {
+  float acc[kVectorTileRows];
+  for (float& a : acc) a = 0.0f;
+  ContinueScoreChains(x_rows, dx, w, slope, acc);
+  ContinueScoreChains(table_rows, dt, w + dx, slope, acc);
+  for (int64_t r = 0; r < count; ++r) z[r] = acc[r];
+}
+
+/// dw[j] for the `width` <= kReductionChunkRows columns of one half from
+/// `col`: MatMulTN's m = 1 chain, from dw[j], over
+/// LeakyRelu(row_i[col + j]) times g[i] for i ascending, skipping
+/// zeros. Row i is src's row i, or row rows[i].
+void ScoreWeightColumns(const float* src, int64_t d, const int32_t* rows,
+                        int64_t n, int64_t col, int64_t width, float slope,
+                        const float* g, float* dw) {
+  float acc[kReductionChunkRows];
+  for (int64_t j = 0; j < width; ++j) acc[j] = dw[j];
+  for (int64_t i = 0; i < n; ++i) {
+    const float* row = src + RowOf(rows, i) * d + col;
+    const float gi = g[i];
+    for (int64_t j = 0; j < width; ++j) {
+      acc[j] = MulAddUnlessZero(LeakyReluSelect(row[j], slope), gi, acc[j]);
+    }
+  }
+  for (int64_t j = 0; j < width; ++j) dw[j] = acc[j];
+}
+#endif
+
+/// Columns [lo, hi) of one half of dw, kReductionChunkRows at a time.
+void ScoreWeightHalf(const float* src, int64_t d, const int32_t* rows,
+                     int64_t n, int64_t lo, int64_t hi, float slope,
+                     const float* g, float* dw) {
+  for (int64_t j0 = lo; j0 < hi; j0 += kReductionChunkRows) {
+    ScoreWeightColumns(src, d, rows, n, j0,
+                       std::min(kReductionChunkRows, hi - j0), slope, g,
+                       dw + j0);
+  }
+}
+
+/// What one element of the pair input's gradient adds into its source
+/// before the scatter: MatMulNT's overwrite value of g·wᵀ (a rounded
+/// product summed onto +0), then LeakyRelu's backward step into a
+/// zero-filled gradient, also a rounded product added onto +0. That
+/// step is `dx += g * dydx` in the tape's build, which GCC does not
+/// fuse: it picks g or a rounded g·slope first, then adds. A fused
+/// step would differ where the product rounds to -0.
+inline float ScoreInputGradient(float g, float w, float v, float slope) {
+  const float dv = 0.0f + g * w;
+  // dv · ScalarLeakyReluGrad(v, slope), where dv · 1 is dv itself.
+  return 0.0f + Select(v >= 0.0f, dv, dv * slope);
+}
+
+}  // namespace
+
+void LeakyPairScore(const float* x, int64_t n, int64_t dx, const float* table,
+                    int64_t dt, const int32_t* idx, const float* w,
+                    float slope, float* z) {
+  // Chunks of the fewest 16-row tiles that hold kChunkMulAdds, as
+  // ParallelRows sizes MatMul's.
+  const int64_t tile_mul_adds =
+      std::max<int64_t>(1, kVectorTileRows * (dx + dt));
+  const int64_t grain =
+      kVectorTileRows * ((kChunkMulAdds + tile_mul_adds - 1) / tile_mul_adds);
+  core::ParallelFor(0, n, grain, [&](int64_t lo, int64_t hi) {
+    for (int64_t r0 = lo; r0 < hi; r0 += kVectorTileRows) {
+      const int64_t count = std::min(kVectorTileRows, hi - r0);
+      const float* x_rows[kVectorTileRows];
+      const float* table_rows[kVectorTileRows];
+      for (int64_t r = 0; r < kVectorTileRows; ++r) {
+        // A short tile repeats its last row; those sums are dropped.
+        const int64_t i = r0 + std::min(r, count - 1);
+        x_rows[r] = x + i * dx;
+        table_rows[r] = table + static_cast<int64_t>(idx[i]) * dt;
+      }
+      ScoreTile(x_rows, dx, table_rows, dt, w, slope, count, z + r0);
+    }
+  });
+}
+
+void LeakyPairScoreBackward(const float* x, int64_t n, int64_t dx,
+                            const float* table, int64_t rows, int64_t dt,
+                            const int32_t* idx, const float* w, float slope,
+                            const float* g, float* grad_x, float* grad_table,
+                            float* grad_w) {
+  if (grad_w != nullptr) {
+    // MatMulTN of the pair input with m = 1: rows [0, dx) of dw reduce
+    // over x's rows, rows [dx, dx + dt) over table's rows through idx.
+    core::ParallelFor(0, dx + dt, kReductionChunkRows,
+                      [&](int64_t lo, int64_t hi) {
+      if (lo < dx) {
+        ScoreWeightHalf(x, dx, nullptr, n, lo, std::min(hi, dx), slope, g,
+                        grad_w);
+      }
+      if (hi > dx) {
+        ScoreWeightHalf(table, dt, idx, n, std::max(lo, dx) - dx, hi - dx,
+                        slope, g, grad_w + dx);
+      }
+    });
+  }
+  if (grad_x != nullptr) {
+    // ConcatCols's backward: one add per element into x's gradient.
+    core::ParallelFor(0, n, kRowGrain, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        const float gi = g[i];
+        const float* v = x + i * dx;
+        float* out = grad_x + i * dx;
+        for (int64_t t = 0; t < dx; ++t) {
+          out[t] = out[t] + ScoreInputGradient(gi, w[t], v[t], slope);
+        }
+      }
+    });
+  }
+  if (grad_table != nullptr) {
+    // The gather's backward: each table row adds its pairs' halves,
+    // each summed onto +0 first, one pair at a time in ascending pair
+    // order. The pairs are grouped by row (a stable counting sort), and
+    // chunks are ranges of rows. Per-call scratch as in
+    // AddPairHalfGradients.
+    thread_local std::vector<int64_t> t_offsets, t_cursor;
+    thread_local std::vector<int32_t> t_pairs;
+    t_offsets.assign(static_cast<size_t>(rows) + 1, 0);
+    for (int64_t i = 0; i < n; ++i) ++t_offsets[idx[i] + 1];
+    for (int64_t r = 0; r < rows; ++r) t_offsets[r + 1] += t_offsets[r];
+    t_cursor.assign(t_offsets.begin(), t_offsets.end() - 1);
+    t_pairs.resize(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      t_pairs[t_cursor[idx[i]]++] = static_cast<int32_t>(i);
+    }
+    const int64_t* offsets = t_offsets.data();
+    const int32_t* pairs = t_pairs.data();
+    const float* w_table = w + dx;
+    core::ParallelFor(0, rows, kSegmentGrain, [&](int64_t lo, int64_t hi) {
+      for (int64_t r = lo; r < hi; ++r) {
+        const float* v = table + r * dt;
+        float* out = grad_table + r * dt;
+        for (int64_t p = offsets[r]; p < offsets[r + 1]; ++p) {
+          const float gi = g[pairs[p]];
+          for (int64_t t = 0; t < dt; ++t) {
+            out[t] = out[t] +
+                     (0.0f + ScoreInputGradient(gi, w_table[t], v[t], slope));
+          }
+        }
+      }
+    });
   }
 }
 

@@ -92,6 +92,25 @@ Tensor PairMatMul(const Tensor& h, const std::vector<int32_t>& a,
   return FinishRecord(std::move(out));
 }
 
+Tensor LeakyPairScore(const Tensor& x, const Tensor& table,
+                      const std::vector<int32_t>& idx, const Tensor& w,
+                      float slope) {
+  HYGNN_CHECK(x.defined() && table.defined() && w.defined());
+  HYGNN_CHECK_EQ(w.rows(), x.cols() + table.cols());
+  HYGNN_CHECK_EQ(w.cols(), 1);
+  const int64_t n = x.rows();
+  HYGNN_CHECK_EQ(static_cast<int64_t>(idx.size()), n);
+  HYGNN_CHECK(
+      IndicesInRange(idx.data(), n, 0, static_cast<int32_t>(table.rows())))
+      << "LeakyPairScore index out of range [0, " << table.rows() << ")";
+  HYGNN_DCHECK(std::isfinite(slope));
+  auto out = RecordOp("LeakyPairScore", OpKind::kLeakyPairScore, n, 1,
+                      {x.impl(), table.impl(), w.impl()});
+  out->rec->ibuf = idx;
+  out->rec->alpha = slope;
+  return FinishRecord(std::move(out));
+}
+
 Tensor SegmentSoftmax(const Tensor& scores,
                       const std::vector<int32_t>& segment_ids,
                       int64_t num_segments) {

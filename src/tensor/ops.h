@@ -48,6 +48,17 @@ Tensor IndexSelectRows(const Tensor& x, const std::vector<int32_t>& indices);
 Tensor PairMatMul(const Tensor& h, const std::vector<int32_t>& a,
                   const std::vector<int32_t>& b, const Tensor& w);
 
+/// The encoder's node-level attention score: out[i] =
+/// LeakyRelu(x[i] ‖ table[idx[i]], slope) · w for x [n, dx], table
+/// [rows, dt] and a one-column w [dx + dt, 1], giving [n, 1] for
+/// n = idx.size(). Values and gradients are bit-identical to
+/// MatMul(LeakyRelu(ConcatCols(x, IndexSelectRows(table, idx)), slope), w)
+/// without the [n, dx + dt] input or its gradient: the kernels read
+/// table's rows through idx.
+Tensor LeakyPairScore(const Tensor& x, const Tensor& table,
+                      const std::vector<int32_t>& idx, const Tensor& w,
+                      float slope);
+
 /// Softmax of a [n,1] score column computed independently within each
 /// segment: out_i = exp(s_i) / sum_{j: seg[j]==seg[i]} exp(s_j).
 /// Numerically stabilized by per-segment max subtraction. Empty segments

@@ -1,7 +1,6 @@
 #include "tensor/sparse.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "core/logging.h"
@@ -9,29 +8,58 @@
 
 namespace hygnn::tensor {
 
+namespace {
+
+/// Reorders `order` (positions into `keys`) by keys[order[i]], each in
+/// [0, range), keeping equal keys in their current order: one stable
+/// counting sort.
+void StableSortByKey(const std::vector<int32_t>& keys, int64_t range,
+                     std::vector<size_t>* order) {
+  std::vector<size_t> next(static_cast<size_t>(range) + 1, 0);
+  for (const size_t i : *order) ++next[static_cast<size_t>(keys[i]) + 1];
+  for (size_t k = 1; k < next.size(); ++k) next[k] += next[k - 1];
+  std::vector<size_t> sorted(order->size());
+  for (const size_t i : *order) sorted[next[keys[i]]++] = i;
+  order->swap(sorted);
+}
+
+}  // namespace
+
 std::shared_ptr<CsrMatrix> CsrMatrix::FromCoo(
     int64_t rows, int64_t cols, const std::vector<int32_t>& row_indices,
     const std::vector<int32_t>& col_indices,
     const std::vector<float>& values) {
   HYGNN_CHECK_EQ(row_indices.size(), col_indices.size());
   HYGNN_CHECK_EQ(row_indices.size(), values.size());
+  const size_t n = row_indices.size();
+  for (size_t i = 0; i < n; ++i) {
+    HYGNN_CHECK(row_indices[i] >= 0 && row_indices[i] < rows);
+    HYGNN_CHECK(col_indices[i] >= 0 && col_indices[i] < cols);
+  }
+  // Sorted by column, then stably by row: (row, column) order, with the
+  // entries of one cell in input order.
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  StableSortByKey(col_indices, cols, &order);
+  StableSortByKey(row_indices, rows, &order);
   auto m = std::make_shared<CsrMatrix>();
   m->rows_ = rows;
   m->cols_ = cols;
-  // Deduplicate by (row, col), summing values.
-  std::map<std::pair<int32_t, int32_t>, float> cells;
-  for (size_t i = 0; i < row_indices.size(); ++i) {
-    HYGNN_CHECK(row_indices[i] >= 0 && row_indices[i] < rows);
-    HYGNN_CHECK(col_indices[i] >= 0 && col_indices[i] < cols);
-    cells[{row_indices[i], col_indices[i]}] += values[i];
-  }
   m->row_ptr_.assign(static_cast<size_t>(rows) + 1, 0);
-  m->col_idx_.reserve(cells.size());
-  m->values_.reserve(cells.size());
-  for (const auto& [key, value] : cells) {
-    m->row_ptr_[static_cast<size_t>(key.first) + 1]++;
-    m->col_idx_.push_back(key.second);
-    m->values_.push_back(value);
+  for (size_t k = 0; k < n;) {
+    const int32_t row = row_indices[order[k]];
+    const int32_t col = col_indices[order[k]];
+    // Duplicates are summed from +0 in input order, so a lone -0 is
+    // stored as +0.
+    float sum = 0.0f;
+    for (; k < n && row_indices[order[k]] == row &&
+           col_indices[order[k]] == col;
+         ++k) {
+      sum += values[order[k]];
+    }
+    ++m->row_ptr_[static_cast<size_t>(row) + 1];
+    m->col_idx_.push_back(col);
+    m->values_.push_back(sum);
   }
   for (size_t r = 1; r < m->row_ptr_.size(); ++r) {
     m->row_ptr_[r] += m->row_ptr_[r - 1];
@@ -41,19 +69,31 @@ std::shared_ptr<CsrMatrix> CsrMatrix::FromCoo(
 
 std::shared_ptr<const CsrMatrix> CsrMatrix::Transpose() const {
   if (transpose_cache_) return transpose_cache_;
-  std::vector<int32_t> t_rows, t_cols;
-  std::vector<float> t_vals;
-  t_rows.reserve(col_idx_.size());
-  t_cols.reserve(col_idx_.size());
-  t_vals.reserve(col_idx_.size());
+  // The entries, walked row by row, are unique and in (row, column)
+  // order, so one stable counting sort by column puts them in the
+  // transpose's order. Each value is a sum from +0 already, which FromCoo
+  // on the transposed triplets would leave as it is, so it is copied.
+  auto t = std::make_shared<CsrMatrix>();
+  t->rows_ = cols_;
+  t->cols_ = rows_;
+  t->row_ptr_.assign(static_cast<size_t>(cols_) + 1, 0);
+  for (const int32_t col : col_idx_) {
+    ++t->row_ptr_[static_cast<size_t>(col) + 1];
+  }
+  for (size_t c = 1; c < t->row_ptr_.size(); ++c) {
+    t->row_ptr_[c] += t->row_ptr_[c - 1];
+  }
+  std::vector<int64_t> next(t->row_ptr_.begin(), t->row_ptr_.end() - 1);
+  t->col_idx_.resize(col_idx_.size());
+  t->values_.resize(values_.size());
   for (int64_t r = 0; r < rows_; ++r) {
     for (int64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      t_rows.push_back(col_idx_[k]);
-      t_cols.push_back(static_cast<int32_t>(r));
-      t_vals.push_back(values_[k]);
+      const int64_t slot = next[col_idx_[k]]++;
+      t->col_idx_[slot] = static_cast<int32_t>(r);
+      t->values_[slot] = values_[k];
     }
   }
-  transpose_cache_ = FromCoo(cols_, rows_, t_rows, t_cols, t_vals);
+  transpose_cache_ = std::move(t);
   return transpose_cache_;
 }
 

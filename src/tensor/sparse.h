@@ -14,7 +14,8 @@ namespace hygnn::tensor {
 /// adjacency of GCN). Immutable after construction.
 class CsrMatrix {
  public:
-  /// Builds from COO triplets. Duplicate (row, col) entries are summed.
+  /// Builds from COO triplets: each row's entries by ascending column,
+  /// duplicate (row, col) entries summed from +0 in input order.
   static std::shared_ptr<CsrMatrix> FromCoo(
       int64_t rows, int64_t cols, const std::vector<int32_t>& row_indices,
       const std::vector<int32_t>& col_indices,

@@ -175,6 +175,7 @@ bool AccumulatesIntoOutput(OpKind kind) {
     case OpKind::kConcatCols:
     case OpKind::kIndexSelectRows:
     case OpKind::kPairMatMul:
+    case OpKind::kLeakyPairScore:
     case OpKind::kSegmentSoftmax:
     case OpKind::kReduceSum:
     case OpKind::kRelu:
@@ -239,6 +240,13 @@ void DispatchForward(TensorImpl* node, OpRecord* rec) {
                           w->data.data(), w->cols, out);
       break;
     }
+    case OpKind::kLeakyPairScore: {
+      const TensorImpl* table = node->parents[1].get();
+      kernels::LeakyPairScore(x, node->rows, p0->cols, table->data.data(),
+                              table->cols, rec->ibuf.data(),
+                              node->parents[2]->data.data(), rec->alpha, out);
+      break;
+    }
     case OpKind::kSegmentSoftmax:
       kernels::SegmentSoftmax(x, rec->ibuf.data(), node->rows,
                               rec->num_segments, out);
@@ -301,8 +309,9 @@ void ExecuteNodeForward(TensorImpl* node, bool time_ops) {
   DispatchForward(node, rec);
   if (time_ops) obs::RecordForward(node->op, obs::NowNanos() - start);
   g_ops_executed.fetch_add(1, std::memory_order_relaxed);
-  const bool fused =
-      rec->kind == OpKind::kPairMatMul || rec->kind == OpKind::kBiasRelu;
+  const bool fused = rec->kind == OpKind::kPairMatMul ||
+                     rec->kind == OpKind::kLeakyPairScore ||
+                     rec->kind == OpKind::kBiasRelu;
   if (fused) g_fused_groups.fetch_add(1, std::memory_order_relaxed);
   node->materialized = true;
   // BiasRelu's ReLU maps a NaN sum to 0, so its output alone would hide
@@ -421,6 +430,34 @@ void DispatchBackward(TensorImpl* node, OpRecord* rec) {
       kernels::PairMatMulBackward(p0->data.data(), p0->rows, p0->cols,
                                   rec->ibuf.data(), rec->ibuf.data() + n, n,
                                   w->data.data(), w->cols, g, dh, dw);
+      break;
+    }
+    case OpKind::kLeakyPairScore: {
+      // The bits of MatMul's backward (dw, and the [n, dx + dt] input
+      // gradient that no buffer holds), LeakyRelu's, ConcatCols's into
+      // x and the gather's into table: the composition ran them in that
+      // order, one after the other.
+      TensorImpl* table = node->parents[1].get();
+      TensorImpl* w = node->parents[2].get();
+      float* dw = nullptr;
+      float* dx = nullptr;
+      float* dtable = nullptr;
+      if (w->requires_grad) {
+        w->EnsureGrad();
+        dw = w->grad.data();
+      }
+      if (p0->requires_grad) {
+        p0->EnsureGrad();
+        dx = p0->grad.data();
+      }
+      if (table->requires_grad) {
+        table->EnsureGrad();
+        dtable = table->grad.data();
+      }
+      kernels::LeakyPairScoreBackward(
+          p0->data.data(), node->rows, p0->cols, table->data.data(),
+          table->rows, table->cols, rec->ibuf.data(), w->data.data(),
+          rec->alpha, g, dx, dtable, dw);
       break;
     }
     case OpKind::kSegmentSoftmax:

@@ -32,11 +32,13 @@ namespace hygnn::tensor {
 /// dispatches on the node's OpKind. There is no other way to run a
 /// node, forward or backward.
 ///
-/// Two ops stand for a composition of others on the decoder's hot path:
-/// PairMatMul for MatMul of ConcatCols of two IndexSelectRows of one
-/// table, and BiasRelu for Relu of AddRowBroadcast. Their kernels write
-/// the same bits, values and gradients, as the compositions they
-/// replace (see DESIGN.md §12). The backward pass keeps the seed
+/// Three ops stand for a composition of others on the hot paths: on the
+/// decoder's, PairMatMul for MatMul of ConcatCols of two IndexSelectRows
+/// of one table, and BiasRelu for Relu of AddRowBroadcast; on the
+/// encoder's, LeakyPairScore for MatMul of LeakyRelu of ConcatCols of a
+/// tensor and an IndexSelectRows. Their kernels write the same bits,
+/// values and gradients, as the compositions they replace (see
+/// DESIGN.md §12). The backward pass keeps the seed
 /// engine's node order, so gradients are memcmp-equal at any thread
 /// count.
 
@@ -52,6 +54,7 @@ enum class OpKind : uint8_t {
   kConcatCols,
   kIndexSelectRows,
   kPairMatMul,
+  kLeakyPairScore,
   kSegmentSoftmax,
   kSegmentSum,
   kRowwiseDot,
@@ -69,11 +72,12 @@ enum class OpKind : uint8_t {
 /// owning TensorImpl, in the operand order the kernels expect.
 struct OpRecord {
   OpKind kind = OpKind::kAdd;
-  /// Scalar parameter: the LeakyRelu slope. Unused otherwise.
+  /// Scalar parameter: the LeakyRelu or LeakyPairScore slope. Unused
+  /// otherwise.
   float alpha = 0.0f;
   /// Integer payload: IndexSelectRows indices, PairMatMul's a indices
-  /// followed by its b indices, Segment* segment ids, or the
-  /// SoftmaxCrossEntropyLoss labels.
+  /// followed by its b indices, LeakyPairScore's table indices,
+  /// Segment* segment ids, or the SoftmaxCrossEntropyLoss labels.
   std::vector<int32_t> ibuf;
   /// Float payload: the Dropout mask (drawn at record time so the RNG
   /// stream order matches program order), the BceWithLogitsLoss
@@ -104,8 +108,8 @@ Tensor FinishRecord(std::shared_ptr<TensorImpl> out);
 /// the obs per-op attribution table.
 void ExecuteNodeBackward(TensorImpl* node, bool time_ops);
 
-/// Always true: PairMatMul and BiasRelu, the engine's fused ops, have
-/// no unfused mode. Kept for the benchmark's run header.
+/// Always true: PairMatMul, BiasRelu and LeakyPairScore, the engine's
+/// fused ops, have no unfused mode. Kept for the benchmark's run header.
 inline bool FusionEnabled() { return true; }
 
 /// Executor counters since the last ResetExecStats, safe to read
@@ -116,7 +120,8 @@ inline bool FusionEnabled() { return true; }
 /// overwrites them.
 struct ExecStatsSnapshot {
   uint64_t ops_executed = 0;       // kernel-level invocations
-  uint64_t fused_groups = 0;       // PairMatMul and BiasRelu forwards
+  uint64_t fused_groups = 0;       // PairMatMul, BiasRelu and
+                                   // LeakyPairScore forwards
   uint64_t buffers_allocated = 0;  // output data buffers allocated
   uint64_t buffers_recycled = 0;   // output and gradient buffers, filled
                                    // or not, served from held storage

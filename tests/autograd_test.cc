@@ -161,6 +161,40 @@ TEST(GradCheckTest, PairMatMul) {
                            });
 }
 
+TEST(GradCheckTest, LeakyPairScore) {
+  // Table row 1 is read by three pairs, row 2 by none; inputs stay away
+  // from 0, where LeakyRelu's slope changes.
+  const std::vector<int32_t> idx{1, 0, 1, 3, 1};
+  const auto away_from_kink = [](Tensor t) {
+    for (int64_t i = 0; i < t.size(); ++i) {
+      if (std::fabs(t.data()[i]) < 0.1f) t.data()[i] = -0.4f;
+    }
+    return t;
+  };
+  const auto loss = [&](const Tensor& x, const Tensor& table,
+                        const Tensor& w) {
+    Tensor z = LeakyPairScore(x, table, idx, w, 0.2f);
+    return ReduceSum(RowwiseDot(z, z));
+  };
+  const auto make_x = [&] { return away_from_kink(FixedRandom(5, 3, 17)); };
+  const auto make_table = [&] {
+    return away_from_kink(FixedRandom(4, 2, 18));
+  };
+  const auto make_w = [] { return FixedRandom(5, 1, 19); };
+  const Tensor x = make_x().Detach();
+  const Tensor table = make_table().Detach();
+  const Tensor w = make_w().Detach();
+  ExpectGradMatchesNumeric(make_x, [&](const Tensor& leaf) {
+    return loss(leaf, table, w);
+  });
+  ExpectGradMatchesNumeric(make_table, [&](const Tensor& leaf) {
+    return loss(x, leaf, w);
+  });
+  ExpectGradMatchesNumeric(make_w, [&](const Tensor& leaf) {
+    return loss(x, table, leaf);
+  });
+}
+
 TEST(GradCheckTest, BiasReluBothInputs) {
   // Pre-activations kept away from 0, where ReLU is non-differentiable.
   const auto away_from_kink = [](Tensor t) {

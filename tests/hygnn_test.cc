@@ -1,5 +1,8 @@
 #include <cmath>
 #include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +96,44 @@ TEST(EncoderTest, GradientsReachAllParameters) {
     }
     EXPECT_TRUE(any_nonzero);
   }
+}
+
+TEST(EncoderTest, NodeLevelScoreBuildsNoPairFeatures) {
+  // The recorded graph of one attention layer, read before anything
+  // runs: the node-level score is one LeakyPairScore over the gathered
+  // W_p p_i rows and W_q q_j, which only the messages' gather reads by
+  // pair. No ConcatCols, and no node as wide as the pair features.
+  core::Rng rng(3);
+  auto context = HypergraphContext::FromHypergraph(TinyHypergraph());
+  EncoderConfig config;
+  config.hidden_dim = 8;
+  config.output_dim = 6;
+  HypergraphEdgeEncoder encoder(5, config, &rng);
+  const tensor::Tensor q = encoder.Forward(context, true, &rng);
+  std::map<std::string, int> ops;
+  int q_proj_gathers = 0;
+  int pair_feature_nodes = 0;
+  std::vector<tensor::TensorImpl*> stack{q.impl().get()};
+  std::set<tensor::TensorImpl*> seen{q.impl().get()};
+  while (!stack.empty()) {
+    tensor::TensorImpl* node = stack.back();
+    stack.pop_back();
+    ++ops[node->op];
+    if (node->cols == config.output_dim + config.hidden_dim) {
+      ++pair_feature_nodes;
+    }
+    for (const auto& parent : node->parents) {
+      if (std::string(node->op) == "IndexSelectRows" &&
+          std::string(parent->op) == "SpMM") {
+        ++q_proj_gathers;
+      }
+      if (seen.insert(parent.get()).second) stack.push_back(parent.get());
+    }
+  }
+  EXPECT_EQ(ops["LeakyPairScore"], 1);
+  EXPECT_EQ(ops["ConcatCols"], 0);
+  EXPECT_EQ(q_proj_gathers, 1);
+  EXPECT_EQ(pair_feature_nodes, 0);
 }
 
 TEST(EncoderTest, DrugsWithSharedSubstructuresMoreSimilar) {

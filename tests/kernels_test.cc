@@ -169,6 +169,26 @@ TEST(KernelParityTest, PairMatMulAndBiasRelu) {
   });
 }
 
+TEST(KernelParityTest, LeakyPairScore) {
+  // Ragged 16-column blocks (dx = 19, dt = 23), then the encoder's
+  // widths; 203 pairs over 37 table rows, row 3 read by every other
+  // pair.
+  for (const int64_t d : {kCols, int64_t{64}}) {
+    ExpectThreadParity("LeakyPairScore",
+                       [d](std::vector<tensor::Tensor>* inputs) {
+      const int64_t dt = d == 64 ? 64 : 23;
+      auto x = MakeLeaf(inputs, 35, 203, d);
+      auto table = MakeLeaf(inputs, 36, kRows, dt);
+      auto w = MakeLeaf(inputs, 37, d + dt, 1);
+      std::vector<int32_t> idx;
+      for (int32_t i = 0; i < 203; ++i) {
+        idx.push_back(i % 2 == 0 ? 3 : (i * 11) % static_cast<int32_t>(kRows));
+      }
+      return tensor::LeakyPairScore(x, table, idx, w, 0.2f);
+    });
+  }
+}
+
 std::vector<int32_t> TestSegmentIds(int64_t n, int64_t num_segments) {
   // Scattered assignment with segment 2 intentionally left empty.
   std::vector<int32_t> seg(n);
@@ -694,6 +714,119 @@ TEST(DenseProductTest, PairMatMulMatchesRoundingReference) {
       EXPECT_TRUE(SameBits(z, z_ref)) << "z " << shape;
       EXPECT_TRUE(SameBits(dw, dw_ref)) << "dw " << shape;
       EXPECT_TRUE(SameBits(dh, dh_ref)) << "dh " << shape;
+      if (!same && ++failures >= 5) return;
+    }
+  }
+}
+
+/// LeakyPairScore's forward and backward against the scalar references
+/// over its explicit input X = x ‖ table[idx] ([n, dx + dt]) and its
+/// LeakyRelu V: ReferenceMatMul(V, w) for z, ReferenceMatMulTN(V, g)
+/// for dw, and for x's and table's gradients each element of
+/// ReferenceMatMulNT(g, w) times the slope factor at X, rounded and
+/// added onto +0 as LeakyRelu's backward adds it into a zero-filled
+/// gradient, then added into x's gradient, and into table's rows as the
+/// gather's scatter adds it: summed onto +0 first, pairs ascending.
+/// Column dx/2 of x and dt/2 of table are ±0 in every row and w is ±inf
+/// there, so a forward or dw step that forms 0·inf instead of skipping
+/// it writes NaN. Most entries are negative for the slope branch, pairs
+/// share table rows, the gradients start at values with some -0, and z
+/// at NaN, so a read of z shows. g of pair 0 is the least negative
+/// subnormal and x's gradient starts at -0 in that row, so a slope step
+/// fused into one MulAdd there would leave -0 where the rounded product
+/// added onto +0 leaves +0. The shapes run n below one 16-row tile,
+/// ragged tiles and column blocks, dx or dt of 1, a dw chunk that spans
+/// both halves (dx = 40), several dw chunks and rows of w's reduction,
+/// and the encoder's widths.
+TEST(DenseProductTest, LeakyPairScoreMatchesRoundingReference) {
+  struct ScoreProduct {
+    int64_t n, dx, rows, dt;
+  };
+  const std::vector<ScoreProduct> shapes = {
+      {7, 3, 2, 5},     {30, 21, 9, 13},  {41, 1, 5, 3},    {33, 5, 4, 1},
+      {16, 16, 3, 16},  {130, 40, 7, 40}, {203, 64, 45, 64},
+      {4099, 64, 37, 64},
+  };
+  constexpr float kSlope = 0.2f;
+  const auto leaky = [](float v) { return v >= 0.0f ? v : kSlope * v; };
+  const auto leaky_grad = [](float v) { return v >= 0.0f ? 1.0f : kSlope; };
+  core::Rng rng(2026);
+  int failures = 0;
+  for (const auto& [n, dx, rows, dt] : shapes) {
+    const int64_t depth = dx + dt;
+    std::vector<int32_t> idx(static_cast<size_t>(n));
+    for (int32_t& i : idx) i = static_cast<int32_t>(rng.UniformInt(rows));
+    const auto negative = [&](std::vector<float> v) {
+      for (float& e : v) {
+        if (rng.Bernoulli(0.6)) e = -std::fabs(e);
+      }
+      return v;
+    };
+    auto x = negative(DenseInput(&rng, n * dx, 0.2));
+    auto table = negative(DenseInput(&rng, rows * dt, 0.2));
+    auto w = DenseInput(&rng, depth, 0.1);
+    auto g = DenseInput(&rng, n, 0.1);
+    g[0] = -0x1p-149f;
+    auto dx0 = DenseInput(&rng, n * dx, 0.2);
+    std::fill_n(dx0.begin(), dx, -0.0f);
+    const auto dt0 = DenseInput(&rng, rows * dt, 0.2);
+    const auto dw0 = DenseInput(&rng, depth, 0.2);
+    for (int64_t i = 0; i < n; ++i) x[i * dx + dx / 2] = i % 2 ? -0.0f : 0.0f;
+    for (int64_t r = 0; r < rows; ++r) {
+      table[r * dt + dt / 2] = r % 2 ? 0.0f : -0.0f;
+    }
+    w[dx / 2] = kInf;
+    w[dx + dt / 2] = -kInf;
+    std::vector<float> input(static_cast<size_t>(n * depth));
+    std::vector<float> v(input.size());
+    for (int64_t i = 0; i < n; ++i) {
+      std::copy_n(x.begin() + i * dx, dx, input.begin() + i * depth);
+      std::copy_n(table.begin() + idx[i] * dt, dt,
+                  input.begin() + i * depth + dx);
+    }
+    std::transform(input.begin(), input.end(), v.begin(), leaky);
+    std::vector<float> z_ref(static_cast<size_t>(n), 0.0f);
+    ReferenceMatMul(v.data(), w.data(), z_ref.data(), n, depth, 1);
+    std::vector<float> dw_ref = dw0;
+    ReferenceMatMulTN(v.data(), g.data(), dw_ref.data(), n, depth, 1);
+    std::vector<float> dv(input.size(), 0.0f);
+    ReferenceMatMulNT(g.data(), w.data(), dv.data(), n, 1, depth);
+    std::vector<float> dinput(input.size());
+    for (size_t e = 0; e < input.size(); ++e) {
+      dinput[e] = 0.0f + RoundedProduct(dv[e], leaky_grad(input[e]));
+    }
+    std::vector<float> dx_ref = dx0;
+    std::vector<float> dtable_half(static_cast<size_t>(n * dt));
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t t = 0; t < dx; ++t) {
+        dx_ref[i * dx + t] = dx_ref[i * dx + t] + dinput[i * depth + t];
+      }
+      for (int64_t t = 0; t < dt; ++t) {
+        dtable_half[i * dt + t] = 0.0f + dinput[i * depth + dx + t];
+      }
+    }
+    std::vector<float> dt_ref = dt0;
+    ScalarScatterAdd(dtable_half.data(), dt, idx, dt, dt_ref.data());
+    for (const int32_t threads : {1, 2, 4}) {
+      core::SetNumThreads(threads);
+      std::vector<float> z(z_ref.size(), kNaN);
+      tensor::kernels::LeakyPairScore(x.data(), n, dx, table.data(), dt,
+                                      idx.data(), w.data(), kSlope, z.data());
+      std::vector<float> dx_got = dx0, dt_got = dt0, dw_got = dw0;
+      tensor::kernels::LeakyPairScoreBackward(
+          x.data(), n, dx, table.data(), rows, dt, idx.data(), w.data(),
+          kSlope, g.data(), dx_got.data(), dt_got.data(), dw_got.data());
+      core::SetNumThreads(1);
+      const std::string shape =
+          "n=" + std::to_string(n) + " dx=" + std::to_string(dx) +
+          " rows=" + std::to_string(rows) + " dt=" + std::to_string(dt) +
+          " threads=" + std::to_string(threads);
+      const bool same = SameBits(z, z_ref) && SameBits(dw_got, dw_ref) &&
+                        SameBits(dx_got, dx_ref) && SameBits(dt_got, dt_ref);
+      EXPECT_TRUE(SameBits(z, z_ref)) << "z " << shape;
+      EXPECT_TRUE(SameBits(dw_got, dw_ref)) << "dw " << shape;
+      EXPECT_TRUE(SameBits(dx_got, dx_ref)) << "dx " << shape;
+      EXPECT_TRUE(SameBits(dt_got, dt_ref)) << "dtable " << shape;
       if (!same && ++failures >= 5) return;
     }
   }

@@ -1,4 +1,8 @@
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -61,6 +65,84 @@ TEST(CsrMatrixTest, TransposeCorrect) {
 TEST(CsrMatrixTest, TransposeIsCached) {
   auto a = CsrMatrix::FromCoo(2, 2, {0}, {1}, {1.0f});
   EXPECT_EQ(a->Transpose().get(), a->Transpose().get());
+}
+
+/// The CSR arrays FromCoo built when it summed each cell in a std::map:
+/// cells in (row, column) order, each summed from a value-initialized
+/// +0 in input order.
+struct CsrArrays {
+  std::vector<int64_t> row_ptr;
+  std::vector<int32_t> col_idx;
+  std::vector<float> values;
+};
+
+CsrArrays MapReference(int64_t rows, const std::vector<int32_t>& row_indices,
+                       const std::vector<int32_t>& col_indices,
+                       const std::vector<float>& values) {
+  std::map<std::pair<int32_t, int32_t>, float> cells;
+  for (size_t i = 0; i < row_indices.size(); ++i) {
+    cells[{row_indices[i], col_indices[i]}] += values[i];
+  }
+  CsrArrays out;
+  out.row_ptr.assign(static_cast<size_t>(rows) + 1, 0);
+  for (const auto& [key, value] : cells) {
+    ++out.row_ptr[static_cast<size_t>(key.first) + 1];
+    out.col_idx.push_back(key.second);
+    out.values.push_back(value);
+  }
+  for (size_t r = 1; r < out.row_ptr.size(); ++r) {
+    out.row_ptr[r] += out.row_ptr[r - 1];
+  }
+  return out;
+}
+
+bool SameArrays(const CsrMatrix& m, const CsrArrays& expected) {
+  return m.row_ptr() == expected.row_ptr &&
+         m.col_idx() == expected.col_idx &&
+         m.values().size() == expected.values.size() &&
+         std::memcmp(m.values().data(), expected.values.data(),
+                     expected.values.size() * sizeof(float)) == 0;
+}
+
+TEST(CsrMatrixTest, FromCooAndTransposeMatchMapReference) {
+  // Random triplets over few columns, so cells repeat, with rows that
+  // get no entry, -0 values (alone in a cell they become +0), and
+  // magnitudes far apart, so a cell summed in another order rounds
+  // differently.
+  for (const uint64_t seed : {1, 2, 3}) {
+    core::Rng rng(seed);
+    const int64_t rows = 40, cols = 7;
+    std::vector<int32_t> row_indices, col_indices;
+    std::vector<float> values;
+    for (int i = 0; i < 300; ++i) {
+      int32_t row = static_cast<int32_t>(rng.UniformInt(rows));
+      if (row % 5 == 3) row = 0;  // rows 3, 8, ... stay empty
+      row_indices.push_back(row);
+      col_indices.push_back(static_cast<int32_t>(rng.UniformInt(cols)));
+      const float u = rng.UniformFloat() * 2.0f - 1.0f;
+      values.push_back(i % 7 == 0 ? -0.0f : (i % 3 == 0 ? u * 1e8f : u));
+    }
+    // One cell holds only -0.
+    row_indices.push_back(rows - 1);
+    col_indices.push_back(cols - 1);
+    values.push_back(-0.0f);
+    const auto m =
+        CsrMatrix::FromCoo(rows, cols, row_indices, col_indices, values);
+    EXPECT_TRUE(SameArrays(
+        *m, MapReference(rows, row_indices, col_indices, values)))
+        << "FromCoo, seed " << seed;
+    // The transpose is FromCoo of the matrix's own triplets, swapped.
+    std::vector<int32_t> t_rows, t_cols;
+    for (int64_t r = 0; r < m->rows(); ++r) {
+      for (int64_t k = m->row_ptr()[r]; k < m->row_ptr()[r + 1]; ++k) {
+        t_rows.push_back(m->col_idx()[k]);
+        t_cols.push_back(static_cast<int32_t>(r));
+      }
+    }
+    EXPECT_TRUE(SameArrays(*m->Transpose(),
+                           MapReference(cols, t_rows, t_cols, m->values())))
+        << "Transpose, seed " << seed;
+  }
 }
 
 TEST(SpMMTest, ForwardMatchesDense) {

@@ -253,6 +253,137 @@ TEST_F(TapeTest, PairMatMulBitIdenticalToComposition) {
   }
 }
 
+/// One LeakyPairScore case: n pairs, x [n, dx], and a table of `rows`
+/// rows and dt columns. Every pair reads a table row drawn from all but
+/// the last, which no pair reads, so rows repeat; pairs 1 and 2 read
+/// the same row.
+struct ScoreShape {
+  int64_t n, dx, rows, dt;
+};
+
+std::vector<int32_t> ScoreIndices(const ScoreShape& shape) {
+  std::vector<int32_t> idx(static_cast<size_t>(shape.n));
+  core::Rng rng(static_cast<uint64_t>(shape.rows * 13 + shape.n));
+  for (int32_t& i : idx) {
+    i = static_cast<int32_t>(rng.UniformInt(shape.rows - 1));
+  }
+  if (shape.n > 2) idx[2] = idx[1];
+  return idx;
+}
+
+/// SeededInput with column `zero_col` ±0 in every row (the product
+/// skips it, so w's ±inf there meets no finite factor) and NaN, +inf
+/// and -inf at three entries outside that column (every NaN is
+/// DefaultNaN). Half of the other entries are negative, so LeakyRelu
+/// takes its slope there.
+tensor::Tensor ScoreInput(int64_t rows, int64_t cols, uint64_t seed) {
+  tensor::Tensor t = SeededInput(rows, cols, seed);
+  float* v = t.data();
+  const int64_t zero_col = cols / 2;
+  for (int64_t r = 0; r < rows; ++r) {
+    v[r * cols + zero_col] = r % 2 ? -0.0f : 0.0f;
+  }
+  if (cols > 1) {
+    const int64_t other = (zero_col + 1) % cols;
+    v[other] = DefaultNaN();
+    v[((rows / 2) * cols) + other] = kInf;
+    v[((rows - 1) * cols) + other] = -kInf;
+  }
+  return t;
+}
+
+/// The score's incoming gradient: magnitudes far apart (so a sum over
+/// pairs rounds differently in another order), ±0, and with `specials`
+/// NaN and ±inf too. A NaN or inf in g reaches every entry of w's
+/// gradient, so a case runs both ways.
+tensor::Tensor ScoreGradient(int64_t n, bool specials, uint64_t seed) {
+  core::Rng rng(seed);
+  std::vector<float> g(static_cast<size_t>(n));
+  for (size_t i = 0; i < g.size(); ++i) {
+    const float u = rng.UniformFloat() * 2.0f - 1.0f;
+    g[i] = i % 3 == 0 ? u * 1e8f : u;
+  }
+  g[0] = -0.0f;
+  if (n > 4) g[4] = 0.0f;
+  if (specials) {
+    g[n / 2] = DefaultNaN();
+    g[n - 1] = n % 2 ? kInf : -kInf;
+  }
+  return tensor::Tensor::FromVector(std::move(g), n, 1);
+}
+
+/// LeakyPairScore(x, table, idx, w) or the ops it replaces: the score
+/// and the gradients of x, table and w. w's entries for the ±0 columns
+/// of x and table are +inf and -inf. With `shared`, x and table each
+/// have a second reader whose backward starts their gradient first, as
+/// in the encoder: x weighted by the score's segment softmax over the
+/// table rows and summed per row (MulColumnBroadcast, then
+/// SegmentSum), and a row dot of the table.
+Captured RunLeakyPairScore(const ScoreShape& shape, bool fused, bool shared,
+                           bool special_g) {
+  constexpr float kSlope = 0.2f;
+  const std::vector<int32_t> idx = ScoreIndices(shape);
+  const tensor::Tensor x = ScoreInput(shape.n, shape.dx, /*seed=*/41);
+  const tensor::Tensor table = ScoreInput(shape.rows, shape.dt, /*seed=*/42);
+  tensor::Tensor w = SeededInput(shape.dx + shape.dt, 1, /*seed=*/43);
+  w.data()[shape.dx / 2] = kInf;
+  w.data()[shape.dx + shape.dt / 2] = -kInf;
+  const tensor::Tensor z =
+      fused ? tensor::LeakyPairScore(x, table, idx, w, kSlope)
+            : tensor::MatMul(
+                  tensor::LeakyRelu(
+                      tensor::ConcatCols(x,
+                                         tensor::IndexSelectRows(table, idx)),
+                      kSlope),
+                  w);
+  tensor::Tensor loss = tensor::ReduceSum(
+      tensor::RowwiseDot(z, ScoreGradient(shape.n, special_g, 44)));
+  if (shared) {
+    const tensor::Tensor attention =
+        tensor::SegmentSoftmax(z, idx, shape.rows);
+    const tensor::Tensor messages = tensor::SegmentSum(
+        tensor::MulColumnBroadcast(x, attention), idx, shape.rows);
+    loss = tensor::Add(
+        tensor::Add(loss,
+                    tensor::ReduceSum(tensor::RowwiseDot(
+                        messages, FixedInput(shape.rows, shape.dx, 45)))),
+        tensor::ReduceSum(tensor::RowwiseDot(
+            table, FixedInput(shape.rows, shape.dt, 46))));
+  }
+  loss.Backward();
+  return {ValuesOf(z), GradOf(x), GradOf(table), GradOf(w)};
+}
+
+/// n below, at and far above one 16-row tile and never a multiple of
+/// 16 but once; dx != dt, dx = 1 and dt = 1; ragged 16-column
+/// transposes; w's gradient in chunks that span both halves (dx = 40);
+/// and the encoder's widths (64 and 64).
+const std::vector<ScoreShape> kScoreShapes = {
+    {9, 5, 3, 1},     {37, 21, 7, 13},   {45, 1, 6, 7},
+    {16, 16, 4, 16},  {300, 64, 20, 64}, {1000, 40, 40, 40},
+};
+
+TEST_F(TapeTest, LeakyPairScoreBitIdenticalToComposition) {
+  for (const ScoreShape& shape : kScoreShapes) {
+    for (const bool shared : {false, true}) {
+      for (const bool special_g : {false, true}) {
+        const std::string what =
+            "LeakyPairScore n=" + std::to_string(shape.n) +
+            " dx=" + std::to_string(shape.dx) +
+            " rows=" + std::to_string(shape.rows) +
+            " dt=" + std::to_string(shape.dt) +
+            (shared ? " shared" : "") + (special_g ? " special g" : "");
+        const Captured reference =
+            RunLeakyPairScore(shape, false, shared, special_g);
+        ExpectBitsAtThreads(
+            reference,
+            [&] { return RunLeakyPairScore(shape, true, shared, special_g); },
+            what);
+      }
+    }
+  }
+}
+
 Captured RunBiasRelu(bool fused) {
   constexpr int64_t kN = 41, kD = 37;  // three 16-column chunks
   tensor::Tensor z = SeededInput(kN, kD, /*seed=*/33);
