@@ -18,9 +18,10 @@ Checks, over *tracked* files only (git ls-files):
   8. retired: it kept core::Stopwatch out of src/hygnn/ and src/serve/;
      the type is deleted, so the compiler now rejects every use
 
-Determinism & concurrency discipline (rules 9-12, DISCIPLINE_RULES;
-these keep every nondeterminism source inside its sanctioned home so
-the bit-identity guarantee survives concurrent code):
+Determinism & concurrency discipline (rules 9-12 and 14,
+DISCIPLINE_RULES; these keep every nondeterminism source, and the one
+grouping, inside its sanctioned home so the bit-identity guarantee
+survives concurrent code):
 
   9. no rand()/srand()/std::random_device/std::mt19937 outside
      src/core/rng and tests/ — all randomness flows through the seeded
@@ -44,6 +45,11 @@ the bit-identity guarantee survives concurrent code):
      nodes (tensor/tape.h); all kernel dispatch lives in the tape
      executor, which is what lets execution (threading, kernel choice)
      change without touching the op API
+ 14. no counting-sort count step (`++offsets[key + 1]` or
+     `offsets[key + 1]++`) in src/, bench/ or examples/ outside
+     src/core/csr.cc — items grouped by key go through
+     core::Csr::GroupBy, the one stable grouping, as rule 10 keeps the
+     one monotonic read in src/core/clock.cc
 
 Exits 0 when clean, 1 with one line per violation otherwise.
 """
@@ -89,10 +95,10 @@ RAW_FILE_STREAM = re.compile(
 # protocol, and checksum footers, so a crash there can tear files.
 NO_RAW_STREAM_DIRS = ("src/serve/", "src/data/")
 
-# Rules 9-12: each nondeterminism / concurrency primitive is confined
-# to a sanctioned home. A rule applies to files whose repo-relative path
-# starts with a `scope` prefix and none of the `exempt` prefixes;
-# matching is over comment-stripped lines.
+# Rules 9-12 and 14: each nondeterminism / concurrency primitive, and
+# the counting sort, is confined to a sanctioned home. A rule applies to
+# files whose repo-relative path starts with a `scope` prefix and none
+# of the `exempt` prefixes; matching is over comment-stripped lines.
 DISCIPLINE_RULES = (
     {
         "rule": 9,
@@ -152,6 +158,18 @@ DISCIPLINE_RULES = (
             "bare std mutex primitive — use the annotated core::Mutex / "
             "core::MutexLock / core::CondVar (src/core/mutex.h) so Clang "
             "Thread Safety Analysis sees the acquisition"),
+    },
+    {
+        "rule": 14,
+        "pattern": re.compile(
+            r"\+\+\s*[A-Za-z_][\w.>\-]*\[.*\+\s*1\]"
+            r"|[A-Za-z_][\w.>\-]*\[.*\+\s*1\]\s*\+\+"),
+        "scope": ("src/", "bench/", "examples/"),
+        "exempt": ("src/core/csr.cc",),
+        "message": (
+            "hand-rolled counting sort — group items by key with "
+            "core::Csr::GroupBy (src/core/csr.h), the one stable "
+            "grouping"),
     },
 )
 
@@ -286,7 +304,8 @@ def discipline_rules_for(path):
 
 
 def check_discipline(path, text, problems):
-    """Rules 9-12: confined nondeterminism / concurrency primitives."""
+    """Rules 9-12 and 14: confined nondeterminism / concurrency
+    primitives and the one grouping."""
     rules = discipline_rules_for(path)
     if not rules:
         return

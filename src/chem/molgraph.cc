@@ -186,37 +186,24 @@ Result<MolecularGraph> MolecularGraph::FromSmiles(const std::string& smiles) {
 }
 
 void MolecularGraph::BuildIncidence() {
-  incidence_offsets_.assign(atoms_.size() + 1, 0);
-  for (const auto& bond : bonds_) {
-    incidence_offsets_[static_cast<size_t>(bond.a) + 1]++;
-    incidence_offsets_[static_cast<size_t>(bond.b) + 1]++;
-  }
-  for (size_t i = 1; i < incidence_offsets_.size(); ++i) {
-    incidence_offsets_[i] += incidence_offsets_[i - 1];
-  }
-  incidence_.resize(static_cast<size_t>(incidence_offsets_.back()));
-  std::vector<int64_t> cursor(incidence_offsets_.begin(),
-                              incidence_offsets_.end() - 1);
-  for (int32_t bond_index = 0; bond_index < num_bonds(); ++bond_index) {
-    const auto& bond = bonds_[static_cast<size_t>(bond_index)];
-    incidence_[static_cast<size_t>(cursor[static_cast<size_t>(bond.a)]++)] =
-        bond_index;
-    incidence_[static_cast<size_t>(cursor[static_cast<size_t>(bond.b)]++)] =
-        bond_index;
-  }
+  // Bond b's end atoms sit at positions 2b and 2b + 1, so grouping them
+  // by atom and halving each position lists each atom's bonds
+  // ascending.
+  std::vector<int32_t> ends;
+  ends.reserve(2 * bonds_.size());
+  for (const auto& bond : bonds_) ends.insert(ends.end(), {bond.a, bond.b});
+  incidence_.GroupBy(ends, num_atoms());
+  for (int32_t& position : incidence_.indices) position /= 2;
 }
 
 std::span<const int32_t> MolecularGraph::IncidentBonds(int32_t atom) const {
   HYGNN_CHECK(atom >= 0 && atom < num_atoms());
-  const int64_t begin = incidence_offsets_[static_cast<size_t>(atom)];
-  const int64_t end = incidence_offsets_[static_cast<size_t>(atom) + 1];
-  return {incidence_.data() + begin, static_cast<size_t>(end - begin)};
+  return incidence_.Range(atom);
 }
 
 int64_t MolecularGraph::Degree(int32_t atom) const {
   HYGNN_CHECK(atom >= 0 && atom < num_atoms());
-  return incidence_offsets_[static_cast<size_t>(atom) + 1] -
-         incidence_offsets_[static_cast<size_t>(atom)];
+  return incidence_.Count(atom);
 }
 
 int32_t MolecularGraph::OtherEnd(int32_t bond_index, int32_t atom) const {

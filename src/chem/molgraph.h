@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/csr.h"
 #include "core/status.h"
 
 namespace hygnn::chem {
@@ -48,7 +49,7 @@ class MolecularGraph {
   const std::vector<Atom>& atoms() const { return atoms_; }
   const std::vector<Bond>& bonds() const { return bonds_; }
 
-  /// Bond indices incident to `atom`.
+  /// Bond indices incident to `atom`, ascending.
   std::span<const int32_t> IncidentBonds(int32_t atom) const;
 
   /// Degree (number of explicit bonds) of `atom`.
@@ -61,8 +62,7 @@ class MolecularGraph {
   friend class SmilesParser;
   std::vector<Atom> atoms_;
   std::vector<Bond> bonds_;
-  std::vector<int64_t> incidence_offsets_;
-  std::vector<int32_t> incidence_;
+  core::Csr incidence_;  // each atom's bonds
 
   void BuildIncidence();
 };

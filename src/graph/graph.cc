@@ -20,34 +20,24 @@ Graph::Graph(int32_t num_nodes,
     adjacency[static_cast<size_t>(u)].push_back(v);
     adjacency[static_cast<size_t>(v)].push_back(u);
   }
-  offsets_.assign(static_cast<size_t>(num_nodes) + 1, 0);
-  int64_t total = 0;
-  for (int32_t i = 0; i < num_nodes; ++i) {
-    auto& nbrs = adjacency[static_cast<size_t>(i)];
+  for (auto& nbrs : adjacency) {
     std::sort(nbrs.begin(), nbrs.end());
     nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-    total += static_cast<int64_t>(nbrs.size());
-    offsets_[static_cast<size_t>(i) + 1] = total;
+    adjacency_.indices.insert(adjacency_.indices.end(), nbrs.begin(),
+                              nbrs.end());
+    adjacency_.offsets.push_back(
+        static_cast<int64_t>(adjacency_.indices.size()));
   }
-  neighbors_.reserve(static_cast<size_t>(total));
-  for (int32_t i = 0; i < num_nodes; ++i) {
-    const auto& nbrs = adjacency[static_cast<size_t>(i)];
-    neighbors_.insert(neighbors_.end(), nbrs.begin(), nbrs.end());
-  }
-  num_edges_ = total / 2;
 }
 
 std::span<const int32_t> Graph::Neighbors(int32_t node) const {
   HYGNN_CHECK(node >= 0 && node < num_nodes_);
-  const int64_t begin = offsets_[static_cast<size_t>(node)];
-  const int64_t end = offsets_[static_cast<size_t>(node) + 1];
-  return {neighbors_.data() + begin, static_cast<size_t>(end - begin)};
+  return adjacency_.Range(node);
 }
 
 int64_t Graph::Degree(int32_t node) const {
   HYGNN_CHECK(node >= 0 && node < num_nodes_);
-  return offsets_[static_cast<size_t>(node) + 1] -
-         offsets_[static_cast<size_t>(node)];
+  return adjacency_.Count(node);
 }
 
 bool Graph::HasEdge(int32_t u, int32_t v) const {

@@ -7,13 +7,14 @@
 #include <utility>
 #include <vector>
 
+#include "core/csr.h"
 #include "tensor/sparse.h"
 
 namespace hygnn::graph {
 
-/// An undirected simple graph stored in CSR form. Nodes are dense ids
-/// [0, num_nodes). Self-loops and parallel edges in the input are
-/// dropped/merged at construction.
+/// An undirected simple graph stored in CSR form (a core::Csr of each
+/// node's neighbors). Nodes are dense ids [0, num_nodes). Self-loops
+/// and parallel edges in the input are dropped/merged at construction.
 class Graph {
  public:
   /// Builds from an undirected edge list; each {u, v} is stored in both
@@ -23,7 +24,9 @@ class Graph {
 
   int32_t num_nodes() const { return num_nodes_; }
   /// Number of undirected edges.
-  int64_t num_edges() const { return num_edges_; }
+  int64_t num_edges() const {
+    return static_cast<int64_t>(adjacency_.indices.size()) / 2;
+  }
 
   /// Neighbors of `node`, sorted ascending.
   std::span<const int32_t> Neighbors(int32_t node) const;
@@ -48,9 +51,7 @@ class Graph {
 
  private:
   int32_t num_nodes_;
-  int64_t num_edges_;
-  std::vector<int64_t> offsets_;
-  std::vector<int32_t> neighbors_;
+  core::Csr adjacency_;  // each node's neighbors, ascending
 };
 
 }  // namespace hygnn::graph

@@ -7,82 +7,45 @@
 namespace hygnn::graph {
 
 Hypergraph::Hypergraph(int32_t num_nodes,
-                       const std::vector<std::vector<int32_t>>& members)
-    : num_nodes_(num_nodes),
-      num_edges_(static_cast<int32_t>(members.size())) {
+                       const std::vector<std::vector<int32_t>>& members) {
   HYGNN_CHECK_GE(num_nodes, 0);
-  edge_offsets_.assign(static_cast<size_t>(num_edges_) + 1, 0);
-  std::vector<std::vector<int32_t>> node_to_edges(
-      static_cast<size_t>(num_nodes));
-
-  int64_t total = 0;
-  std::vector<std::vector<int32_t>> cleaned(members.size());
-  for (int32_t j = 0; j < num_edges_; ++j) {
-    auto sorted = members[static_cast<size_t>(j)];
-    for (int32_t v : sorted) {
+  std::vector<int32_t>& pair_nodes = edges_.indices;
+  for (int32_t j = 0; j < static_cast<int32_t>(members.size()); ++j) {
+    const auto& edge = members[static_cast<size_t>(j)];
+    for (int32_t v : edge) {
       HYGNN_CHECK(v >= 0 && v < num_nodes);
     }
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    total += static_cast<int64_t>(sorted.size());
-    edge_offsets_[static_cast<size_t>(j) + 1] = total;
-    for (int32_t v : sorted) {
-      node_to_edges[static_cast<size_t>(v)].push_back(j);
-    }
-    cleaned[static_cast<size_t>(j)] = std::move(sorted);
+    const auto first =
+        pair_nodes.insert(pair_nodes.end(), edge.begin(), edge.end());
+    std::sort(first, pair_nodes.end());
+    pair_nodes.erase(std::unique(first, pair_nodes.end()), pair_nodes.end());
+    pair_edges_.resize(pair_nodes.size(), j);
+    edges_.offsets.push_back(static_cast<int64_t>(pair_nodes.size()));
   }
-
-  edge_members_.reserve(static_cast<size_t>(total));
-  pair_nodes_.reserve(static_cast<size_t>(total));
-  pair_edges_.reserve(static_cast<size_t>(total));
-  for (int32_t j = 0; j < num_edges_; ++j) {
-    for (int32_t v : cleaned[static_cast<size_t>(j)]) {
-      edge_members_.push_back(v);
-      pair_nodes_.push_back(v);
-      pair_edges_.push_back(j);
-    }
-  }
-
-  node_offsets_.assign(static_cast<size_t>(num_nodes) + 1, 0);
-  int64_t node_total = 0;
-  for (int32_t v = 0; v < num_nodes; ++v) {
-    node_total +=
-        static_cast<int64_t>(node_to_edges[static_cast<size_t>(v)].size());
-    node_offsets_[static_cast<size_t>(v) + 1] = node_total;
-  }
-  node_memberships_.reserve(static_cast<size_t>(node_total));
-  for (int32_t v = 0; v < num_nodes; ++v) {
-    const auto& edges = node_to_edges[static_cast<size_t>(v)];
-    node_memberships_.insert(node_memberships_.end(), edges.begin(),
-                             edges.end());
-  }
+  // The pairs are in edge order, so grouping them by node leaves each
+  // node's edges ascending.
+  nodes_.GroupBy(pair_nodes, num_nodes);
+  for (int32_t& pair : nodes_.indices) pair = pair_edges_[pair];
 }
 
 std::span<const int32_t> Hypergraph::EdgeMembers(int32_t edge) const {
-  HYGNN_CHECK(edge >= 0 && edge < num_edges_);
-  const int64_t begin = edge_offsets_[static_cast<size_t>(edge)];
-  const int64_t end = edge_offsets_[static_cast<size_t>(edge) + 1];
-  return {edge_members_.data() + begin, static_cast<size_t>(end - begin)};
+  HYGNN_CHECK(edge >= 0 && edge < num_edges());
+  return edges_.Range(edge);
 }
 
 std::span<const int32_t> Hypergraph::NodeMemberships(int32_t node) const {
-  HYGNN_CHECK(node >= 0 && node < num_nodes_);
-  const int64_t begin = node_offsets_[static_cast<size_t>(node)];
-  const int64_t end = node_offsets_[static_cast<size_t>(node) + 1];
-  return {node_memberships_.data() + begin,
-          static_cast<size_t>(end - begin)};
+  HYGNN_CHECK(node >= 0 && node < num_nodes());
+  return nodes_.Range(node);
 }
 
 int64_t Hypergraph::NodeDegree(int32_t node) const {
-  HYGNN_CHECK(node >= 0 && node < num_nodes_);
-  return node_offsets_[static_cast<size_t>(node) + 1] -
-         node_offsets_[static_cast<size_t>(node)];
+  HYGNN_CHECK(node >= 0 && node < num_nodes());
+  return nodes_.Count(node);
 }
 
 int64_t Hypergraph::EdgeDegree(int32_t edge) const {
-  HYGNN_CHECK(edge >= 0 && edge < num_edges_);
-  return edge_offsets_[static_cast<size_t>(edge) + 1] -
-         edge_offsets_[static_cast<size_t>(edge)];
+  HYGNN_CHECK(edge >= 0 && edge < num_edges());
+  return edges_.Count(edge);
 }
 
 int64_t Hypergraph::SharedNodes(int32_t edge_a, int32_t edge_b) const {
@@ -106,10 +69,10 @@ int64_t Hypergraph::SharedNodes(int32_t edge_a, int32_t edge_b) const {
 
 std::vector<std::vector<uint8_t>> Hypergraph::DenseIncidence() const {
   std::vector<std::vector<uint8_t>> h(
-      static_cast<size_t>(num_nodes_),
-      std::vector<uint8_t>(static_cast<size_t>(num_edges_), 0));
-  for (size_t i = 0; i < pair_nodes_.size(); ++i) {
-    h[static_cast<size_t>(pair_nodes_[i])]
+      static_cast<size_t>(num_nodes()),
+      std::vector<uint8_t>(static_cast<size_t>(num_edges()), 0));
+  for (size_t i = 0; i < pair_edges_.size(); ++i) {
+    h[static_cast<size_t>(edges_.indices[i])]
      [static_cast<size_t>(pair_edges_[i])] = 1;
   }
   return h;

@@ -5,15 +5,19 @@
 #include <span>
 #include <vector>
 
+#include "core/csr.h"
+
 namespace hygnn::graph {
 
 /// A hypergraph G = (V, E) where each hyperedge connects an arbitrary
 /// number of nodes (paper §III-A). In the drug hypergraph, nodes are
 /// chemical substructures and hyperedges are drugs.
 ///
-/// Storage is the COO incidence list — one (node, edge) pair per
-/// membership — plus CSR adjacency in both directions. The COO pairs are
-/// exactly the rows that HyGNN's segment-softmax attention operates on.
+/// Storage is two core::Csr groupings of the incidences — each edge's
+/// nodes and each node's edges — plus each incidence's edge. The edge
+/// side's indices are the COO incidence list, one (node, edge) pair per
+/// membership: exactly the rows that HyGNN's segment-softmax attention
+/// operates on.
 class Hypergraph {
  public:
   /// Builds from per-edge member lists: members[j] is the node set of
@@ -21,16 +25,17 @@ class Hypergraph {
   Hypergraph(int32_t num_nodes,
              const std::vector<std::vector<int32_t>>& members);
 
-  int32_t num_nodes() const { return num_nodes_; }
-  int32_t num_edges() const { return num_edges_; }
+  int32_t num_nodes() const { return static_cast<int32_t>(nodes_.num_keys()); }
+  int32_t num_edges() const { return static_cast<int32_t>(edges_.num_keys()); }
   /// Total number of (node, edge) incidences (nnz of H).
   int64_t num_incidences() const {
-    return static_cast<int64_t>(pair_nodes_.size());
+    return static_cast<int64_t>(pair_edges_.size());
   }
 
   /// COO incidence: pair i connects node pair_nodes()[i] to hyperedge
-  /// pair_edges()[i]. Pairs are ordered by edge then node.
-  const std::vector<int32_t>& pair_nodes() const { return pair_nodes_; }
+  /// pair_edges()[i]. Pairs are ordered by edge then node, so
+  /// pair_nodes() is the edges' members concatenated.
+  const std::vector<int32_t>& pair_nodes() const { return edges_.indices; }
   const std::vector<int32_t>& pair_edges() const { return pair_edges_; }
 
   /// Nodes belonging to hyperedge `edge`, ascending.
@@ -53,17 +58,9 @@ class Hypergraph {
   std::vector<std::vector<uint8_t>> DenseIncidence() const;
 
  private:
-  int32_t num_nodes_ = 0;
-  int32_t num_edges_ = 0;
-  // COO pairs sorted by (edge, node).
-  std::vector<int32_t> pair_nodes_;
+  core::Csr edges_;  // each edge's nodes, ascending
+  core::Csr nodes_;  // each node's edges, ascending
   std::vector<int32_t> pair_edges_;
-  // CSR edge -> nodes
-  std::vector<int64_t> edge_offsets_;
-  std::vector<int32_t> edge_members_;
-  // CSR node -> edges
-  std::vector<int64_t> node_offsets_;
-  std::vector<int32_t> node_memberships_;
 };
 
 }  // namespace hygnn::graph

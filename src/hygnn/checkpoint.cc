@@ -10,6 +10,8 @@ namespace hygnn::model {
 
 using core::Result;
 using core::Status;
+using tensor::ReadPod;
+using tensor::WritePod;
 
 namespace {
 
@@ -21,17 +23,6 @@ constexpr uint32_t kCheckpointVersion = 2;
 /// Largest per-parameter moment vector Load will believe; anything
 /// bigger means a corrupt length field, not a model.
 constexpr uint64_t kMaxMomentElements = 1ull << 32;
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
 
 void WriteFloatVector(std::ostream& out, const std::vector<float>& values) {
   WritePod(out, static_cast<uint64_t>(values.size()));

@@ -12,6 +12,8 @@ namespace hygnn::serve {
 
 using core::Result;
 using core::Status;
+using tensor::ReadPod;
+using tensor::WritePod;
 
 namespace {
 
@@ -20,17 +22,6 @@ constexpr char kBundleMagic[4] = {'H', 'Y', 'G', 'B'};
 /// Longest substructure string Load will accept; anything larger means
 /// a corrupt length field, not chemistry.
 constexpr uint32_t kMaxTokenBytes = 1u << 16;
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
 
 void WriteConfig(std::ostream& out, int64_t input_dim,
                  const model::HyGnnConfig& config) {

@@ -369,8 +369,8 @@ inline float ScalarSigmoid(float v) {
 // ---------------------------------------------------------------------------
 
 /// Softmax of scores[n,1] within each segment (see ops.h
-/// SegmentSoftmax). Rows are grouped by segment internally (a stable
-/// counting sort), then segments are processed in parallel; each
+/// SegmentSoftmax). Rows are grouped by segment internally
+/// (core::Csr::GroupBy), then segments are processed in parallel; each
 /// segment's rows are visited in ascending row order so sums match the
 /// sequential accumulation bit-for-bit. Empty segments are fine.
 /// Requires every seg[i] in [0, num_segments).

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/csr.h"
 #include "tensor/kernels/kernels.h"
 
 #if HYGNN_DENSE_TILE_AVX512
@@ -472,40 +473,35 @@ constexpr int64_t kPairBlockRows = 4096;
 /// pairs' products one at a time in ascending pair order: the segment
 /// sum of a gather's backward. The pairs go in blocks of
 /// kPairBlockRows, in order. Within a block they are grouped by the row
-/// of dh they add into (a stable counting sort), chunks are ranges of
-/// those rows, and a tile may span several of them. Taking all pairs at
-/// once instead reads g's rows scattered over the whole table: about a
-/// third slower at one thread and a sixth at two.
+/// of dh they add into (core::Csr::GroupBy, a stable counting sort),
+/// chunks are ranges of those rows, and a tile may span several of
+/// them. Taking all pairs at once instead reads g's rows scattered over
+/// the whole table: about a third slower at one thread and a sixth at
+/// two.
 void AddPairHalfGradients(const float* g, int64_t n, int64_t m,
                           const float* w_half, const int32_t* idx,
                           int64_t rows, int64_t d, float* dh) {
   // Per-call scratch, kept for the next call. The pool workers read it
   // through the pointers taken here: each worker has its own, empty
   // thread_local.
-  thread_local std::vector<int64_t> t_offsets, t_cursor;
-  thread_local std::vector<int32_t> t_pairs, t_targets;
+  thread_local core::Csr t_groups;
+  thread_local std::vector<int32_t> t_targets;
   thread_local std::vector<float> t_packed;
   t_packed.resize(static_cast<size_t>(m * d));
   Transpose(w_half, d, m, t_packed.data());
   for (int64_t first = 0; first < n; first += kPairBlockRows) {
     const int64_t count = std::min(kPairBlockRows, n - first);
     const int32_t* block = idx + first;
-    t_offsets.assign(static_cast<size_t>(rows) + 1, 0);
-    for (int64_t i = 0; i < count; ++i) ++t_offsets[block[i] + 1];
-    for (int64_t r = 0; r < rows; ++r) t_offsets[r + 1] += t_offsets[r];
-    t_cursor.assign(t_offsets.begin(), t_offsets.end() - 1);
-    t_pairs.resize(static_cast<size_t>(count));
+    t_groups.GroupBy({block, static_cast<size_t>(count)}, rows);
     t_targets.resize(static_cast<size_t>(count));
-    for (int64_t i = 0; i < count; ++i) {
-      const int64_t slot = t_cursor[block[i]]++;
-      t_pairs[slot] = static_cast<int32_t>(i);
-      t_targets[slot] = block[i];
+    for (int64_t s = 0; s < count; ++s) {
+      t_targets[s] = block[t_groups.indices[s]];
     }
     Product p{g + first * m, m, 1, t_packed.data(), dh, d, m,
               Store::kAccumulate};
-    p.a_rows = t_pairs.data();
+    p.a_rows = t_groups.indices.data();
     p.c_rows = t_targets.data();
-    const int64_t* offsets = t_offsets.data();
+    const int64_t* offsets = t_groups.offsets.data();
     core::ParallelFor(0, rows, kSegmentGrain, [&](int64_t lo, int64_t hi) {
       Rows<Rounding::kSumThenAdd, Fetch::kRows>(p, offsets[lo], offsets[hi]);
     });
@@ -874,21 +870,14 @@ void LeakyPairScoreBackward(const float* x, int64_t n, int64_t dx,
   if (grad_table != nullptr) {
     // The gather's backward: each table row adds its pairs' halves,
     // each summed onto +0 first, one pair at a time in ascending pair
-    // order. The pairs are grouped by row (a stable counting sort), and
-    // chunks are ranges of rows. Per-call scratch as in
-    // AddPairHalfGradients.
-    thread_local std::vector<int64_t> t_offsets, t_cursor;
-    thread_local std::vector<int32_t> t_pairs;
-    t_offsets.assign(static_cast<size_t>(rows) + 1, 0);
-    for (int64_t i = 0; i < n; ++i) ++t_offsets[idx[i] + 1];
-    for (int64_t r = 0; r < rows; ++r) t_offsets[r + 1] += t_offsets[r];
-    t_cursor.assign(t_offsets.begin(), t_offsets.end() - 1);
-    t_pairs.resize(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      t_pairs[t_cursor[idx[i]]++] = static_cast<int32_t>(i);
-    }
-    const int64_t* offsets = t_offsets.data();
-    const int32_t* pairs = t_pairs.data();
+    // order. The pairs are grouped by row (core::Csr::GroupBy, a stable
+    // counting sort), and chunks are ranges of rows. Per-call scratch,
+    // kept for the next call and read by the workers through pointers,
+    // as in AddPairHalfGradients.
+    thread_local core::Csr t_groups;
+    t_groups.GroupBy({idx, static_cast<size_t>(n)}, rows);
+    const int64_t* offsets = t_groups.offsets.data();
+    const int32_t* pairs = t_groups.indices.data();
     const float* w_table = w + dx;
     core::ParallelFor(0, rows, kSegmentGrain, [&](int64_t lo, int64_t hi) {
       for (int64_t r = lo; r < hi; ++r) {

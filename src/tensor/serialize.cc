@@ -15,17 +15,6 @@ namespace {
 constexpr char kMagic[4] = {'H', 'Y', 'G', 'T'};
 constexpr uint32_t kVersion = 1;
 
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
 std::string ShapeString(int64_t rows, int64_t cols) {
   return "[" + std::to_string(rows) + " x " + std::to_string(cols) + "]";
 }

@@ -1,7 +1,8 @@
 #ifndef HYGNN_TENSOR_SERIALIZE_H_
 #define HYGNN_TENSOR_SERIALIZE_H_
 
-#include <iosfwd>
+#include <istream>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,6 +11,21 @@
 #include "tensor/tensor.h"
 
 namespace hygnn::tensor {
+
+/// Writes `value`'s bytes as they sit in memory: the one field codec of
+/// every binary section (tensor tables, bundles, checkpoints).
+template <typename T>
+void WritePod(std::ostream& out, const T& value) {
+  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+/// Reads back what WritePod wrote; false once the stream has failed
+/// (a short read).
+template <typename T>
+bool ReadPod(std::istream& in, T* value) {
+  in.read(reinterpret_cast<char*>(value), sizeof(T));
+  return static_cast<bool>(in);
+}
 
 /// Writes named tensors as one tensor-table section (magic, version,
 /// then each name, shape and little-endian float payload) into `out` at

@@ -5,11 +5,13 @@
 #include <memory>
 #include <vector>
 
+#include "core/csr.h"
 #include "tensor/tensor.h"
 
 namespace hygnn::tensor {
 
-/// Compressed-sparse-row matrix with float values. Used for graph
+/// Compressed-sparse-row matrix with float values: a core::Csr pattern
+/// (each row's columns) and one value per entry. Used for graph
 /// adjacency/propagation matrices (e.g. the symmetric-normalized
 /// adjacency of GCN). Immutable after construction.
 class CsrMatrix {
@@ -23,10 +25,11 @@ class CsrMatrix {
 
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
-  int64_t nnz() const { return static_cast<int64_t>(col_idx_.size()); }
+  int64_t nnz() const { return static_cast<int64_t>(pattern_.indices.size()); }
 
-  const std::vector<int64_t>& row_ptr() const { return row_ptr_; }
-  const std::vector<int32_t>& col_idx() const { return col_idx_; }
+  /// Row r's columns, ascending, are pattern().Range(r); their values
+  /// sit at the same positions of values().
+  const core::Csr& pattern() const { return pattern_; }
   const std::vector<float>& values() const { return values_; }
 
   /// Lazily-built, cached transpose (thread-unsafe lazy init; fine for the
@@ -39,8 +42,7 @@ class CsrMatrix {
  private:
   int64_t rows_ = 0;
   int64_t cols_ = 0;
-  std::vector<int64_t> row_ptr_;
-  std::vector<int32_t> col_idx_;
+  core::Csr pattern_;
   std::vector<float> values_;
   mutable std::shared_ptr<const CsrMatrix> transpose_cache_;
 };

@@ -1,10 +1,12 @@
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "chem/canonical.h"
 #include "chem/fragments.h"
 #include "chem/generator.h"
+#include "chem/molgraph.h"
 #include "chem/smiles.h"
 #include "core/rng.h"
 
@@ -88,6 +90,21 @@ TEST(CanonicalSmilesTest, RejectsInvalid) {
   EXPECT_FALSE(CanonicalSmiles("").ok());
 }
 
+/// IncidentBonds(atom) is the ascending scan of bonds() that touch
+/// `atom`.
+void ExpectIncidentBondsAscending(const MolecularGraph& mol) {
+  for (int32_t atom = 0; atom < mol.num_atoms(); ++atom) {
+    std::vector<int32_t> expected;
+    for (int32_t b = 0; b < mol.num_bonds(); ++b) {
+      if (mol.bond(b).a == atom) expected.push_back(b);
+      if (mol.bond(b).b == atom) expected.push_back(b);
+    }
+    const auto bonds = mol.IncidentBonds(atom);
+    EXPECT_EQ(std::vector<int32_t>(bonds.begin(), bonds.end()), expected)
+        << "atom " << atom;
+  }
+}
+
 /// Property sweep: every generator-produced drug canonicalizes to a
 /// valid, idempotent, graph-preserving form, and the canonical form is
 /// invariant under re-parsing.
@@ -118,6 +135,8 @@ TEST_P(CanonicalPropertyTest, GeneratedDrugsRoundTrip) {
     auto reparsed = MolecularGraph::FromSmiles(canonical).value();
     EXPECT_EQ(reparsed.num_atoms(), original.num_atoms());
     EXPECT_EQ(reparsed.num_bonds(), original.num_bonds());
+    ExpectIncidentBondsAscending(original);
+    ExpectIncidentBondsAscending(reparsed);
   }
 }
 

@@ -1,10 +1,15 @@
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 #include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/clock.h"
+#include "core/csr.h"
 #include "core/flags.h"
 #include "core/rng.h"
 #include "core/status.h"
@@ -187,6 +192,111 @@ TEST(RngTest, StateRoundTripContinuesStreamBitExact) {
   b.set_state(a.state());
   EXPECT_EQ(a.Normal(), b.Normal());
   EXPECT_EQ(a.Uniform(), b.Uniform());
+}
+
+// ---------- Csr ----------
+
+/// What Csr::GroupBy must build: the positions stably sorted by key,
+/// each key starting after the items of every smaller key.
+Csr StableSortReference(const std::vector<int32_t>& keys, int64_t num_keys) {
+  Csr expected;
+  expected.indices.resize(keys.size());
+  std::iota(expected.indices.begin(), expected.indices.end(), 0);
+  std::stable_sort(expected.indices.begin(), expected.indices.end(),
+                   [&](int32_t a, int32_t b) { return keys[a] < keys[b]; });
+  expected.offsets.clear();
+  for (int64_t k = 0; k <= num_keys; ++k) {
+    expected.offsets.push_back(std::count_if(
+        keys.begin(), keys.end(), [k](int32_t key) { return key < k; }));
+  }
+  return expected;
+}
+
+std::vector<int32_t> RandomKeys(Rng& rng, int64_t num_keys, size_t count) {
+  std::vector<int32_t> keys(count);
+  for (int32_t& key : keys) {
+    key = static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(num_keys)));
+  }
+  return keys;
+}
+
+std::vector<int32_t> Items(std::span<const int32_t> range) {
+  return {range.begin(), range.end()};
+}
+
+TEST(CsrTest, GroupByMatchesStableSortReference) {
+  // A fresh object per input, and one object regrouped across them all.
+  Rng rng(2024);
+  Csr reused;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int64_t num_keys = 1 + static_cast<int64_t>(rng.UniformInt(50));
+    const std::vector<int32_t> keys =
+        RandomKeys(rng, num_keys, rng.UniformInt(301));
+    const Csr expected = StableSortReference(keys, num_keys);
+    Csr fresh;
+    fresh.GroupBy(keys, num_keys);
+    reused.GroupBy(keys, num_keys);
+    ASSERT_EQ(fresh.num_keys(), num_keys);
+    ASSERT_EQ(fresh.offsets, expected.offsets) << "trial " << trial;
+    ASSERT_EQ(fresh.indices, expected.indices) << "trial " << trial;
+    ASSERT_EQ(reused.offsets, expected.offsets) << "trial " << trial;
+    ASSERT_EQ(reused.indices, expected.indices) << "trial " << trial;
+  }
+}
+
+TEST(CsrTest, GroupByEdgeCases) {
+  const Csr empty;
+  EXPECT_EQ(empty.num_keys(), 0);
+  EXPECT_EQ(empty.offsets, std::vector<int64_t>{0});
+
+  Csr csr;
+  csr.GroupBy({}, 0);  // no items, no keys
+  EXPECT_EQ(csr.num_keys(), 0);
+  EXPECT_EQ(csr.offsets, std::vector<int64_t>{0});
+  EXPECT_TRUE(csr.indices.empty());
+
+  csr.GroupBy({}, 3);  // no items, three keys
+  EXPECT_EQ(csr.offsets, (std::vector<int64_t>{0, 0, 0, 0}));
+  for (int64_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(csr.Count(k), 0);
+    EXPECT_TRUE(csr.Range(k).empty());
+  }
+
+  const std::vector<int32_t> gaps = {2, 0, 2, 4};  // keys 1 and 3 empty
+  csr.GroupBy(gaps, 5);
+  EXPECT_EQ(csr.offsets, (std::vector<int64_t>{0, 1, 1, 3, 3, 4}));
+  EXPECT_EQ(csr.Count(1), 0);
+  EXPECT_TRUE(csr.Range(1).empty());
+  EXPECT_EQ(csr.Count(3), 0);
+  EXPECT_TRUE(csr.Range(3).empty());
+  EXPECT_EQ(Items(csr.Range(0)), std::vector<int32_t>{1});
+  EXPECT_EQ(Items(csr.Range(2)), (std::vector<int32_t>{0, 2}));
+  EXPECT_EQ(Items(csr.Range(4)), std::vector<int32_t>{3});
+
+  const std::vector<int32_t> one_key(6, 1);  // every item on key 1
+  csr.GroupBy(one_key, 3);
+  EXPECT_EQ(csr.offsets, (std::vector<int64_t>{0, 0, 6, 6}));
+  EXPECT_EQ(csr.Count(1), 6);
+  EXPECT_EQ(Items(csr.Range(1)), (std::vector<int32_t>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(CsrTest, RegroupingLargeSmallLargeEqualsFreshObjects) {
+  // The pair kernels regroup one per-thread object on every call, at
+  // whatever size the call brings: what a larger grouping left must not
+  // show in a smaller one, nor the reverse.
+  Rng rng(7);
+  const std::vector<std::pair<int64_t, size_t>> shapes = {
+      {50, 300}, {2, 3}, {0, 0}, {40, 250}, {3, 1}, {50, 300}};
+  Csr reused;
+  for (const auto& [num_keys, count] : shapes) {
+    const std::vector<int32_t> keys = RandomKeys(rng, num_keys, count);
+    Csr fresh;
+    fresh.GroupBy(keys, num_keys);
+    reused.GroupBy(keys, num_keys);
+    EXPECT_EQ(reused.offsets, fresh.offsets) << num_keys << " keys";
+    EXPECT_EQ(reused.indices, fresh.indices) << num_keys << " keys";
+    EXPECT_EQ(fresh.indices, StableSortReference(keys, num_keys).indices);
+  }
 }
 
 // ---------- string_util ----------

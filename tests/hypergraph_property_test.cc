@@ -1,5 +1,9 @@
+#include <algorithm>
+#include <functional>
 #include <numeric>
 #include <set>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -52,6 +56,24 @@ TEST_P(HypergraphInvariantTest, InvariantsHold) {
       EXPECT_TRUE(std::find(memberships.begin(), memberships.end(), e) !=
                   memberships.end());
     }
+  }
+
+  // Both member lists are ascending (SharedNodes merges EdgeMembers),
+  // and pair_nodes() is the edges' members concatenated.
+  const auto ascending = [](std::span<const int32_t> items) {
+    return std::adjacent_find(items.begin(), items.end(),
+                              std::greater_equal<>()) == items.end();
+  };
+  std::vector<int32_t> concatenated;
+  for (int32_t e = 0; e < h.num_edges(); ++e) {
+    const auto members_of_e = h.EdgeMembers(e);
+    EXPECT_TRUE(ascending(members_of_e)) << "edge " << e;
+    concatenated.insert(concatenated.end(), members_of_e.begin(),
+                        members_of_e.end());
+  }
+  EXPECT_EQ(concatenated, h.pair_nodes());
+  for (int32_t v = 0; v < h.num_nodes(); ++v) {
+    EXPECT_TRUE(ascending(h.NodeMemberships(v))) << "node " << v;
   }
 
   // Dense incidence agrees with the COO pairs.

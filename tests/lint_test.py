@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Self-test for the repo linters (scripts/lint.py, scripts/tidy.py).
 
-Each convention rule 1-13 (8 is retired) is exercised both ways: a
+Each convention rule 1-14 (8 is retired) is exercised both ways: a
 deliberately violating fixture must fire it, and a conforming fixture
 must stay quiet. This is what keeps the gate honest — a regex edit that silently
 stops matching breaks THIS test instead of silently un-gating the repo.
@@ -209,8 +209,9 @@ class RawFileStreamTest(unittest.TestCase):  # rule 7
 
 
 class DisciplineRuleTest(unittest.TestCase):
-    """Rules 9-12 share check_discipline; assert each fires in scope,
-    stays quiet in its sanctioned home, and ignores out-of-scope files."""
+    """Rules 9-12 and 14 share check_discipline; assert each fires in
+    scope, stays quiet in its sanctioned home, and ignores out-of-scope
+    files."""
 
     def rules_fired(self, path, text):
         return sorted({
@@ -311,12 +312,38 @@ class DisciplineRuleTest(unittest.TestCase):
         self.assertEqual([], self.rules_fired(
             "src/obs/a.cc", "core::MutexLock lock(mutex_);\n"))
 
+    # -- rule 14: the counting sort ----------------------------------
+    def test_rule14_fires_on_count_steps_outside_csr_cc(self):
+        for path, snippet in (
+                ("src/tensor/kernels/segment.cc",
+                 "for (int64_t i = 0; i < n; ++i) ++offsets[seg[i] + 1];\n"),
+                ("src/tensor/sparse.cc",
+                 "++m->row_ptr_[static_cast<size_t>(row) + 1];\n"),
+                ("src/chem/molgraph.cc",
+                 "incidence_offsets_[static_cast<size_t>(bond.a) + 1]++;\n"),
+                ("bench/b.cc", "++groups.offsets[key + 1];\n"),
+                ("examples/e.cc", "++counts[k + 1];\n")):
+            self.assertEqual([14], self.rules_fired(path, snippet), path)
+
+    def test_rule14_quiet_in_csr_cc(self):
+        self.assertEqual([], self.rules_fired(
+            "src/core/csr.cc", "++offsets[seg[i] + 1];\n"))
+
+    def test_rule14_quiet_on_groupby_and_plain_increments(self):
+        self.assertEqual([], self.rules_fired(
+            "src/tensor/kernels/segment.cc",
+            "groups.GroupBy({seg, static_cast<size_t>(n)}, num_segments);\n"
+            "for (int64_t r = 0; r < rows; ++r) offsets[r + 1] += x;\n"
+            "++count[key];\n"
+            "overlap[key]++;\n"))
+
     # -- shared scoping behavior -------------------------------------
     def test_out_of_scope_paths_ignored(self):
         everything = ("std::mt19937 g;\n"
                       "std::chrono::system_clock::now();\n"
                       "std::thread t;\n"
-                      "std::mutex mu;\n")
+                      "std::mutex mu;\n"
+                      "++offsets[key + 1];\n")
         for path in ("tests/a_test.cc", "scripts/gen.cc", "docs/x.cc"):
             self.assertEqual([], self.rules_fired(path, everything), path)
 
@@ -325,8 +352,8 @@ class DisciplineRuleTest(unittest.TestCase):
             "src/hygnn/a.cc", "// replaced std::mt19937 with core::Rng\n"))
 
     def test_repo_sources_are_clean(self):
-        """Every tracked source passes rules 9-12 right now — the gate
-        starts from zero debt."""
+        """Every tracked source passes rules 9-12 and 14 right now — the
+        gate starts from zero debt."""
         problems = []
         for path in lint.tracked_files():
             p = Path(path)

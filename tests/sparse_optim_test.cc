@@ -33,7 +33,7 @@ TEST(CsrMatrixTest, DuplicatesAreSummed) {
   EXPECT_EQ(m->nnz(), 2);
   // Row 0 has a single entry of value 3 at column 1.
   EXPECT_EQ(m->values()[0], 3.0f);
-  EXPECT_EQ(m->col_idx()[0], 1);
+  EXPECT_EQ(m->pattern().indices[0], 1);
 }
 
 TEST(CsrMatrixTest, MultiplyMatchesDense) {
@@ -97,8 +97,8 @@ CsrArrays MapReference(int64_t rows, const std::vector<int32_t>& row_indices,
 }
 
 bool SameArrays(const CsrMatrix& m, const CsrArrays& expected) {
-  return m.row_ptr() == expected.row_ptr &&
-         m.col_idx() == expected.col_idx &&
+  return m.pattern().offsets == expected.row_ptr &&
+         m.pattern().indices == expected.col_idx &&
          m.values().size() == expected.values.size() &&
          std::memcmp(m.values().data(), expected.values.data(),
                      expected.values.size() * sizeof(float)) == 0;
@@ -134,8 +134,8 @@ TEST(CsrMatrixTest, FromCooAndTransposeMatchMapReference) {
     // The transpose is FromCoo of the matrix's own triplets, swapped.
     std::vector<int32_t> t_rows, t_cols;
     for (int64_t r = 0; r < m->rows(); ++r) {
-      for (int64_t k = m->row_ptr()[r]; k < m->row_ptr()[r + 1]; ++k) {
-        t_rows.push_back(m->col_idx()[k]);
+      for (const int32_t col : m->pattern().Range(r)) {
+        t_rows.push_back(col);
         t_cols.push_back(static_cast<int32_t>(r));
       }
     }
