@@ -1,8 +1,8 @@
-#include <cmath>
-
 #include "baselines/baselines.h"
+#include "baselines/pair_harness.h"
 #include "core/logging.h"
 #include "core/rng.h"
+#include "hygnn/scorer.h"
 #include "ml/bitvector.h"
 #include "ml/knn.h"
 #include "ml/logistic_regression.h"
@@ -48,17 +48,7 @@ std::vector<float> RunNnClassifier(
   nn::Mlp mlp({dim, config.classifier_hidden_dim, 1}, rng);
   tensor::Adam optimizer(mlp.Parameters(), config.learning_rate);
 
-  auto to_tensor = [](const std::vector<std::vector<float>>& rows) {
-    std::vector<float> flat;
-    flat.reserve(rows.size() * rows[0].size());
-    for (const auto& row : rows) {
-      flat.insert(flat.end(), row.begin(), row.end());
-    }
-    return tensor::Tensor::FromVector(
-        std::move(flat), static_cast<int64_t>(rows.size()),
-        static_cast<int64_t>(rows[0].size()));
-  };
-  tensor::Tensor train_x = to_tensor(train_features);
+  tensor::Tensor train_x = EmbeddingsToTensor(train_features);
   for (int32_t epoch = 0; epoch < config.epochs; ++epoch) {
     optimizer.ZeroGrad();
     tensor::Tensor logits = mlp.Forward(train_x, /*training=*/true, rng);
@@ -66,15 +56,7 @@ std::vector<float> RunNnClassifier(
     loss.Backward();
     optimizer.Step();
   }
-  tensor::Tensor test_logits = mlp.Forward(to_tensor(test_features));
-  std::vector<float> scores(static_cast<size_t>(test_logits.rows()));
-  for (int64_t i = 0; i < test_logits.rows(); ++i) {
-    const float z = test_logits.data()[i];
-    scores[static_cast<size_t>(i)] =
-        z >= 0.0f ? 1.0f / (1.0f + std::exp(-z))
-                  : std::exp(z) / (1.0f + std::exp(z));
-  }
-  return scores;
+  return model::SigmoidAll(mlp.Forward(EmbeddingsToTensor(test_features)));
 }
 
 }  // namespace

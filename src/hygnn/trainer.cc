@@ -46,13 +46,22 @@ float HyGnnTrainer::Fit(const HypergraphContext& context,
 core::Result<float> HyGnnTrainer::TryFit(
     const HypergraphContext& context,
     const std::vector<data::LabeledPair>& train_pairs) {
-  HYGNN_CHECK(!train_pairs.empty());
   const tensor::ReleaseHeldBuffersOnReturn release_held_buffers;
   epoch_losses_.clear();
   val_losses_.clear();
   last_batch_loss_ = 0.0f;
   best_epoch_ = -1;
   early_stopped_ = false;
+  // No pairs, or a validation fold of the whole set, leaves nothing to
+  // train on.
+  if (train_pairs.empty()) {
+    return Status::InvalidArgument("no training pairs");
+  }
+  if (config_.validation_fraction >= 1.0) {
+    return Status::InvalidArgument(
+        "validation_fraction must be below 1, got " +
+        std::to_string(config_.validation_fraction));
+  }
   // Kernel thread count: an explicit config wins; 0 leaves the global
   // pool as-is (HYGNN_NUM_THREADS or a prior SetNumThreads call).
   if (config_.threads > 0) core::SetNumThreads(config_.threads);
@@ -83,6 +92,9 @@ core::Result<float> HyGnnTrainer::TryFit(
     train.resize(train.size() - val_size);
   }
   const std::vector<float> validation_labels = LabelsOf(validation);
+  const size_t batch_size = config_.batch_size > 0
+                                ? static_cast<size_t>(config_.batch_size)
+                                : train.size();
 
   float last_loss = 0.0f;
   float best_val_loss = std::numeric_limits<float>::infinity();
@@ -181,78 +193,56 @@ core::Result<float> HyGnnTrainer::TryFit(
     if (recorder.active()) epoch_timer.emplace();
     double grad_norm_sum = 0.0;
     size_t grad_norm_samples = 0;
-    if (config_.batch_size > 0) {
-      // Each epoch's batch order must be a pure function of the canonical
-      // post-split order and this epoch's RNG draws. Shuffling `train` in
-      // place would accumulate permutations across epochs, so a resumed run
-      // (whose `train` is freshly re-split) could never reproduce the order
-      // the interrupted run would have used — breaking bit-identical resume.
-      std::vector<size_t> order(train.size());
-      std::iota(order.begin(), order.end(), size_t{0});
-      rng.Shuffle(order);
-      // Example-weighted mean: train.size() is rarely a multiple of the
-      // batch size, so the final batch is short — an unweighted mean
-      // over batch losses would overweight its examples. Accumulate in
-      // double so the mean does not drift with epoch length
-      // (TrainerFeaturesTest.EpochLossIsExampleWeightedMean).
-      double epoch_loss_sum = 0.0;
-      size_t epoch_examples = 0;
-      for (size_t begin = 0; begin < train.size();
-           begin += static_cast<size_t>(config_.batch_size)) {
-        const size_t end = std::min(
-            train.size(), begin + static_cast<size_t>(config_.batch_size));
-        std::vector<data::LabeledPair> batch;
-        batch.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i) batch.push_back(train[order[i]]);
-        optimizer.ZeroGrad();
-        tensor::Tensor logits =
-            model_->Forward(context, batch, /*training=*/true, &rng);
-        tensor::Tensor loss =
-            tensor::BceWithLogitsLoss(logits, LabelsOf(batch));
-        loss.Backward();
-        float grad_norm = -1.0f;
-        if (config_.grad_clip > 0.0f) {
-          grad_norm = optimizer.ClipGradNorm(config_.grad_clip);
-        } else if (recorder.active()) {
-          // GradNorm is read-only; only spend the pass when recording.
-          grad_norm = optimizer.GradNorm();
-        }
-        optimizer.Step();
-        last_batch_loss_ = loss.item();
-        epoch_loss_sum += static_cast<double>(last_batch_loss_) *
-                          static_cast<double>(end - begin);
-        epoch_examples += end - begin;
-        if (batches_counter != nullptr) batches_counter->Add();
-        if (grad_norm >= 0.0f) {
-          grad_norm_sum += grad_norm;
-          ++grad_norm_samples;
-        }
-        if (guard_numerics && tensor::NumericsGuard::triggered()) break;
-      }
-      last_loss = static_cast<float>(epoch_loss_sum /
-                                     static_cast<double>(epoch_examples));
-    } else {
+    // Full batch is the one-batch case: `train` in canonical order, with
+    // no shuffle draw, which would move the dropout masks. Each epoch's
+    // batch order must be a pure function of the canonical post-split
+    // order and this epoch's RNG draws. Shuffling `train` in place would
+    // accumulate permutations across epochs, so a resumed run (whose
+    // `train` is freshly re-split) could never reproduce the order the
+    // interrupted run would have used — breaking bit-identical resume.
+    std::vector<size_t> order(train.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    if (config_.batch_size > 0) rng.Shuffle(order);
+    // Example-weighted mean: train.size() is rarely a multiple of the
+    // batch size, so the final batch is short — an unweighted mean over
+    // batch losses would overweight its examples. Accumulate in double
+    // so the mean does not drift with epoch length
+    // (TrainerFeaturesTest.EpochLossIsMeanNotLastBatch). For one batch
+    // the product and quotient are exact, so the mean is that batch's
+    // loss (TrainerFeaturesTest.SingleBatchEpochLossEqualsLastBatchLoss).
+    double epoch_loss_sum = 0.0;
+    size_t epoch_examples = 0;
+    for (size_t begin = 0; begin < train.size(); begin += batch_size) {
+      const size_t end = std::min(train.size(), begin + batch_size);
+      std::vector<data::LabeledPair> batch;
+      batch.reserve(end - begin);
+      for (size_t i = begin; i < end; ++i) batch.push_back(train[order[i]]);
       optimizer.ZeroGrad();
       tensor::Tensor logits =
-          model_->Forward(context, train, /*training=*/true, &rng);
-      tensor::Tensor loss =
-          tensor::BceWithLogitsLoss(logits, LabelsOf(train));
+          model_->Forward(context, batch, /*training=*/true, &rng);
+      tensor::Tensor loss = tensor::BceWithLogitsLoss(logits, LabelsOf(batch));
       loss.Backward();
       float grad_norm = -1.0f;
       if (config_.grad_clip > 0.0f) {
         grad_norm = optimizer.ClipGradNorm(config_.grad_clip);
       } else if (recorder.active()) {
+        // GradNorm is read-only; only spend the pass when recording.
         grad_norm = optimizer.GradNorm();
       }
       optimizer.Step();
-      last_loss = loss.item();
-      last_batch_loss_ = last_loss;
+      last_batch_loss_ = loss.item();
+      epoch_loss_sum += static_cast<double>(last_batch_loss_) *
+                        static_cast<double>(end - begin);
+      epoch_examples += end - begin;
       if (batches_counter != nullptr) batches_counter->Add();
       if (grad_norm >= 0.0f) {
         grad_norm_sum += grad_norm;
         ++grad_norm_samples;
       }
+      if (guard_numerics && tensor::NumericsGuard::triggered()) break;
     }
+    last_loss = static_cast<float>(epoch_loss_sum /
+                                   static_cast<double>(epoch_examples));
     epoch_losses_.push_back(last_loss);
 
     if (guard_numerics && tensor::NumericsGuard::triggered()) {

@@ -29,7 +29,7 @@ struct TrainConfig {
   int32_t batch_size = 0;
   /// When > 0, hold out this fraction of the training pairs as a
   /// validation fold and stop once validation loss has not improved for
-  /// `patience` consecutive epochs.
+  /// `patience` consecutive epochs. Must be below 1.
   double validation_fraction = 0.0;
   int32_t patience = 20;
   bool verbose = false;
@@ -95,11 +95,11 @@ class HyGnnTrainer {
   float Fit(const HypergraphContext& context,
             const std::vector<data::LabeledPair>& train_pairs);
 
-  /// Fit with typed error reporting: resuming from a corrupt or
-  /// mismatched checkpoint, or failing to create the checkpoint
-  /// directory, returns a Status instead of aborting. Every return
-  /// frees the tensor storage the steps left held for reuse
-  /// (tensor::ReleaseHeldBuffers).
+  /// Fit with typed error reporting: no training pairs, a validation
+  /// fold of the whole set, resuming from a corrupt or mismatched
+  /// checkpoint, or failing to create the checkpoint directory returns
+  /// a Status instead of aborting. Every return frees the tensor storage
+  /// the steps left held for reuse (tensor::ReleaseHeldBuffers).
   core::Result<float> TryFit(const HypergraphContext& context,
                              const std::vector<data::LabeledPair>& train_pairs);
 

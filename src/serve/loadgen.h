@@ -10,12 +10,12 @@
 
 namespace hygnn::serve {
 
-/// Open-loop load generation against a serve::Server, shared by
-/// bench/bench_load.cc and the CLI `serve-load` subcommand. Open-loop
-/// means submitters hold their offered schedule instead of waiting for
-/// responses — the only arrival model under which overload actually
-/// overloads (a closed loop self-throttles and can never saturate the
-/// queue), so it is what exercises the admission-control/shedding path.
+/// Open-loop load generation against a serve::Server, behind the CLI
+/// `serve-load` subcommand. Open-loop means submitters hold their
+/// offered schedule instead of waiting for responses — the only arrival
+/// model under which overload actually overloads (a closed loop
+/// self-throttles and can never saturate the queue), so it is what
+/// exercises the admission-control/shedding path.
 
 struct LoadConfig {
   /// Aggregate request rate across all submitters. Each submitter

@@ -323,31 +323,63 @@ TEST_F(ServeTest, ScreeningHitBeforeIsAStrictTotalOrder) {
 }
 
 TEST_F(ServeTest, AddDrugMatchesFullReencodeBitwise) {
-  const auto model = MakeModel();
-  EmbeddingStore store(&model);
-  ASSERT_TRUE(store.Rebuild(*context_).ok());
-
+  // Generated models: attention on and off, dropout on some (inference
+  // ignores it) and widths off the 16-lane tiles. Each model takes six
+  // successive adds: the held-out drug's cold SMILES, a catalog drug's
+  // members plus one more, members shared with the cold drug, a
+  // duplicate id, an empty drug and a re-add of an earlier added drug.
+  // Every new row must memcmp-equal a from-scratch EmbedDrugs over the
+  // extended hypergraph, whose earlier adds are neighbours of the later
+  // ones.
   const std::string& cold_smiles = dataset_->drugs().back().smiles;
-  auto added = store.AddDrugSmiles(*featurizer_, cold_smiles);
-  ASSERT_TRUE(added.ok()) << added.status().ToString();
-  const int32_t new_id = added.value();
-  EXPECT_EQ(new_id, context_->num_edges);
-  EXPECT_EQ(store.num_drugs(), context_->num_edges + 1);
+  const auto cold = featurizer_->SegmentNewSmiles(cold_smiles).value();
+  ASSERT_FALSE(cold.empty());
+  const int32_t vocab = featurizer_->num_substructures();
+  const auto catalog_size = static_cast<int32_t>(catalog_members_->size());
+  core::Rng rng(2025);
+  const auto any_node = [&] {
+    return static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(vocab)));
+  };
+  for (int32_t trial = 0; trial < 12; ++trial) {
+    model::HyGnnConfig config;
+    config.encoder.use_attention = trial % 2 == 0;
+    config.encoder.dropout = trial % 3 == 0 ? 0.3f : 0.0f;
+    config.encoder.hidden_dim = 8 + static_cast<int64_t>(rng.UniformInt(17));
+    config.encoder.output_dim = 5 + static_cast<int64_t>(rng.UniformInt(22));
+    config.decoder_hidden_dim = 10;
+    core::Rng init(100 + static_cast<uint64_t>(trial));
+    const model::HyGnnModel model(vocab, config, &init);
+    EmbeddingStore store(&model);
+    ASSERT_TRUE(store.Rebuild(*context_).ok());
 
-  // Reference: re-encode the whole extended hypergraph from scratch.
-  auto members = featurizer_->SegmentNewSmiles(cold_smiles).value();
-  ASSERT_FALSE(members.empty());
-  auto extended = *catalog_members_;
-  extended.push_back(members);
-  auto hypergraph = graph::BuildDrugHypergraph(
-      extended, featurizer_->num_substructures());
-  auto full_context = model::HypergraphContext::FromHypergraph(hypergraph);
-  const tensor::Tensor full =
-      model.EmbedDrugs(full_context, /*training=*/false, nullptr);
-
-  const float* incremental = store.Row(new_id);
-  for (int64_t j = 0; j < store.dim(); ++j) {
-    EXPECT_EQ(incremental[j], full.At(new_id, j)) << "dim " << j;
+    auto extended = *catalog_members_;
+    auto shared = (*catalog_members_)[static_cast<size_t>(
+        rng.UniformInt(static_cast<uint64_t>(catalog_size)))];
+    shared.push_back(any_node());
+    std::vector<int32_t> with_cold(cold.begin(),
+                                   cold.begin() + (cold.size() + 1) / 2);
+    with_cold.push_back(any_node());
+    const int32_t twice = any_node();
+    const std::vector<std::vector<int32_t>> adds = {
+        cold, shared, with_cold, {twice, any_node(), twice}, {}, shared};
+    for (size_t a = 0; a < adds.size(); ++a) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " add " +
+                   std::to_string(a));
+      auto added = a == 0 ? store.AddDrugSmiles(*featurizer_, cold_smiles)
+                          : store.AddDrug(adds[a]);
+      ASSERT_TRUE(added.ok()) << added.status().ToString();
+      ASSERT_EQ(added.value(), static_cast<int32_t>(extended.size()));
+      extended.push_back(adds[a]);
+      const auto full_context = model::HypergraphContext::FromHypergraph(
+          graph::BuildDrugHypergraph(extended, vocab));
+      const tensor::Tensor full =
+          model.EmbedDrugs(full_context, /*training=*/false, nullptr);
+      ASSERT_EQ(full.cols(), store.dim());
+      EXPECT_EQ(std::memcmp(store.Row(added.value()),
+                            full.data() + added.value() * full.cols(),
+                            static_cast<size_t>(store.dim()) * sizeof(float)),
+                0);
+    }
   }
 }
 

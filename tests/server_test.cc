@@ -1,6 +1,7 @@
 // serve::Server pipeline tests: admission control, dynamic batching
 // determinism (per-request results bit-identical to serial scoring for
-// every batch composition), shutdown drain, and typed errors.
+// every batch composition), shutdown drain, typed errors, and the
+// accounting of serve::RunLoad's open-loop generator.
 //
 // Raw std::thread is fine here (tests are exempt from the
 // thread_pool-only lint rule) and is used deliberately so submitter
@@ -20,6 +21,7 @@
 #include "graph/builders.h"
 #include "hygnn/model.h"
 #include "serve/embedding_store.h"
+#include "serve/loadgen.h"
 #include "serve/request.h"
 #include "serve/scoring.h"
 #include "serve/server.h"
@@ -279,6 +281,40 @@ TEST_F(ServerTest, ConcurrentSubmittersEachGetTheirOwnScores) {
   }
   EXPECT_EQ(server.stats().completed,
             static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
+TEST_F(ServerTest, RunLoadAccountsForEveryScheduledRequest) {
+  // Two submitters at 2,000 req/s for 0.05 s hold 50 one-millisecond
+  // slots each. A one-slot queue sheds whatever arrives while a request
+  // waits, so how many complete depends on the host's timing; the
+  // accounting below holds at any timing.
+  const auto requests = MakeRequests(16);
+  for (const bool retry : {false, true}) {
+    SCOPED_TRACE(retry ? "retry on" : "retry off");
+    ServerOptions options;
+    options.queue_capacity = 1;
+    Server server(model_, store_, options);
+    ASSERT_TRUE(server.Start().ok());
+    LoadConfig load;
+    load.offered_qps = 2000.0;
+    load.duration_seconds = 0.05;
+    load.submitters = 2;
+    load.retry = retry;
+    const LoadReport report = RunLoad(&server, requests, load);
+    server.Shutdown();
+    EXPECT_EQ(report.submitted, 100u);
+    EXPECT_EQ(report.attempts, report.submitted + report.retried);
+    EXPECT_EQ(report.completed + report.shed + report.failed +
+                  report.expired,
+              report.submitted);
+    if (!retry) {
+      EXPECT_EQ(report.retried, 0u);
+    }
+    EXPECT_LE(report.retried_ok, report.retried);
+    EXPECT_EQ(server.stats().completed, report.completed);
+    EXPECT_LE(report.p50_us, report.p95_us);
+    EXPECT_LE(report.p95_us, report.p99_us);
+  }
 }
 
 TEST_F(ServerTest, ShutdownDrainsEveryAcceptedRequest) {

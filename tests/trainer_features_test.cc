@@ -2,6 +2,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "core/rng.h"
 #include "data/featurize.h"
@@ -189,6 +190,31 @@ TEST(TrainerFeaturesTest, ValidationFoldShrinksTrainingSet) {
   HyGnnTrainer trainer(&model, config);
   const float loss = trainer.Fit(*pipeline.context, pipeline.split.train);
   EXPECT_TRUE(std::isfinite(loss));
+}
+
+TEST(TrainerFeaturesTest, EmptyTrainingFoldIsATypedError) {
+  // No pairs, or a validation fold of the whole set, leaves nothing to
+  // train on: TryFit refuses both before any step, full batch and
+  // mini-batch alike.
+  SmallPipeline pipeline;
+  const std::vector<data::LabeledPair> none;
+  for (const int32_t batch_size : {0, 64}) {
+    for (const double fraction : {0.0, 1.0, 1.5}) {
+      SCOPED_TRACE("batch_size " + std::to_string(batch_size) +
+                   " validation_fraction " + std::to_string(fraction));
+      HyGnnModel model = pipeline.MakeModel(8);
+      TrainConfig config;
+      config.epochs = 2;
+      config.batch_size = batch_size;
+      config.validation_fraction = fraction;
+      HyGnnTrainer trainer(&model, config);
+      const auto& pairs = fraction > 0.0 ? pipeline.split.train : none;
+      auto result = trainer.TryFit(*pipeline.context, pairs);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), core::StatusCode::kInvalidArgument);
+      EXPECT_TRUE(trainer.epoch_losses().empty());
+    }
+  }
 }
 
 }  // namespace
