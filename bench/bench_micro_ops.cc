@@ -10,8 +10,9 @@
 // and checked bit for bit against it: PairMatMul (MatMul of a
 // ConcatCols of two IndexSelectRows) and BiasRelu (AddRowBroadcast and
 // Relu) at the paper's 136,241-pair training shape, and LeakyPairScore
-// (MatMul of a LeakyRelu of a ConcatCols with an IndexSelectRows) at
-// the k-mer encoder's 24,262 incidences. Exits 1 on any mismatch.
+// (MatMul of a LeakyRelu of a ConcatCols with an IndexSelectRows) and
+// WeightedSegmentSum (SegmentSum of MulColumnBroadcast) at the k-mer
+// encoder's 24,262 incidences. Exits 1 on any mismatch.
 // The output opens with a header: build type, compiler, nproc, and which
 // dense-product tile the build runs (HYGNN_DENSE_TILE_AVX512).
 
@@ -343,7 +344,7 @@ void SweepGlue(const std::string& op, const std::string& composed_of,
         got.size() == reference.size() &&
         std::memcmp(got.data(), reference.data(),
                     got.size() * sizeof(float)) == 0;
-    std::printf("%-14s fwd+bwd threads=%d  %12.0f ns/iter  vs %s "
+    std::printf("%-18s fwd+bwd threads=%d  %12.0f ns/iter  vs %s "
                 "%12.0f ns/iter  x%.2f  %s\n",
                 op.c_str(), threads, r.fused.ns, composed_of.c_str(),
                 r.composed.ns, r.composed.ns / r.fused.ns,
@@ -358,7 +359,11 @@ void SweepGlue(const std::string& op, const std::string& composed_of,
 /// and the [136241 x 64] hidden pre-activation. Then the encoder's
 /// node-level score at HyGNN-kmer's (k = 10) shape: 24,262 incidences,
 /// each a 64-wide W_p p_i row and one of the 824 drugs' 64-wide W_q q_j
-/// rows, LeakyRelu slope 0.2. The incoming gradients are Gaussian.
+/// rows, LeakyRelu slope 0.2; and its hyperedge-level message sum at
+/// the same shape: the 24,262 gathered 64-wide rows, each weighted by
+/// its attention coefficient and summed into one of 13,108 k-mer nodes
+/// (each form groups the ids once per forward, in its segment sum). The
+/// incoming gradients are Gaussian.
 std::vector<GlueResult> SweepFusedOps() {
   constexpr int64_t kD = 64;
   core::Rng rng(11);
@@ -417,6 +422,25 @@ std::vector<GlueResult> SweepFusedOps() {
                   tensor::ConcatCols(x, tensor::IndexSelectRows(table, idx)),
                   kSlope),
               w);
+        },
+        &results);
+  }
+  {
+    constexpr int64_t kIncidences = 24262, kNodes = 13108;
+    const tensor::Tensor x =
+        tensor::NormalInit(kIncidences, kD, 1.0f, &rng, true);
+    const tensor::Tensor w =
+        tensor::NormalInit(kIncidences, 1, 1.0f, &rng, true);
+    std::vector<int32_t> ids(static_cast<size_t>(kIncidences));
+    for (int32_t& id : ids) id = static_cast<int32_t>(rng.UniformInt(kNodes));
+    const tensor::Tensor g = tensor::NormalInit(kNodes, kD, 1.0f, &rng, false);
+    SweepGlue(
+        "WeightedSegmentSum", "SegmentSum(MulColumnBroadcast)", {x, w},
+        std::vector<float>(g.data(), g.data() + g.size()),
+        [&] { return tensor::WeightedSegmentSum(x, w, ids, kNodes); },
+        [&] {
+          return tensor::SegmentSum(tensor::MulColumnBroadcast(x, w), ids,
+                                    kNodes);
         },
         &results);
   }

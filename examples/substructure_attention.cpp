@@ -62,12 +62,13 @@ int main() {
   hygnn.EmbedDrugs(context, /*training=*/false, nullptr, &attention);
 
   // Group the node-level attention X_ji by drug (hyperedge).
+  const std::vector<int32_t>& pair_nodes = context.pair_nodes->ids();
+  const std::vector<int32_t>& pair_edges = context.pair_edges->ids();
   std::map<int32_t, std::vector<std::pair<float, int32_t>>> per_drug;
   for (size_t pair_index = 0; pair_index < attention.node_level.size();
        ++pair_index) {
-    per_drug[context.pair_edges[pair_index]].push_back(
-        {attention.node_level[pair_index],
-         context.pair_nodes[pair_index]});
+    per_drug[pair_edges[pair_index]].push_back(
+        {attention.node_level[pair_index], pair_nodes[pair_index]});
   }
 
   for (int32_t drug : {0, 1, 2}) {
@@ -92,7 +93,7 @@ int main() {
   std::map<int32_t, double> global;
   for (size_t pair_index = 0; pair_index < attention.node_level.size();
        ++pair_index) {
-    global[context.pair_nodes[pair_index]] +=
+    global[pair_nodes[pair_index]] +=
         attention.node_level[pair_index];
   }
   std::vector<std::pair<double, int32_t>> ranked;

@@ -9,14 +9,16 @@ namespace hygnn::model {
 HypergraphContext HypergraphContext::FromHypergraph(
     const graph::Hypergraph& graph) {
   HypergraphContext context;
-  context.pair_nodes = graph.pair_nodes();
-  context.pair_edges = graph.pair_edges();
+  context.pair_nodes = std::make_shared<tensor::SegmentIndex>(
+      graph.pair_nodes(), graph.num_nodes());
+  context.pair_edges = std::make_shared<tensor::SegmentIndex>(
+      graph.pair_edges(), graph.num_edges());
   context.num_nodes = graph.num_nodes();
   context.num_edges = graph.num_edges();
-  std::vector<float> ones(context.pair_nodes.size(), 1.0f);
+  std::vector<float> ones(graph.pair_nodes().size(), 1.0f);
   context.edge_features = tensor::CsrMatrix::FromCoo(
-      graph.num_edges(), graph.num_nodes(), context.pair_edges,
-      context.pair_nodes, ones);
+      graph.num_edges(), graph.num_nodes(), graph.pair_edges(),
+      graph.pair_nodes(), ones);
   return context;
 }
 
@@ -70,20 +72,17 @@ tensor::Tensor HypergraphEdgeEncoder::ForwardFromProjection(
     tensor::Tensor pair_scores_edge =
         tensor::IndexSelectRows(edge_scores, context.pair_edges);  // [P, 1]
     // Y_ij: softmax over the hyperedges incident to each node v_i.
-    y = tensor::SegmentSoftmax(pair_scores_edge, context.pair_nodes,
-                               context.num_nodes);
+    y = tensor::SegmentSoftmax(pair_scores_edge, context.pair_nodes);
   } else {
-    tensor::Tensor zeros = tensor::Tensor::Zeros(
-        static_cast<int64_t>(context.pair_nodes.size()), 1);
-    y = tensor::SegmentSoftmax(zeros, context.pair_nodes,
-                               context.num_nodes);
+    tensor::Tensor zeros = tensor::Tensor::Zeros(context.pair_nodes->size(), 1);
+    y = tensor::SegmentSoftmax(zeros, context.pair_nodes);
   }
-  // p_i = LeakyReLU( sum_j Y_ij W_q q_j )  [V, hidden].
+  // p_i = LeakyReLU( sum_j Y_ij W_q q_j )  [V, hidden]: one weighted
+  // segment sum over the gathered rows, with no [P, hidden] product.
   tensor::Tensor edge_messages =
       tensor::IndexSelectRows(q_proj, context.pair_edges);  // [P, hidden]
   tensor::Tensor p = tensor::LeakyRelu(
-      tensor::SegmentSum(tensor::MulColumnBroadcast(edge_messages, y),
-                         context.pair_nodes, context.num_nodes),
+      tensor::WeightedSegmentSum(edge_messages, y, context.pair_nodes),
       config_.leaky_slope);
 
   // ----- Node-level attention (eqs. 7-9) -----
@@ -98,18 +97,14 @@ tensor::Tensor HypergraphEdgeEncoder::ForwardFromProjection(
         pair_node_feat, q_proj, context.pair_edges, g2_,
         config_.leaky_slope);  // [P, 1]
     // X_ji: softmax over the member nodes of each hyperedge e_j.
-    x = tensor::SegmentSoftmax(pair_scores_node, context.pair_edges,
-                               context.num_edges);
+    x = tensor::SegmentSoftmax(pair_scores_node, context.pair_edges);
   } else {
-    tensor::Tensor zeros = tensor::Tensor::Zeros(
-        static_cast<int64_t>(context.pair_nodes.size()), 1);
-    x = tensor::SegmentSoftmax(zeros, context.pair_edges,
-                               context.num_edges);
+    tensor::Tensor zeros = tensor::Tensor::Zeros(context.pair_edges->size(), 1);
+    x = tensor::SegmentSoftmax(zeros, context.pair_edges);
   }
   // q_j = LeakyReLU( sum_i X_ji W_p p_i )  [E, out].
   tensor::Tensor q_out = tensor::LeakyRelu(
-      tensor::SegmentSum(tensor::MulColumnBroadcast(pair_node_feat, x),
-                         context.pair_edges, context.num_edges),
+      tensor::WeightedSegmentSum(pair_node_feat, x, context.pair_edges),
       config_.leaky_slope);
 
   if (attention != nullptr) {

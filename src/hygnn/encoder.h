@@ -7,6 +7,7 @@
 #include "core/rng.h"
 #include "graph/hypergraph.h"
 #include "nn/module.h"
+#include "tensor/segment_index.h"
 #include "tensor/sparse.h"
 #include "tensor/tensor.h"
 
@@ -17,8 +18,13 @@ namespace hygnn::model {
 /// softmaxes run over) and the sparse edge-feature matrix H^T (each
 /// drug's binary substructure-membership row, the encoder input F).
 struct HypergraphContext {
-  std::vector<int32_t> pair_nodes;  // per incidence: substructure id
-  std::vector<int32_t> pair_edges;  // per incidence: drug id
+  /// Per incidence: its substructure id, over num_nodes segments, and
+  /// its drug id, over num_edges segments. Every encoder op that reads
+  /// the pairs records one of these two objects, so each is validated
+  /// once and grouped once for the context's lifetime, and copies of the
+  /// context share them.
+  tensor::SegmentIndexPtr pair_nodes;
+  tensor::SegmentIndexPtr pair_edges;
   int32_t num_nodes = 0;
   int32_t num_edges = 0;
   /// [num_edges, num_nodes] binary CSR — row j is drug j's substructure

@@ -72,9 +72,8 @@ tensor::Tensor GatConv::Forward(const GatEdgeIndex& edges,
     tensor::Tensor alpha = tensor::SegmentSoftmax(
         edge_scores, edges.targets, edges.num_nodes);
     tensor::Tensor messages = tensor::IndexSelectRows(h, edges.sources);
-    tensor::Tensor aggregated = tensor::SegmentSum(
-        tensor::MulColumnBroadcast(messages, alpha), edges.targets,
-        edges.num_nodes);
+    tensor::Tensor aggregated = tensor::WeightedSegmentSum(
+        messages, alpha, edges.targets, edges.num_nodes);
     output = output.defined() ? tensor::ConcatCols(output, aggregated)
                               : aggregated;
   }

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "core/csr.h"
 #include "core/logging.h"
 #include "obs/metrics.h"
 #include "tensor/kernels/kernels.h"
@@ -104,9 +105,10 @@ Status EmbeddingStore::Rebuild(const model::HypergraphContext& context) {
     // COO pairs are sorted by (edge, node), so a single ascending scan
     // leaves every node's incident-edge list in ascending edge order —
     // the order the segment kernels visit that node's rows in.
-    for (size_t r = 0; r < context.pair_nodes.size(); ++r) {
-      incident_[static_cast<size_t>(context.pair_nodes[r])].push_back(
-          context.pair_edges[r]);
+    const std::vector<int32_t>& pair_nodes = context.pair_nodes->ids();
+    const std::vector<int32_t>& pair_edges = context.pair_edges->ids();
+    for (size_t r = 0; r < pair_nodes.size(); ++r) {
+      incident_[static_cast<size_t>(pair_nodes[r])].push_back(pair_edges[r]);
     }
   }
   Publish(std::shared_ptr<const StoreSnapshot>(new StoreSnapshot(
@@ -197,8 +199,8 @@ Result<int32_t> EmbeddingStore::AddDrugLocked(
   //    the new hyperedge in its softmax — the only nodes whose
   //    representation the new drug's embedding depends on. Each node's
   //    incident list stays ascending (the new edge id is the maximum),
-  //    so the local single-segment kernels visit rows in the same order
-  //    the full-context kernels would.
+  //    so the encoder's segment kernels, run over one segment, visit
+  //    rows in the same order the full-context kernels would.
   std::vector<float> p_proj_members(
       static_cast<size_t>(n_members * out_dim), 0.0f);
   for (int64_t mi = 0; mi < n_members; ++mi) {
@@ -207,6 +209,8 @@ Result<int32_t> EmbeddingStore::AddDrugLocked(
     std::vector<float> scores(static_cast<size_t>(n_inc), 0.0f);
     std::vector<float> gathered(static_cast<size_t>(n_inc * hidden));
     const std::vector<int32_t> seg(static_cast<size_t>(n_inc), 0);
+    core::Csr one_node;
+    one_node.GroupBy(seg, 1);
     for (int64_t r = 0; r + 1 < n_inc; ++r) {
       const int32_t edge = incident[static_cast<size_t>(r)];
       if (config.use_attention) {
@@ -225,13 +229,10 @@ Result<int32_t> EmbeddingStore::AddDrugLocked(
                 q_new.data(), static_cast<size_t>(hidden) * sizeof(float));
 
     std::vector<float> y(static_cast<size_t>(n_inc));
-    kernels::SegmentSoftmax(scores.data(), seg.data(), n_inc, 1, y.data());
-    std::vector<float> weighted(static_cast<size_t>(n_inc * hidden), 0.0f);
-    kernels::RowScaleAccumulate(y.data(), gathered.data(), weighted.data(),
-                                n_inc, hidden);
-    std::vector<float> p(static_cast<size_t>(hidden), 0.0f);
-    kernels::SegmentSumAccumulate(weighted.data(), hidden, seg.data(), n_inc,
-                                  hidden, p.data(), 1);
+    kernels::SegmentSoftmax(scores.data(), one_node, y.data());
+    std::vector<float> p(static_cast<size_t>(hidden));
+    kernels::WeightedSegmentSum(gathered.data(), y.data(), one_node, hidden,
+                                p.data());
     for (int64_t j = 0; j < hidden; ++j) {
       p[static_cast<size_t>(j)] =
           kernels::ScalarLeakyRelu(p[static_cast<size_t>(j)], slope);
@@ -246,6 +247,8 @@ Result<int32_t> EmbeddingStore::AddDrugLocked(
   //    The scores are the encoder's LeakyPairScore kernel, with q_new
   //    as a one-row table that every member reads as row 0.
   const std::vector<int32_t> seg(static_cast<size_t>(n_members), 0);
+  core::Csr one_edge;
+  one_edge.GroupBy(seg, 1);
   std::vector<float> member_scores(static_cast<size_t>(n_members), 0.0f);
   if (config.use_attention && n_members > 0) {
     kernels::LeakyPairScore(p_proj_members.data(), n_members, out_dim,
@@ -253,16 +256,11 @@ Result<int32_t> EmbeddingStore::AddDrugLocked(
                             layer.g2().data(), slope, member_scores.data());
   }
   std::vector<float> x(static_cast<size_t>(n_members));
-  kernels::SegmentSoftmax(member_scores.data(), seg.data(), n_members, 1,
-                          x.data());
-  std::vector<float> weighted(static_cast<size_t>(n_members * out_dim),
-                              0.0f);
-  kernels::RowScaleAccumulate(x.data(), p_proj_members.data(),
-                              weighted.data(), n_members, out_dim);
+  kernels::SegmentSoftmax(member_scores.data(), one_edge, x.data());
   const int64_t dim = current->dim();
-  std::vector<float> q_out(static_cast<size_t>(out_dim), 0.0f);
-  kernels::SegmentSumAccumulate(weighted.data(), out_dim, seg.data(),
-                                n_members, out_dim, q_out.data(), 1);
+  std::vector<float> q_out(static_cast<size_t>(out_dim));
+  kernels::WeightedSegmentSum(p_proj_members.data(), x.data(), one_edge,
+                              out_dim, q_out.data());
   for (int64_t o = 0; o < out_dim; ++o) {
     q_out[static_cast<size_t>(o)] =
         kernels::ScalarLeakyRelu(q_out[static_cast<size_t>(o)], slope);

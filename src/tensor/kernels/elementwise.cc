@@ -104,14 +104,16 @@ void RowScaleAccumulate(const float* s, const float* x, float* out, int64_t n,
   });
 }
 
+[[gnu::noinline]] float RowDot(const float* a, const float* b, int64_t d) {
+  float acc = 0.0f;
+  for (int64_t j = 0; j < d; ++j) acc += a[j] * b[j];
+  return acc;
+}
+
 void RowwiseDotAccumulate(const float* a, const float* b, float* out,
                           int64_t n, int64_t d) {
   core::ParallelFor(0, n, kRowGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      float acc = 0.0f;
-      for (int64_t j = 0; j < d; ++j) acc += a[i * d + j] * b[i * d + j];
-      out[i] += acc;
-    }
+    for (int64_t i = lo; i < hi; ++i) out[i] += RowDot(a + i * d, b + i * d, d);
   });
 }
 

@@ -9,6 +9,7 @@
 
 namespace hygnn::core {
 class Rng;
+struct Csr;
 }  // namespace hygnn::core
 
 /// Pure numeric kernel layer. Every function works on raw row-major
@@ -48,6 +49,19 @@ inline constexpr int64_t kSegmentGrain = 16;    // per-segment reductions
 /// Columns per chunk of a column-parallel reduction: 16 floats are one
 /// 64-byte cache line, so each chunk reads whole lines of every row.
 inline constexpr int64_t kLineGrain = 16;
+
+/// c + a·b as the kernels round a multiply-add: once, fused (std::fma),
+/// on targets with FMA; elsewhere a rounded product and then a rounded
+/// sum, which a target without FMA cannot fuse even in a file built with
+/// contraction on. The one spelling of every contraction the rounding
+/// contracts below name.
+inline float MulAdd(float a, float b, float c) {
+#if defined(__FMA__)
+  return std::fma(a, b, c);
+#else
+  return c + a * b;
+#endif
+}
 
 // ---------------------------------------------------------------------------
 // matmul.cc — dense products and layout transforms
@@ -196,18 +210,19 @@ void LeakyPairScore(const float* x, int64_t n, int64_t dx, const float* table,
                     int64_t dt, const int32_t* idx, const float* w,
                     float slope, float* z);
 
-/// Backward of LeakyPairScore from the incoming gradient g[n,1], for a
-/// table of `rows` rows: grad_w += the LeakyRelu'd inputᵀ · g, then
-/// grad_x and grad_table += each pair's halves of the input gradient,
-/// the bits MatMul's, LeakyRelu's, ConcatCols's and the gather's
-/// backward give in that order (see the rounding contract). Each
-/// gradient is skipped when null. Parallel over rows of grad_w, then of
-/// grad_x, then of grad_table.
+/// Backward of LeakyPairScore from the incoming gradient g[n,1]:
+/// grad_w += the LeakyRelu'd inputᵀ · g, then grad_x and grad_table +=
+/// each pair's halves of the input gradient, the bits MatMul's,
+/// LeakyRelu's, ConcatCols's and the gather's backward give in that
+/// order (see the rounding contract). `table_groups` is idx grouped by
+/// table row (its num_keys() rows); grad_table's rows add their pairs in
+/// its order. Each gradient is skipped when null. Parallel over rows of
+/// grad_w, then of grad_x, then of grad_table.
 void LeakyPairScoreBackward(const float* x, int64_t n, int64_t dx,
-                            const float* table, int64_t rows, int64_t dt,
-                            const int32_t* idx, const float* w, float slope,
-                            const float* g, float* grad_x, float* grad_table,
-                            float* grad_w);
+                            const float* table, int64_t dt,
+                            const int32_t* idx, const core::Csr& table_groups,
+                            const float* w, float slope, const float* g,
+                            float* grad_x, float* grad_table, float* grad_w);
 
 // ---------------------------------------------------------------------------
 // elementwise.cc — maps, broadcasts, copies, reductions and the losses
@@ -261,9 +276,19 @@ void BiasReluBackward(const float* y, const float* g, int64_t n, int64_t d,
 void RowScaleAccumulate(const float* s, const float* x, float* out, int64_t n,
                         int64_t d);
 
-/// out[i] += a_i · b_i (row dot) for a,b[n,d], out[n,1]. Parallel rows.
+/// out[i] += RowDot(a_i, b_i, d) for a,b[n,d], out[n,1]. Parallel rows.
 void RowwiseDotAccumulate(const float* a, const float* b, float* out,
                           int64_t n, int64_t d);
+
+/// a · b over d floats: `acc += a[j] * b[j]` from +0, j ascending,
+/// rounded as the compiler builds elementwise.cc, where contraction is
+/// its choice. GCC 12 at -O3 on an FMA target rounds each product of
+/// the vectorized body (vmulps, 8 lanes, then 4) and adds the lanes in
+/// order (vaddss), and fuses only the last d mod 4 steps (vfmadd231ss);
+/// without FMA every step rounds twice. Out of line and never inlined,
+/// so RowwiseDotAccumulate and WeightedSegmentSumBackward run one
+/// instruction sequence and their dots round alike at every d.
+float RowDot(const float* a, const float* b, int64_t d);
 
 /// dst[i, dst_off + j] = src[i, src_off + j] for j < width; src has
 /// src_d columns, dst has dst_d. Parallel rows. Serves ConcatCols.
@@ -366,37 +391,67 @@ inline float ScalarSigmoid(float v) {
 
 // ---------------------------------------------------------------------------
 // segment.cc — per-segment attention primitives
+//
+// The reductions take their rows grouped by segment: `groups` is a
+// core::Csr of row positions, ascending within each segment (a
+// tensor::SegmentIndex's groups(), or one GroupBy call), with one key
+// per segment. Segments run in parallel and each visits its rows in
+// ascending order, the order a sequential loop over the rows adds them
+// in, so every sum keeps its bits at any thread count. Empty segments
+// are fine.
+//
+// WeightedSegmentSum keeps the bits of SegmentSum(MulColumnBroadcast(x,
+// w)), whose kernels (RowScaleAccumulate into a zeroed product, then
+// SegmentSumAccumulate and its backward) GCC compiles with the
+// contractions noted here:
+//   forward: out[s][j] = +0, then out[s][j] + MulAdd(w[i], x[i][j], +0)
+//     for each row i of s, ascending: the product as RowScaleAccumulate
+//     rounds it (vfmadd onto the zeroed product), added as the segment
+//     sum adds it.
+//   dx: t[j] = +0 + g[seg[i]][j] (SegmentSum's backward into the
+//     product's zeroed gradient), then dx[i][j] = MulAdd(w[i], t[j],
+//     dx[i][j]) (RowScaleAccumulate, vfmadd).
+//   dw: dw[i] = dw[i] + RowDot(t, x[i], d) (RowwiseDotAccumulate).
 // ---------------------------------------------------------------------------
 
 /// Softmax of scores[n,1] within each segment (see ops.h
-/// SegmentSoftmax). Rows are grouped by segment internally
-/// (core::Csr::GroupBy), then segments are processed in parallel; each
-/// segment's rows are visited in ascending row order so sums match the
-/// sequential accumulation bit-for-bit. Empty segments are fine.
-/// Requires every seg[i] in [0, num_segments).
-void SegmentSoftmax(const float* scores, const int32_t* seg, int64_t n,
-                    int64_t num_segments, float* out);
+/// SegmentSoftmax), for the rows grouped in `groups`.
+void SegmentSoftmax(const float* scores, const core::Csr& groups,
+                    float* out);
 
 /// dscores[i] += y_i * (g_i - sum_{j in seg(i)} g_j y_j). Parallel
-/// over segments with the same grouping/order contract as the forward.
+/// over segments, rows in ascending order, as the forward.
 void SegmentSoftmaxBackward(const float* g, const float* y,
-                            const int32_t* seg, int64_t n,
-                            int64_t num_segments, float* dscores);
+                            const core::Csr& groups, float* dscores);
 
-/// out[s] += sum_{i: seg[i]==s} x[i] for n rows of d floats, row i at
-/// x + i * x_stride (x_stride >= d), and out[num_segments,d]. Parallel
-/// over segments; rows of a segment accumulate in ascending row order.
-/// With seg = gather indices it is the gather's backward: every source
-/// row accumulates in the sequential scatter order, dst[idx[i]] +=
-/// src[i] for i ascending.
-void SegmentSumAccumulate(const float* x, int64_t x_stride,
-                          const int32_t* seg, int64_t n, int64_t d,
-                          float* out, int64_t num_segments);
+/// out[s] += sum of x's rows of segment s, d floats each, for
+/// out[groups.num_keys(), d]. Parallel over segments; rows of a segment
+/// accumulate in ascending row order. Grouped by gather indices it is
+/// the gather's backward: every source row accumulates in the
+/// sequential scatter order, dst[idx[i]] += src[i] for i ascending.
+void SegmentSumAccumulate(const float* x, const core::Csr& groups, int64_t d,
+                          float* out);
 
 /// dx[i] += g[seg[i]] (broadcast of the segment gradient back to every
 /// member row). Parallel over rows — writes are disjoint.
 void SegmentSumBackward(const float* g, const int32_t* seg, int64_t n,
                         int64_t d, float* dx);
+
+/// out[s] = sum of w[i] · x[i] over segment s's rows, ascending, for
+/// x[n,d], w[n,1] and out[groups.num_keys(), d]: SegmentSum of
+/// MulColumnBroadcast's bits (see above) without the [n,d] product.
+/// Parallel over segments. Never reads out.
+void WeightedSegmentSum(const float* x, const float* w,
+                        const core::Csr& groups, int64_t d, float* out);
+
+/// Backward of WeightedSegmentSum from the incoming gradient g[S,d],
+/// row i reading g's row seg[i]: dx[n,d] and dw[n,1] take the bits
+/// SegmentSum's and then MulColumnBroadcast's backward give (see
+/// above), without the product's gradient. Each is skipped when null.
+/// Parallel over rows — writes are disjoint.
+void WeightedSegmentSumBackward(const float* x, const float* w,
+                                const int32_t* seg, int64_t n, int64_t d,
+                                const float* g, float* dx, float* dw);
 
 }  // namespace hygnn::tensor::kernels
 

@@ -48,16 +48,6 @@ static_assert(kReductionChunkRows % kVectorTileRows == 0);
 /// rather than once per tile.
 constexpr int64_t kReductionBlockRows = 64;
 
-/// c + a·b as MatMul and MatMulTN round it: once, fused, on targets
-/// with FMA; a rounded product and then a rounded sum elsewhere.
-inline float MulAdd(float a, float b, float c) {
-#if defined(__FMA__)
-  return std::fma(a, b, c);
-#else
-  return c + a * b;
-#endif
-}
-
 /// a when `keep`, else b, decided by a mask instead of a branch: both
 /// are computed either way, so the compiler selects per lane. Given a
 /// branch, it will not compute a product that only one side uses ahead
@@ -835,10 +825,10 @@ void LeakyPairScore(const float* x, int64_t n, int64_t dx, const float* table,
 }
 
 void LeakyPairScoreBackward(const float* x, int64_t n, int64_t dx,
-                            const float* table, int64_t rows, int64_t dt,
-                            const int32_t* idx, const float* w, float slope,
-                            const float* g, float* grad_x, float* grad_table,
-                            float* grad_w) {
+                            const float* table, int64_t dt,
+                            const int32_t* idx, const core::Csr& table_groups,
+                            const float* w, float slope, const float* g,
+                            float* grad_x, float* grad_table, float* grad_w) {
   if (grad_w != nullptr) {
     // MatMulTN of the pair input with m = 1: rows [0, dx) of dw reduce
     // over x's rows, rows [dx, dx + dt) over table's rows through idx.
@@ -870,16 +860,12 @@ void LeakyPairScoreBackward(const float* x, int64_t n, int64_t dx,
   if (grad_table != nullptr) {
     // The gather's backward: each table row adds its pairs' halves,
     // each summed onto +0 first, one pair at a time in ascending pair
-    // order. The pairs are grouped by row (core::Csr::GroupBy, a stable
-    // counting sort), and chunks are ranges of rows. Per-call scratch,
-    // kept for the next call and read by the workers through pointers,
-    // as in AddPairHalfGradients.
-    thread_local core::Csr t_groups;
-    t_groups.GroupBy({idx, static_cast<size_t>(n)}, rows);
-    const int64_t* offsets = t_groups.offsets.data();
-    const int32_t* pairs = t_groups.indices.data();
+    // order, as table_groups lists them. Chunks are ranges of rows.
+    const int64_t* offsets = table_groups.offsets.data();
+    const int32_t* pairs = table_groups.indices.data();
     const float* w_table = w + dx;
-    core::ParallelFor(0, rows, kSegmentGrain, [&](int64_t lo, int64_t hi) {
+    core::ParallelFor(0, table_groups.num_keys(), kSegmentGrain,
+                      [&](int64_t lo, int64_t hi) {
       for (int64_t r = lo; r < hi; ++r) {
         const float* v = table + r * dt;
         float* out = grad_table + r * dt;

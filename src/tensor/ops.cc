@@ -62,14 +62,16 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
 
 Tensor IndexSelectRows(const Tensor& x, const std::vector<int32_t>& indices) {
   HYGNN_CHECK(x.defined());
-  const int64_t n = static_cast<int64_t>(indices.size());
-  HYGNN_CHECK_GT(n, 0);
-  HYGNN_CHECK(
-      IndicesInRange(indices.data(), n, 0, static_cast<int32_t>(x.rows())))
-      << "IndexSelectRows index out of range [0, " << x.rows() << ")";
-  auto out = RecordOp("IndexSelectRows", OpKind::kIndexSelectRows, n, x.cols(),
-                      {x.impl()});
-  out->rec->ibuf = indices;
+  return IndexSelectRows(x, std::make_shared<SegmentIndex>(indices, x.rows()));
+}
+
+Tensor IndexSelectRows(const Tensor& x, SegmentIndexPtr indices) {
+  HYGNN_CHECK(x.defined() && indices != nullptr);
+  HYGNN_CHECK_EQ(indices->num_segments(), x.rows())
+      << "IndexSelectRows index is not over x's rows";
+  auto out = RecordOp("IndexSelectRows", OpKind::kIndexSelectRows,
+                      indices->size(), x.cols(), {x.impl()});
+  out->rec->index = std::move(indices);
   return FinishRecord(std::move(out));
 }
 
@@ -95,18 +97,25 @@ Tensor PairMatMul(const Tensor& h, const std::vector<int32_t>& a,
 Tensor LeakyPairScore(const Tensor& x, const Tensor& table,
                       const std::vector<int32_t>& idx, const Tensor& w,
                       float slope) {
-  HYGNN_CHECK(x.defined() && table.defined() && w.defined());
+  HYGNN_CHECK(table.defined());
+  return LeakyPairScore(x, table,
+                        std::make_shared<SegmentIndex>(idx, table.rows()), w,
+                        slope);
+}
+
+Tensor LeakyPairScore(const Tensor& x, const Tensor& table,
+                      SegmentIndexPtr idx, const Tensor& w, float slope) {
+  HYGNN_CHECK(x.defined() && table.defined() && w.defined() &&
+              idx != nullptr);
   HYGNN_CHECK_EQ(w.rows(), x.cols() + table.cols());
   HYGNN_CHECK_EQ(w.cols(), 1);
-  const int64_t n = x.rows();
-  HYGNN_CHECK_EQ(static_cast<int64_t>(idx.size()), n);
-  HYGNN_CHECK(
-      IndicesInRange(idx.data(), n, 0, static_cast<int32_t>(table.rows())))
-      << "LeakyPairScore index out of range [0, " << table.rows() << ")";
+  HYGNN_CHECK_EQ(idx->size(), x.rows());
+  HYGNN_CHECK_EQ(idx->num_segments(), table.rows())
+      << "LeakyPairScore index is not over table's rows";
   HYGNN_DCHECK(std::isfinite(slope));
-  auto out = RecordOp("LeakyPairScore", OpKind::kLeakyPairScore, n, 1,
+  auto out = RecordOp("LeakyPairScore", OpKind::kLeakyPairScore, x.rows(), 1,
                       {x.impl(), table.impl(), w.impl()});
-  out->rec->ibuf = idx;
+  out->rec->index = std::move(idx);
   out->rec->alpha = slope;
   return FinishRecord(std::move(out));
 }
@@ -114,17 +123,17 @@ Tensor LeakyPairScore(const Tensor& x, const Tensor& table,
 Tensor SegmentSoftmax(const Tensor& scores,
                       const std::vector<int32_t>& segment_ids,
                       int64_t num_segments) {
-  HYGNN_CHECK(scores.defined());
+  return SegmentSoftmax(
+      scores, std::make_shared<SegmentIndex>(segment_ids, num_segments));
+}
+
+Tensor SegmentSoftmax(const Tensor& scores, SegmentIndexPtr segments) {
+  HYGNN_CHECK(scores.defined() && segments != nullptr);
   HYGNN_CHECK_EQ(scores.cols(), 1);
-  HYGNN_CHECK_EQ(scores.rows(), static_cast<int64_t>(segment_ids.size()));
-  const int64_t n = scores.rows();
-  HYGNN_CHECK(IndicesInRange(segment_ids.data(), n, 0,
-                             static_cast<int32_t>(num_segments)))
-      << "SegmentSoftmax segment id out of range [0, " << num_segments << ")";
-  auto out =
-      RecordOp("SegmentSoftmax", OpKind::kSegmentSoftmax, n, 1, {scores.impl()});
-  out->rec->ibuf = segment_ids;
-  out->rec->num_segments = num_segments;
+  HYGNN_CHECK_EQ(scores.rows(), segments->size());
+  auto out = RecordOp("SegmentSoftmax", OpKind::kSegmentSoftmax, scores.rows(),
+                      1, {scores.impl()});
+  out->rec->index = std::move(segments);
   return FinishRecord(std::move(out));
 }
 
@@ -132,14 +141,29 @@ Tensor SegmentSum(const Tensor& x, const std::vector<int32_t>& segment_ids,
                   int64_t num_segments) {
   HYGNN_CHECK(x.defined());
   HYGNN_CHECK_EQ(x.rows(), static_cast<int64_t>(segment_ids.size()));
-  const int64_t n = x.rows();
-  HYGNN_CHECK(IndicesInRange(segment_ids.data(), n, 0,
-                             static_cast<int32_t>(num_segments)))
-      << "SegmentSum segment id out of range [0, " << num_segments << ")";
-  auto out = RecordOp("SegmentSum", OpKind::kSegmentSum, num_segments, x.cols(),
-                      {x.impl()});
-  out->rec->ibuf = segment_ids;
-  out->rec->num_segments = num_segments;
+  auto out = RecordOp("SegmentSum", OpKind::kSegmentSum, num_segments,
+                      x.cols(), {x.impl()});
+  out->rec->index = std::make_shared<SegmentIndex>(segment_ids, num_segments);
+  return FinishRecord(std::move(out));
+}
+
+Tensor WeightedSegmentSum(const Tensor& x, const Tensor& w,
+                          const std::vector<int32_t>& segment_ids,
+                          int64_t num_segments) {
+  return WeightedSegmentSum(
+      x, w, std::make_shared<SegmentIndex>(segment_ids, num_segments));
+}
+
+Tensor WeightedSegmentSum(const Tensor& x, const Tensor& w,
+                          SegmentIndexPtr segments) {
+  HYGNN_CHECK(x.defined() && w.defined() && segments != nullptr);
+  HYGNN_CHECK_EQ(w.cols(), 1);
+  HYGNN_CHECK_EQ(w.rows(), x.rows());
+  HYGNN_CHECK_EQ(x.rows(), segments->size());
+  auto out = RecordOp("WeightedSegmentSum", OpKind::kWeightedSegmentSum,
+                      segments->num_segments(), x.cols(),
+                      {x.impl(), w.impl()});
+  out->rec->index = std::move(segments);
   return FinishRecord(std::move(out));
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "tensor/segment_index.h"
 #include "tensor/tensor.h"
 
 namespace hygnn::tensor {
@@ -19,6 +20,13 @@ namespace hygnn::tensor {
 /// the raw float kernels in tensor/kernels/kernels.h, which parallelize
 /// over the global core::ThreadPool with bit-identical results at any
 /// thread count (see DESIGN.md §7).
+///
+/// The ops that read an index (IndexSelectRows, LeakyPairScore and the
+/// Segment ops) record it as a SegmentIndex (tensor/segment_index.h).
+/// They take it as a vector, which they validate and wrap in an object
+/// of their own, or, the encoder's four, also as a SegmentIndexPtr the
+/// caller built once, so a fixed index such as the incidence pairs is
+/// validated and grouped once, not on every call.
 
 /// Dense matrix product: [n,k] x [k,m] -> [n,m].
 Tensor MatMul(const Tensor& a, const Tensor& b);
@@ -29,15 +37,18 @@ Tensor Add(const Tensor& a, const Tensor& b);
 /// Adds a [1,d] bias row to every row of a [n,d] tensor.
 Tensor AddRowBroadcast(const Tensor& x, const Tensor& bias);
 
-/// Multiplies row i of x [n,d] by the scalar w[i] (w is [n,1]). This is
-/// the attention-weighting primitive: out_i = w_i * x_i.
+/// Multiplies row i of x [n,d] by the scalar w[i] (w is [n,1]):
+/// out_i = w_i * x_i. WeightedSegmentSum is this op and a SegmentSum in
+/// one, without the [n,d] product.
 Tensor MulColumnBroadcast(const Tensor& x, const Tensor& w);
 
 /// Concatenates along columns: [n,d1] ++ [n,d2] -> [n,d1+d2].
 Tensor ConcatCols(const Tensor& a, const Tensor& b);
 
-/// Gathers rows: out[i] = x[indices[i]]. Gradients scatter-add back.
+/// Gathers rows: out[i] = x[indices[i]]. Gradients scatter-add back,
+/// through the index's grouping. The index has x.rows() segments.
 Tensor IndexSelectRows(const Tensor& x, const std::vector<int32_t>& indices);
+Tensor IndexSelectRows(const Tensor& x, SegmentIndexPtr indices);
 
 /// The pair decoders' first product: out[i] = (h[a[i]] ‖ h[b[i]]) · w
 /// for h [rows, d] and w [2d, m], giving [n, m] for n = a.size() =
@@ -54,10 +65,12 @@ Tensor PairMatMul(const Tensor& h, const std::vector<int32_t>& a,
 /// n = idx.size(). Values and gradients are bit-identical to
 /// MatMul(LeakyRelu(ConcatCols(x, IndexSelectRows(table, idx)), slope), w)
 /// without the [n, dx + dt] input or its gradient: the kernels read
-/// table's rows through idx.
+/// table's rows through idx, which has table.rows() segments.
 Tensor LeakyPairScore(const Tensor& x, const Tensor& table,
                       const std::vector<int32_t>& idx, const Tensor& w,
                       float slope);
+Tensor LeakyPairScore(const Tensor& x, const Tensor& table,
+                      SegmentIndexPtr idx, const Tensor& w, float slope);
 
 /// Softmax of a [n,1] score column computed independently within each
 /// segment: out_i = exp(s_i) / sum_{j: seg[j]==seg[i]} exp(s_j).
@@ -66,11 +79,23 @@ Tensor LeakyPairScore(const Tensor& x, const Tensor& table,
 Tensor SegmentSoftmax(const Tensor& scores,
                       const std::vector<int32_t>& segment_ids,
                       int64_t num_segments);
+Tensor SegmentSoftmax(const Tensor& scores, SegmentIndexPtr segments);
 
 /// Sums rows of x [n,d] into per-segment accumulators:
 /// out[s] = sum_{i: seg[i]==s} x[i]; result is [num_segments, d].
 Tensor SegmentSum(const Tensor& x, const std::vector<int32_t>& segment_ids,
                   int64_t num_segments);
+
+/// The attention-weighted message sum: out[s] = sum_{i: seg[i]==s}
+/// w[i] * x[i] for x [n,d] and w [n,1], rows added in ascending order;
+/// result is [num_segments, d]. Values and gradients are bit-identical
+/// to SegmentSum(MulColumnBroadcast(x, w), ...) without the [n,d]
+/// product or its gradient.
+Tensor WeightedSegmentSum(const Tensor& x, const Tensor& w,
+                          const std::vector<int32_t>& segment_ids,
+                          int64_t num_segments);
+Tensor WeightedSegmentSum(const Tensor& x, const Tensor& w,
+                          SegmentIndexPtr segments);
 
 /// Row-wise dot product of same-shape [n,d] tensors -> [n,1].
 Tensor RowwiseDot(const Tensor& a, const Tensor& b);

@@ -19,6 +19,7 @@
 #include "obs/optime.h"
 #include "tensor/debug.h"
 #include "tensor/kernels/kernels.h"
+#include "tensor/segment_index.h"
 #include "tensor/sparse.h"
 
 namespace hygnn::tensor {
@@ -177,6 +178,7 @@ bool AccumulatesIntoOutput(OpKind kind) {
     case OpKind::kPairMatMul:
     case OpKind::kLeakyPairScore:
     case OpKind::kSegmentSoftmax:
+    case OpKind::kWeightedSegmentSum:
     case OpKind::kReduceSum:
     case OpKind::kRelu:
     case OpKind::kBiasRelu:
@@ -231,7 +233,8 @@ void DispatchForward(TensorImpl* node, OpRecord* rec) {
       break;
     }
     case OpKind::kIndexSelectRows:
-      kernels::GatherRows(x, node->cols, rec->ibuf.data(), node->rows, out);
+      kernels::GatherRows(x, node->cols, rec->index->ids().data(), node->rows,
+                          out);
       break;
     case OpKind::kPairMatMul: {
       const TensorImpl* w = node->parents[1].get();
@@ -243,17 +246,19 @@ void DispatchForward(TensorImpl* node, OpRecord* rec) {
     case OpKind::kLeakyPairScore: {
       const TensorImpl* table = node->parents[1].get();
       kernels::LeakyPairScore(x, node->rows, p0->cols, table->data.data(),
-                              table->cols, rec->ibuf.data(),
+                              table->cols, rec->index->ids().data(),
                               node->parents[2]->data.data(), rec->alpha, out);
       break;
     }
     case OpKind::kSegmentSoftmax:
-      kernels::SegmentSoftmax(x, rec->ibuf.data(), node->rows,
-                              rec->num_segments, out);
+      kernels::SegmentSoftmax(x, rec->index->groups(), out);
       break;
     case OpKind::kSegmentSum:
-      kernels::SegmentSumAccumulate(x, node->cols, rec->ibuf.data(), p0->rows,
-                                    node->cols, out, rec->num_segments);
+      kernels::SegmentSumAccumulate(x, rec->index->groups(), node->cols, out);
+      break;
+    case OpKind::kWeightedSegmentSum:
+      kernels::WeightedSegmentSum(x, node->parents[1]->data.data(),
+                                  rec->index->groups(), node->cols, out);
       break;
     case OpKind::kRowwiseDot:
       kernels::RowwiseDotAccumulate(x, node->parents[1]->data.data(), out,
@@ -311,6 +316,7 @@ void ExecuteNodeForward(TensorImpl* node, bool time_ops) {
   g_ops_executed.fetch_add(1, std::memory_order_relaxed);
   const bool fused = rec->kind == OpKind::kPairMatMul ||
                      rec->kind == OpKind::kLeakyPairScore ||
+                     rec->kind == OpKind::kWeightedSegmentSum ||
                      rec->kind == OpKind::kBiasRelu;
   if (fused) g_fused_groups.fetch_add(1, std::memory_order_relaxed);
   node->materialized = true;
@@ -407,9 +413,8 @@ void DispatchBackward(TensorImpl* node, OpRecord* rec) {
       // The gather's backward is a segment sum keyed by the indices: each
       // source row adds its gathered rows in ascending order.
       p0->EnsureGrad();
-      kernels::SegmentSumAccumulate(g, node->cols, rec->ibuf.data(),
-                                    node->rows, node->cols, p0->grad.data(),
-                                    p0->rows);
+      kernels::SegmentSumAccumulate(g, rec->index->groups(), node->cols,
+                                    p0->grad.data());
       break;
     case OpKind::kPairMatMul: {
       // The bits of MatMul's backward over the pair input (dW, and dX
@@ -456,21 +461,41 @@ void DispatchBackward(TensorImpl* node, OpRecord* rec) {
       }
       kernels::LeakyPairScoreBackward(
           p0->data.data(), node->rows, p0->cols, table->data.data(),
-          table->rows, table->cols, rec->ibuf.data(), w->data.data(),
-          rec->alpha, g, dx, dtable, dw);
+          table->cols, rec->index->ids().data(), rec->index->groups(),
+          w->data.data(), rec->alpha, g, dx, dtable, dw);
       break;
     }
     case OpKind::kSegmentSoftmax:
       p0->EnsureGrad();
-      kernels::SegmentSoftmaxBackward(g, node->data.data(), rec->ibuf.data(),
-                                      node->rows, rec->num_segments,
-                                      p0->grad.data());
+      kernels::SegmentSoftmaxBackward(g, node->data.data(),
+                                      rec->index->groups(), p0->grad.data());
       break;
     case OpKind::kSegmentSum:
       p0->EnsureGrad();
-      kernels::SegmentSumBackward(g, rec->ibuf.data(), p0->rows, node->cols,
-                                  p0->grad.data());
+      kernels::SegmentSumBackward(g, rec->index->ids().data(), p0->rows,
+                                  node->cols, p0->grad.data());
       break;
+    case OpKind::kWeightedSegmentSum: {
+      // The bits of SegmentSum's backward (g broadcast onto the zeroed
+      // gradient of the [n, d] product, which no buffer holds), then of
+      // MulColumnBroadcast's into x and w: the composition ran them in
+      // that order, one after the other.
+      TensorImpl* w = node->parents[1].get();
+      float* dx = nullptr;
+      float* dw = nullptr;
+      if (p0->requires_grad) {
+        p0->EnsureGrad();
+        dx = p0->grad.data();
+      }
+      if (w->requires_grad) {
+        w->EnsureGrad();
+        dw = w->grad.data();
+      }
+      kernels::WeightedSegmentSumBackward(
+          p0->data.data(), w->data.data(), rec->index->ids().data(),
+          p0->rows, node->cols, g, dx, dw);
+      break;
+    }
     case OpKind::kRowwiseDot: {
       TensorImpl* p1 = node->parents[1].get();
       if (p0->requires_grad) {

@@ -32,17 +32,18 @@ namespace hygnn::tensor {
 /// dispatches on the node's OpKind. There is no other way to run a
 /// node, forward or backward.
 ///
-/// Three ops stand for a composition of others on the hot paths: on the
+/// Four ops stand for a composition of others on the hot paths: on the
 /// decoder's, PairMatMul for MatMul of ConcatCols of two IndexSelectRows
 /// of one table, and BiasRelu for Relu of AddRowBroadcast; on the
 /// encoder's, LeakyPairScore for MatMul of LeakyRelu of ConcatCols of a
-/// tensor and an IndexSelectRows. Their kernels write the same bits,
-/// values and gradients, as the compositions they replace (see
-/// DESIGN.md §12). The backward pass keeps the seed
-/// engine's node order, so gradients are memcmp-equal at any thread
-/// count.
+/// tensor and an IndexSelectRows, and WeightedSegmentSum for SegmentSum
+/// of MulColumnBroadcast. Their kernels write the same bits, values and
+/// gradients, as the compositions they replace (see DESIGN.md §12). The
+/// backward pass keeps the seed engine's node order, so gradients are
+/// memcmp-equal at any thread count.
 
 class CsrMatrix;
+class SegmentIndex;
 
 /// Operator kinds the executor dispatches on — one per op that records
 /// a tape node: tensor/ops.h, SpMM (sparse.h) and the losses (loss.h).
@@ -57,6 +58,7 @@ enum class OpKind : uint8_t {
   kLeakyPairScore,
   kSegmentSoftmax,
   kSegmentSum,
+  kWeightedSegmentSum,
   kRowwiseDot,
   kReduceSum,
   kRelu,
@@ -75,10 +77,13 @@ struct OpRecord {
   /// Scalar parameter: the LeakyRelu or LeakyPairScore slope. Unused
   /// otherwise.
   float alpha = 0.0f;
-  /// Integer payload: IndexSelectRows indices, PairMatMul's a indices
-  /// followed by its b indices, LeakyPairScore's table indices,
-  /// Segment* segment ids, or the SoftmaxCrossEntropyLoss labels.
+  /// Integer payload: PairMatMul's a indices followed by its b indices,
+  /// or the SoftmaxCrossEntropyLoss labels.
   std::vector<int32_t> ibuf;
+  /// The index of IndexSelectRows, LeakyPairScore and the three Segment
+  /// ops, shared with the caller and with every other op that reads it
+  /// (tensor/segment_index.h).
+  std::shared_ptr<const SegmentIndex> index;
   /// Float payload: the Dropout mask (drawn at record time so the RNG
   /// stream order matches program order), the BceWithLogitsLoss
   /// targets, or the SoftmaxCrossEntropyLoss softmax cache (filled at
@@ -86,7 +91,6 @@ struct OpRecord {
   std::shared_ptr<std::vector<float>> fbuf;
   /// The constant sparse matrix SpMM multiplies by.
   std::shared_ptr<const CsrMatrix> csr;
-  int64_t num_segments = 0;
 };
 
 /// Allocates a pending tape node: shape, static op name, kind, and
@@ -108,8 +112,9 @@ Tensor FinishRecord(std::shared_ptr<TensorImpl> out);
 /// the obs per-op attribution table.
 void ExecuteNodeBackward(TensorImpl* node, bool time_ops);
 
-/// Always true: PairMatMul, BiasRelu and LeakyPairScore, the engine's
-/// fused ops, have no unfused mode. Kept for the benchmark's run header.
+/// Always true: PairMatMul, BiasRelu, LeakyPairScore and
+/// WeightedSegmentSum, the engine's fused ops, have no unfused mode.
+/// Kept for the benchmark's run header.
 inline bool FusionEnabled() { return true; }
 
 /// Executor counters since the last ResetExecStats, safe to read
@@ -120,8 +125,9 @@ inline bool FusionEnabled() { return true; }
 /// overwrites them.
 struct ExecStatsSnapshot {
   uint64_t ops_executed = 0;       // kernel-level invocations
-  uint64_t fused_groups = 0;       // PairMatMul, BiasRelu and
-                                   // LeakyPairScore forwards
+  uint64_t fused_groups = 0;       // PairMatMul, BiasRelu,
+                                   // LeakyPairScore and
+                                   // WeightedSegmentSum forwards
   uint64_t buffers_allocated = 0;  // output data buffers allocated
   uint64_t buffers_recycled = 0;   // output and gradient buffers, filled
                                    // or not, served from held storage

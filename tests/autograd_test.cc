@@ -289,6 +289,24 @@ TEST(GradCheckTest, SegmentSumWithEmptyAndSingleSegments) {
       });
 }
 
+TEST(GradCheckTest, WeightedSegmentSum) {
+  // Unsorted ids, segment 1 empty and segment 3 a single row; x and w
+  // each checked with the other fixed.
+  const std::vector<int32_t> segments{2, 0, 3, 2, 0, 2};
+  const auto loss = [&](const Tensor& x, const Tensor& w) {
+    Tensor summed = WeightedSegmentSum(x, w, segments, 4);
+    return ReduceSum(RowwiseDot(summed, summed));
+  };
+  const Tensor w = FixedRandom(6, 1, 95, false);
+  ExpectGradMatchesNumeric([] { return FixedRandom(6, 3, 24); },
+                           [&](const Tensor& x) { return loss(x, w); });
+  const Tensor x = FixedRandom(6, 3, 96, false);
+  ExpectGradMatchesNumeric([] { return FixedRandom(6, 1, 25); },
+                           [&](const Tensor& weights) {
+                             return loss(x, weights);
+                           });
+}
+
 TEST(SegmentOpsTest, EmptySegmentForwardIsZero) {
   // Forward-only contract: rows of an empty segment do not exist, the
   // summed accumulator stays zero, and softmax outputs stay normalized

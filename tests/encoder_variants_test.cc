@@ -31,16 +31,16 @@ TEST(NoAttentionTest, UniformWeightsWhenDisabled) {
   encoder.Forward(context, false, nullptr, &attention);
   // Edge 0 has 3 members: node-level weights must all be 1/3.
   for (size_t i = 0; i < attention.node_level.size(); ++i) {
-    if (context.pair_edges[i] == 0) {
+    if (context.pair_edges->ids()[i] == 0) {
       EXPECT_NEAR(attention.node_level[i], 1.0f / 3.0f, 1e-6f);
     }
-    if (context.pair_edges[i] == 2) {  // singleton edge
+    if (context.pair_edges->ids()[i] == 2) {  // singleton edge
       EXPECT_NEAR(attention.node_level[i], 1.0f, 1e-6f);
     }
   }
   // Node 1 belongs to edges 0 and 1: hyperedge-level weights are 1/2.
   for (size_t i = 0; i < attention.hyperedge_level.size(); ++i) {
-    if (context.pair_nodes[i] == 1) {
+    if (context.pair_nodes->ids()[i] == 1) {
       EXPECT_NEAR(attention.hyperedge_level[i], 0.5f, 1e-6f);
     }
   }
@@ -57,7 +57,7 @@ TEST(NoAttentionTest, AttentionWeightsAreNotUniformWhenEnabled) {
   // exactly uniform.
   float max_weight = 0.0f, min_weight = 1.0f;
   for (size_t i = 0; i < attention.node_level.size(); ++i) {
-    if (context.pair_edges[i] == 0) {
+    if (context.pair_edges->ids()[i] == 0) {
       max_weight = std::max(max_weight, attention.node_level[i]);
       min_weight = std::min(min_weight, attention.node_level[i]);
     }
@@ -146,7 +146,7 @@ TEST(StackedEncoderTest, AttentionSnapshotComesFromLastLayer) {
   // Still valid distributions per hyperedge.
   std::map<int32_t, float> per_edge;
   for (size_t i = 0; i < attention.node_level.size(); ++i) {
-    per_edge[context.pair_edges[i]] += attention.node_level[i];
+    per_edge[context.pair_edges->ids()[i]] += attention.node_level[i];
   }
   for (const auto& [edge, sum] : per_edge) {
     EXPECT_NEAR(sum, 1.0f, 1e-5f) << "edge " << edge;

@@ -18,6 +18,7 @@
 #include "tensor/loss.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
+#include "tensor/tape.h"
 
 namespace hygnn::model {
 namespace {
@@ -31,7 +32,7 @@ TEST(ContextTest, FromHypergraphShapes) {
   auto context = HypergraphContext::FromHypergraph(TinyHypergraph());
   EXPECT_EQ(context.num_nodes, 5);
   EXPECT_EQ(context.num_edges, 3);
-  EXPECT_EQ(context.pair_nodes.size(), 7u);
+  EXPECT_EQ(context.pair_nodes->size(), 7);
   ASSERT_NE(context.edge_features, nullptr);
   EXPECT_EQ(context.edge_features->rows(), 3);
   EXPECT_EQ(context.edge_features->cols(), 5);
@@ -65,7 +66,7 @@ TEST(EncoderTest, AttentionWeightsAreSegmentDistributions) {
   // Hyperedge-level weights sum to 1 over each node's incident edges.
   std::map<int32_t, float> per_node;
   for (size_t i = 0; i < attention.hyperedge_level.size(); ++i) {
-    per_node[context.pair_nodes[i]] += attention.hyperedge_level[i];
+    per_node[context.pair_nodes->ids()[i]] += attention.hyperedge_level[i];
   }
   for (const auto& [node, sum] : per_node) {
     EXPECT_NEAR(sum, 1.0f, 1e-5f) << "node " << node;
@@ -73,7 +74,7 @@ TEST(EncoderTest, AttentionWeightsAreSegmentDistributions) {
   // Node-level weights sum to 1 over each hyperedge's members.
   std::map<int32_t, float> per_edge;
   for (size_t i = 0; i < attention.node_level.size(); ++i) {
-    per_edge[context.pair_edges[i]] += attention.node_level[i];
+    per_edge[context.pair_edges->ids()[i]] += attention.node_level[i];
   }
   for (const auto& [edge, sum] : per_edge) {
     EXPECT_NEAR(sum, 1.0f, 1e-5f) << "edge " << edge;
@@ -134,6 +135,61 @@ TEST(EncoderTest, NodeLevelScoreBuildsNoPairFeatures) {
   EXPECT_EQ(ops["ConcatCols"], 0);
   EXPECT_EQ(q_proj_gathers, 1);
   EXPECT_EQ(pair_feature_nodes, 0);
+}
+
+TEST(EncoderTest, MessageSumsRecordNoPairProducts) {
+  // The recorded graph of one attention layer: both message sums are one
+  // WeightedSegmentSum each, with no [P, d] product, and every op that
+  // reads the incidence pairs records one of the context's two index
+  // objects by pointer, copying no ids.
+  core::Rng rng(4);
+  auto context = HypergraphContext::FromHypergraph(TinyHypergraph());
+  EncoderConfig config;
+  config.hidden_dim = 8;
+  config.output_dim = 6;
+  HypergraphEdgeEncoder encoder(5, config, &rng);
+  const tensor::Tensor q = encoder.Forward(context, true, &rng);
+  std::map<std::string, int> ops;
+  std::map<std::string, int> reads_nodes;
+  std::map<std::string, int> reads_edges;
+  int other_indices = 0;
+  int copied_ids = 0;
+  std::vector<tensor::TensorImpl*> stack{q.impl().get()};
+  std::set<tensor::TensorImpl*> seen{q.impl().get()};
+  while (!stack.empty()) {
+    tensor::TensorImpl* node = stack.back();
+    stack.pop_back();
+    ++ops[node->op];
+    if (node->rec != nullptr) {
+      const auto& index = node->rec->index;
+      if (index == context.pair_nodes) {
+        ++reads_nodes[node->op];
+      } else if (index == context.pair_edges) {
+        ++reads_edges[node->op];
+      } else if (index != nullptr) {
+        ++other_indices;
+      }
+      if (!node->rec->ibuf.empty()) ++copied_ids;
+    }
+    for (const auto& parent : node->parents) {
+      if (seen.insert(parent.get()).second) stack.push_back(parent.get());
+    }
+  }
+  EXPECT_EQ(ops["WeightedSegmentSum"], 2);
+  EXPECT_EQ(ops["MulColumnBroadcast"], 0);
+  EXPECT_EQ(ops["SegmentSum"], 0);
+  // p_i sums over each node's pairs, q_j over each drug's.
+  EXPECT_EQ(reads_nodes, (std::map<std::string, int>{
+                             {"IndexSelectRows", 1},
+                             {"SegmentSoftmax", 1},
+                             {"WeightedSegmentSum", 1}}));
+  EXPECT_EQ(reads_edges, (std::map<std::string, int>{
+                             {"IndexSelectRows", 2},
+                             {"LeakyPairScore", 1},
+                             {"SegmentSoftmax", 1},
+                             {"WeightedSegmentSum", 1}}));
+  EXPECT_EQ(other_indices, 0);
+  EXPECT_EQ(copied_ids, 0);
 }
 
 TEST(EncoderTest, DrugsWithSharedSubstructuresMoreSimilar) {

@@ -3,26 +3,27 @@
 #include <numeric>
 #include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/csr.h"
 #include "core/rng.h"
 #include "data/generator.h"
 #include "data/pairs.h"
 #include "graph/hypergraph.h"
 #include "graph/random_walk.h"
+#include "hygnn/encoder.h"
+#include "tensor/segment_index.h"
 
 namespace hygnn::graph {
 namespace {
 
-/// Random hypergraphs: structural invariants hold for any membership
-/// pattern.
-class HypergraphInvariantTest : public ::testing::TestWithParam<uint64_t> {
-};
-
-TEST_P(HypergraphInvariantTest, InvariantsHold) {
-  core::Rng rng(GetParam());
+/// A random hypergraph of up to 40 nodes and 25 edges, each edge's
+/// members drawn with repeats (merged) and possibly none.
+Hypergraph RandomHypergraph(uint64_t seed) {
+  core::Rng rng(seed);
   const int32_t num_nodes = 1 + static_cast<int32_t>(rng.UniformInt(40));
   const int32_t num_edges = 1 + static_cast<int32_t>(rng.UniformInt(25));
   std::vector<std::vector<int32_t>> members(
@@ -34,7 +35,16 @@ TEST_P(HypergraphInvariantTest, InvariantsHold) {
       edge.push_back(static_cast<int32_t>(rng.UniformInt(num_nodes)));
     }
   }
-  Hypergraph h(num_nodes, members);
+  return Hypergraph(num_nodes, members);
+}
+
+/// Random hypergraphs: structural invariants hold for any membership
+/// pattern.
+class HypergraphInvariantTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(HypergraphInvariantTest, InvariantsHold) {
+  const Hypergraph h = RandomHypergraph(GetParam());
 
   // Sum of edge degrees == sum of node degrees == incidences.
   int64_t edge_degree_sum = 0;
@@ -95,6 +105,53 @@ TEST_P(HypergraphInvariantTest, InvariantsHold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HypergraphInvariantTest,
+                         ::testing::Values(101u, 202u, 303u, 404u, 505u,
+                                           606u));
+
+/// HyGNN's context over the same random hypergraphs: its two index
+/// objects hold the incidence pairs, and the grouping each builds once
+/// and shares equals a fresh GroupBy of its ids. The node side, read
+/// through the pairs' edges, is every node's memberships.
+class ContextGroupingTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ContextGroupingTest, GroupingsMatchFreshGroupBy) {
+  const Hypergraph h = RandomHypergraph(GetParam());
+  const auto context = model::HypergraphContext::FromHypergraph(h);
+  ASSERT_NE(context.pair_nodes, nullptr);
+  ASSERT_NE(context.pair_edges, nullptr);
+  EXPECT_EQ(context.pair_nodes->ids(), h.pair_nodes());
+  EXPECT_EQ(context.pair_edges->ids(), h.pair_edges());
+  const std::pair<tensor::SegmentIndexPtr, int64_t> sides[] = {
+      {context.pair_nodes, h.num_nodes()},
+      {context.pair_edges, h.num_edges()},
+  };
+  for (const auto& [index, keys] : sides) {
+    EXPECT_EQ(index->num_segments(), keys);
+    core::Csr fresh;
+    fresh.GroupBy(index->ids(), keys);
+    const core::Csr& shared = index->groups();
+    EXPECT_EQ(shared.offsets, fresh.offsets);
+    EXPECT_EQ(shared.indices, fresh.indices);
+    EXPECT_EQ(&index->groups(), &shared) << "grouped more than once";
+  }
+  const core::Csr& by_node = context.pair_nodes->groups();
+  for (int32_t v = 0; v < h.num_nodes(); ++v) {
+    std::vector<int32_t> edges;
+    for (const int32_t pair : by_node.Range(v)) {
+      edges.push_back(h.pair_edges()[static_cast<size_t>(pair)]);
+    }
+    const auto memberships = h.NodeMemberships(v);
+    EXPECT_EQ(edges, std::vector<int32_t>(memberships.begin(),
+                                          memberships.end()))
+        << "node " << v;
+  }
+  // A copy of the context shares both objects.
+  const model::HypergraphContext copy = context;
+  EXPECT_EQ(copy.pair_nodes, context.pair_nodes);
+  EXPECT_EQ(copy.pair_edges, context.pair_edges);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ContextGroupingTest,
                          ::testing::Values(101u, 202u, 303u, 404u, 505u,
                                            606u));
 

@@ -2,11 +2,11 @@
 // threads=1 reference for every parallelized op, forward AND backward;
 // (2) the dense products match scalar references that spell out each
 // rounding, bit for bit, at 1/2/4 threads; (3) the gather backward,
-// the column sums and the fused decoder kernels match scalar references
-// or the kernel compositions they replace, bit for bit, at 1/2/4
-// threads; (4) gradcheck still passes with a 4-thread pool; (5) two
-// seeded training runs produce identical per-epoch losses at any thread
-// count.
+// the column sums, the fused decoder kernels and the weighted segment
+// sum match scalar references or the kernel compositions they replace,
+// bit for bit, at 1/2/4 threads; (4) gradcheck still passes with a
+// 4-thread pool; (5) two seeded training runs produce identical
+// per-epoch losses at any thread count.
 
 #include <algorithm>
 #include <cmath>
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/csr.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "data/featurize.h"
@@ -211,6 +212,19 @@ TEST(KernelParityTest, SegmentOps) {
   ExpectThreadParity("SegmentSum", [](std::vector<tensor::Tensor>* inputs) {
     auto x = MakeLeaf(inputs, 18, kN, kCols);
     return tensor::SegmentSum(x, TestSegmentIds(kN, kSegments), kSegments);
+  });
+}
+
+TEST(KernelParityTest, WeightedSegmentSum) {
+  // 40 segments over 200 rows (segment 2 empty): several chunks of
+  // segments forward and of rows backward.
+  constexpr int64_t kN = 200, kSegments = 40;
+  ExpectThreadParity("WeightedSegmentSum",
+                     [](std::vector<tensor::Tensor>* inputs) {
+    auto x = MakeLeaf(inputs, 22, kN, kCols);
+    auto w = MakeLeaf(inputs, 23, kN, 1);
+    return tensor::WeightedSegmentSum(x, w, TestSegmentIds(kN, kSegments),
+                                      kSegments);
   });
 }
 
@@ -813,9 +827,12 @@ TEST(DenseProductTest, LeakyPairScoreMatchesRoundingReference) {
       tensor::kernels::LeakyPairScore(x.data(), n, dx, table.data(), dt,
                                       idx.data(), w.data(), kSlope, z.data());
       std::vector<float> dx_got = dx0, dt_got = dt0, dw_got = dw0;
+      core::Csr table_groups;
+      table_groups.GroupBy(idx, rows);
       tensor::kernels::LeakyPairScoreBackward(
-          x.data(), n, dx, table.data(), rows, dt, idx.data(), w.data(),
-          kSlope, g.data(), dx_got.data(), dt_got.data(), dw_got.data());
+          x.data(), n, dx, table.data(), dt, idx.data(), table_groups,
+          w.data(), kSlope, g.data(), dx_got.data(), dt_got.data(),
+          dw_got.data());
       core::SetNumThreads(1);
       const std::string shape =
           "n=" + std::to_string(n) + " dx=" + std::to_string(dx) +
@@ -828,6 +845,133 @@ TEST(DenseProductTest, LeakyPairScoreMatchesRoundingReference) {
       EXPECT_TRUE(SameBits(dx_got, dx_ref)) << "dx " << shape;
       EXPECT_TRUE(SameBits(dt_got, dt_ref)) << "dtable " << shape;
       if (!same && ++failures >= 5) return;
+    }
+  }
+}
+
+/// The NaN that 0·inf produces on this target. Where every NaN is this
+/// one, a memcmp compares signs, zeros and infinities, not which of two
+/// NaNs an add kept.
+float DefaultNaN() {
+  volatile float zero = 0.0f;
+  return zero * kInf;
+}
+
+/// OrderSensitive's magnitudes with every seventh entry ±1e-25, so the
+/// product of two such entries underflows to ±0, every eleventh ±0,
+/// and with `specials` DefaultNaN, +inf and -inf at three entries.
+std::vector<float> WeightedSumValues(int64_t n, uint64_t seed,
+                                     bool specials) {
+  core::Rng rng(seed);
+  std::vector<float> v(static_cast<size_t>(n));
+  for (size_t i = 0; i < v.size(); ++i) {
+    const float u = rng.UniformFloat() * 2.0f - 1.0f;
+    if (i % 11 == 0) {
+      v[i] = u < 0.0f ? -0.0f : 0.0f;
+    } else if (i % 7 == 0) {
+      v[i] = u < 0.0f ? -1e-25f : 1e-25f;
+    } else {
+      v[i] = i % 3 == 0 ? u * 1e8f : u;
+    }
+  }
+  if (specials && n > 9) {
+    v[5] = DefaultNaN();
+    v[n / 2 + 1] = kInf;
+    v[n - 2] = -kInf;
+  }
+  return v;
+}
+
+/// WeightedSegmentSum's kernels against scalar references that spell
+/// out the composition's roundings (kernels.h, segment.cc): forward,
+/// out[s][j] = +0, then out + ReferenceMulAdd(w[i], x[i][j], +0) for
+/// s's rows ascending; dx[i][j] = ReferenceMulAdd(w[i], t[j], dx[i][j])
+/// with t = +0 + g[seg[i]]; and dw[i] += the dot of t with x[i] as
+/// RowwiseDotAccumulate, the composition's kernel, rounds it. Ids are
+/// unsorted and repeated with empty segments, or one segment holding
+/// every row. The starting gradients hold values, ±0 and tiny entries,
+/// so a fused product that rounds to -0 shows, and out starts at NaN,
+/// so a read of out shows. dx and dw are also each computed alone.
+TEST(SegmentKernelTest, WeightedSegmentSumMatchesRoundingReference) {
+  struct Case {
+    std::vector<int32_t> ids;
+    int64_t segments;
+  };
+  std::vector<int32_t> many(300);
+  core::Rng rng(78);
+  for (int32_t& id : many) {
+    do {
+      id = static_cast<int32_t>(rng.UniformInt(40));
+    } while (id % 13 == 5);
+  }
+  const std::vector<Case> cases = {
+      {{4, 0, 4, 2, 6, 0, 0, 3, 6, 4, 2, 0, 6, 3, 4, 4, 0, 2, 6, 3, 0, 4, 2},
+       7},
+      {std::vector<int32_t>(19, 0), 1},
+      {many, 40},
+  };
+  int failures = 0;
+  for (const Case& c : cases) {
+    const auto n = static_cast<int64_t>(c.ids.size());
+    core::Csr groups;
+    groups.GroupBy(c.ids, c.segments);
+    for (const int64_t d : {1, 3, 5, 8, 9, 13, 64, 65}) {
+      for (const bool specials : {false, true}) {
+        const auto x = WeightedSumValues(n * d, 60 + d, specials);
+        const auto w = WeightedSumValues(n, 61 + d, specials);
+        const auto g = WeightedSumValues(c.segments * d, 62 + d, specials);
+        const auto dx0 = WeightedSumValues(n * d, 63 + d, false);
+        const auto dw0 = WeightedSumValues(n, 64 + d, false);
+        std::vector<float> out_ref(static_cast<size_t>(c.segments * d), 0.0f);
+        std::vector<float> t(static_cast<size_t>(n * d));
+        std::vector<float> dx_ref = dx0;
+        for (int64_t i = 0; i < n; ++i) {
+          const int64_t s = c.ids[static_cast<size_t>(i)];
+          for (int64_t j = 0; j < d; ++j) {
+            float& o = out_ref[static_cast<size_t>(s * d + j)];
+            o = o + ReferenceMulAdd(w[i], x[i * d + j], 0.0f);
+            t[i * d + j] = 0.0f + g[s * d + j];
+            dx_ref[i * d + j] =
+                ReferenceMulAdd(w[i], t[i * d + j], dx_ref[i * d + j]);
+          }
+        }
+        std::vector<float> dw_ref = dw0;
+        tensor::kernels::RowwiseDotAccumulate(t.data(), x.data(),
+                                              dw_ref.data(), n, d);
+        for (const int32_t threads : {1, 2, 4}) {
+          core::SetNumThreads(threads);
+          std::vector<float> out(out_ref.size(), kNaN);
+          tensor::kernels::WeightedSegmentSum(x.data(), w.data(), groups, d,
+                                              out.data());
+          std::vector<float> dx = dx0, dw = dw0;
+          tensor::kernels::WeightedSegmentSumBackward(
+              x.data(), w.data(), c.ids.data(), n, d, g.data(), dx.data(),
+              dw.data());
+          std::vector<float> dx_alone = dx0, dw_alone = dw0;
+          tensor::kernels::WeightedSegmentSumBackward(
+              x.data(), w.data(), c.ids.data(), n, d, g.data(),
+              dx_alone.data(), nullptr);
+          tensor::kernels::WeightedSegmentSumBackward(
+              x.data(), w.data(), c.ids.data(), n, d, g.data(), nullptr,
+              dw_alone.data());
+          core::SetNumThreads(1);
+          const std::string shape =
+              "n=" + std::to_string(n) + " segments=" +
+              std::to_string(c.segments) + " d=" + std::to_string(d) +
+              (specials ? " specials" : "") +
+              " threads=" + std::to_string(threads);
+          const bool same = SameBits(out, out_ref) && SameBits(dx, dx_ref) &&
+                            SameBits(dw, dw_ref) &&
+                            SameBits(dx_alone, dx_ref) &&
+                            SameBits(dw_alone, dw_ref);
+          EXPECT_TRUE(SameBits(out, out_ref)) << "out " << shape;
+          EXPECT_TRUE(SameBits(dx, dx_ref)) << "dx " << shape;
+          EXPECT_TRUE(SameBits(dw, dw_ref)) << "dw " << shape;
+          EXPECT_TRUE(SameBits(dx_alone, dx_ref)) << "dx alone " << shape;
+          EXPECT_TRUE(SameBits(dw_alone, dw_ref)) << "dw alone " << shape;
+          if (!same && ++failures >= 5) return;
+        }
+      }
     }
   }
 }

@@ -1,7 +1,8 @@
-// Tape tests: (1) the fused ops PairMatMul and BiasRelu are
-// bit-identical to the compositions they replace — values and every
-// gradient, with duplicate indices, ±0, NaN and ±inf — alone and inside
-// the MLP decoder's chain, at 1, 2 and 4 threads; (2) full training runs
+// Tape tests: (1) the fused ops PairMatMul, BiasRelu, LeakyPairScore
+// and WeightedSegmentSum are bit-identical to the compositions they
+// replace — values and every gradient, with duplicate indices, ±0, NaN
+// and ±inf — alone and (the decoder's two) inside the MLP decoder's
+// chain, at 1, 2 and 4 threads; (2) full training runs
 // are bit-identical at 1 and 4 threads, losses AND trained weight bytes;
 // (3) gradcheck passes over chains through the fused ops; (4) the fused
 // ops save kernel invocations and buffers (ExecStats) and appear by name
@@ -379,6 +380,105 @@ TEST_F(TapeTest, LeakyPairScoreBitIdenticalToComposition) {
             reference,
             [&] { return RunLeakyPairScore(shape, true, shared, special_g); },
             what);
+      }
+    }
+  }
+}
+
+/// One WeightedSegmentSum case: row i's segment is ids[i], of
+/// `segments`.
+struct SegmentCase {
+  std::string name;
+  std::vector<int32_t> ids;
+  int64_t segments;
+};
+
+/// Unsorted, repeated ids with two empty segments (1 and 5); one
+/// segment that holds every row; and 300 rows over 40 segments, three
+/// of them empty, which run several chunks of rows and of segments.
+std::vector<SegmentCase> WeightedSumCases() {
+  std::vector<int32_t> many(300);
+  core::Rng rng(77);
+  for (int32_t& id : many) {
+    do {
+      id = static_cast<int32_t>(rng.UniformInt(40));
+    } while (id % 13 == 5);
+  }
+  return {
+      {"unsorted",
+       {4, 0, 4, 2, 6, 0, 0, 3, 6, 4, 2, 0, 6, 3, 4, 4, 0, 2, 6, 3, 0, 4, 2},
+       7},
+      {"one segment", std::vector<int32_t>(19, 0), 1},
+      {"many", std::move(many), 40},
+  };
+}
+
+/// Order-sensitive values for a weighted sum's operands: magnitudes far
+/// apart (a sum in another order rounds differently), every fifth entry
+/// ±1e-25, so products of two such entries underflow to ±0, and ±0 in
+/// row 1. With `specials`, DefaultNaN, +inf and -inf in rows 3, 4 and
+/// 5.
+tensor::Tensor WeightedSumInput(int64_t rows, int64_t cols, bool specials,
+                                bool requires_grad, uint64_t seed) {
+  core::Rng rng(seed);
+  std::vector<float> v(static_cast<size_t>(rows * cols));
+  for (size_t e = 0; e < v.size(); ++e) {
+    const float u = rng.UniformFloat() * 2.0f - 1.0f;
+    v[e] = e % 5 == 0 ? (u < 0.0f ? -1e-25f : 1e-25f)
+                      : (e % 3 == 0 ? u * 1e8f : u);
+  }
+  if (rows > 1) {
+    for (int64_t j = 0; j < cols; ++j) v[cols + j] = j % 2 ? -0.0f : 0.0f;
+  }
+  if (specials && rows > 5) {
+    v[3 * cols] = DefaultNaN();
+    v[4 * cols + cols - 1] = kInf;
+    v[5 * cols] = -kInf;
+  }
+  return tensor::Tensor::FromVector(std::move(v), rows, cols, requires_grad);
+}
+
+/// WeightedSegmentSum(x, w, ids) or SegmentSum(MulColumnBroadcast(x,
+/// w), ids): the output and the gradients of x and w. With `shared`, a
+/// second reader of x runs its backward first, so the op adds into a
+/// gradient that is already started, as pair_node_feat's in the
+/// encoder.
+Captured RunWeightedSegmentSum(const SegmentCase& c, int64_t d, bool fused,
+                               bool shared, bool specials) {
+  const auto n = static_cast<int64_t>(c.ids.size());
+  const tensor::Tensor x = WeightedSumInput(n, d, specials, true, 51);
+  const tensor::Tensor w = WeightedSumInput(n, 1, specials, true, 52);
+  const tensor::Tensor out =
+      fused ? tensor::WeightedSegmentSum(x, w, c.ids, c.segments)
+            : tensor::SegmentSum(tensor::MulColumnBroadcast(x, w), c.ids,
+                                 c.segments);
+  tensor::Tensor loss = tensor::ReduceSum(tensor::RowwiseDot(
+      out, WeightedSumInput(c.segments, d, specials, false, 53)));
+  if (shared) {
+    loss = tensor::Add(loss, tensor::ReduceSum(tensor::RowwiseDot(
+                                 x, FixedInput(n, d, /*seed=*/54))));
+  }
+  loss.Backward();
+  return {ValuesOf(out), GradOf(x), GradOf(w)};
+}
+
+TEST_F(TapeTest, WeightedSegmentSumBitIdenticalToComposition) {
+  for (const SegmentCase& c : WeightedSumCases()) {
+    for (const int64_t d : {1, 3, 5, 8, 9, 13, 64, 65}) {
+      for (const bool shared : {false, true}) {
+        for (const bool specials : {false, true}) {
+          const std::string what =
+              "WeightedSegmentSum " + c.name + " d=" + std::to_string(d) +
+              (shared ? " shared" : "") + (specials ? " specials" : "");
+          const Captured reference =
+              RunWeightedSegmentSum(c, d, false, shared, specials);
+          ExpectBitsAtThreads(
+              reference,
+              [&] {
+                return RunWeightedSegmentSum(c, d, true, shared, specials);
+              },
+              what);
+        }
       }
     }
   }
