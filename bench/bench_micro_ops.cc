@@ -1,8 +1,9 @@
 // Micro harness for the tensor kernels that dominate HyGNN training and
 // serving: a thread-scaling sweep over the parallelized kernels
 // (the MLP decoder's dense products at the paper's training and serving
-// shapes, SegmentSoftmax, SegmentSum, IndexSelectRows, Relu) at 1, 2,
-// and 4 threads, verifying bit-identical outputs against the 1-thread
+// shapes, SegmentSoftmax, SegmentSum, IndexSelectRows, Relu, and the
+// k-mer encoder's SpMM and Adam step over its 13,108 x 64 projection)
+// at 1, 2, and 4 threads, verifying bit-identical outputs against the 1-thread
 // reference, counting minor page faults and recycled tensor buffers
 // per iteration, and writing machine-readable JSON to BENCH_micro_ops.json
 // (override with --json_out=PATH), followed by the fused-op rows, each
@@ -19,6 +20,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -33,6 +35,8 @@
 #include "tensor/init.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
+#include "tensor/optimizer.h"
+#include "tensor/sparse.h"
 #include "tensor/tape.h"
 #include "tensor/tensor.h"
 
@@ -256,6 +260,67 @@ void SweepDenseProducts(std::vector<ScalingResult>* results) {
                                   w2);
           },
           results);
+}
+
+/// The k-mer encoder's (HyGNN-kmer, k = 10) first product and the
+/// optimizer step it feeds, at their training shape:
+///  - SpMM fwd+bwd: the [824 x 13,108] drug-by-k-mer incidence, 24,262
+///    entries (about 29 per drug), times the [13,108 x 64] projection
+///    W_q, its sum, and the backward's Aᵀ·g into W_q's gradient.
+///  - Adam.Step: one update of a 13,108 x 64 parameter. The timed steps
+///    move the state, so the checked output is a separate, untimed run:
+///    three steps from the same start, then w, m and v.
+void SweepEncoderProjection(std::vector<ScalingResult>* results) {
+  constexpr int64_t kKmers = 13108, kIncidences = 24262, kD = 64;
+  core::Rng rng(13);
+  std::vector<int32_t> rows, cols;
+  std::vector<float> values;
+  for (int64_t i = 0; i < kIncidences; ++i) {
+    rows.push_back(static_cast<int32_t>(i % kDrugs));
+    cols.push_back(static_cast<int32_t>(rng.UniformInt(kKmers)));
+    values.push_back(rng.UniformFloat());
+  }
+  const auto a =
+      tensor::CsrMatrix::FromCoo(kDrugs, kKmers, rows, cols, values);
+  tensor::Tensor w_q = tensor::NormalInit(kKmers, kD, 0.1f, &rng, true);
+  tensor::Tensor loss;
+  SweepThreads(
+      "SpMM fwd+bwd", kDrugs, kD,
+      [&] {
+        w_q.ZeroGrad();
+        loss = tensor::ReduceSum(tensor::SpMM(a, w_q));
+        loss.Backward();
+      },
+      [&] {
+        std::vector<float> out{loss.item()};
+        out.insert(out.end(), w_q.grad(), w_q.grad() + w_q.size());
+        return out;
+      },
+      results);
+
+  const std::vector<float> w0(w_q.data(), w_q.data() + w_q.size());
+  const tensor::Tensor g = tensor::NormalInit(kKmers, kD, 1.0f, &rng, false);
+  const auto start = [&] {
+    tensor::Tensor w = tensor::Tensor::FromVector(w0, kKmers, kD, true);
+    w.impl()->EnsureGrad();
+    std::copy(g.data(), g.data() + g.size(), w.grad());
+    return w;
+  };
+  tensor::Tensor w = start();
+  tensor::Adam adam({w}, 0.01f);
+  SweepThreads(
+      "Adam.Step", kKmers, kD, [&] { adam.Step(); },
+      [&] {
+        tensor::Tensor fresh = start();
+        tensor::Adam check({fresh}, 0.01f);
+        for (int step = 0; step < 3; ++step) check.Step();
+        const tensor::AdamState state = check.ExportState();
+        std::vector<float> out(fresh.data(), fresh.data() + fresh.size());
+        out.insert(out.end(), state.m[0].begin(), state.m[0].end());
+        out.insert(out.end(), state.v[0].begin(), state.v[0].end());
+        return out;
+      },
+      results);
 }
 
 // ---------------------------------------------------------------------------
@@ -498,6 +563,7 @@ int RunScalingHarness(const std::string& json_path) {
     tensor::Tensor x = tensor::NormalInit(n, 1, 1.0f, &rng, false);
     SweepOp("Relu", n, 1, [&] { return tensor::Relu(x); }, &results);
   }
+  SweepEncoderProjection(&results);
 
   const std::vector<GlueResult> glue = SweepFusedOps();
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Repository convention linter (run by scripts/check.sh and CI).
 
-Checks, over *tracked* files only (git ls-files):
+Checks, over *tracked* files only (git ls-files; in a copy of the
+sources with no .git, every file under the root except the top-level
+build trees and .bench_build, and .git and __pycache__ at any depth):
   1. include guards match the file path (HYGNN_<PATH>_H_, src/ stripped)
   2. no `using namespace` in headers
   3. every .cc under src/ is listed in its directory's CMakeLists.txt
@@ -54,6 +56,7 @@ survives concurrent code):
 Exits 0 when clean, 1 with one line per violation otherwise.
 """
 
+import os
 import re
 import subprocess
 import sys
@@ -174,11 +177,36 @@ DISCIPLINE_RULES = (
 )
 
 
+# What the tree walk skips: the build trees .gitignore names, at the top
+# level only, and at any depth git's own directory and Python's
+# bytecode caches.
+UNTRACKED_TOP_DIRS = re.compile(
+    r"^(\.bench_build|build|build-.*|cmake-build-.*)$")
+UNTRACKED_DIRS = (".git", "__pycache__")
+
+
 def tracked_files():
+    """Repo-relative paths of the files to lint: `git ls-files` when the
+    root is a git work tree (it holds a .git), where a failing git
+    raises; otherwise, as in an exported copy, a walk of the tree."""
+    if not (REPO / ".git").exists():
+        return walked_files()
     out = subprocess.run(
         ["git", "ls-files"], cwd=REPO, check=True, capture_output=True,
         text=True)
     return [line for line in out.stdout.splitlines() if line]
+
+
+def walked_files():
+    files = []
+    for directory, dirs, names in os.walk(REPO):
+        rel = Path(directory).relative_to(REPO)
+        dirs[:] = sorted(
+            d for d in dirs
+            if d not in UNTRACKED_DIRS
+            and not (rel == Path(".") and UNTRACKED_TOP_DIRS.match(d)))
+        files.extend((rel / name).as_posix() for name in sorted(names))
+    return files
 
 
 def expected_guard(path):
@@ -375,7 +403,7 @@ def main():
             print(problem, file=sys.stderr)
         print(f"lint.py: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    print(f"lint.py: clean ({len(files)} tracked files)")
+    print(f"lint.py: clean ({len(files)} files)")
     return 0
 
 

@@ -1,5 +1,8 @@
 #include "nn/gnn_layers.h"
 
+#include <memory>
+#include <utility>
+
 #include "core/logging.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
@@ -34,13 +37,17 @@ std::vector<tensor::Tensor> SageConv::Parameters() const {
 }
 
 GatEdgeIndex GatEdgeIndex::FromGraph(const graph::Graph& graph) {
-  GatEdgeIndex index;
-  index.num_nodes = graph.num_nodes();
-  graph.DirectedEdges(&index.sources, &index.targets);
+  std::vector<int32_t> sources, targets;
+  graph.DirectedEdges(&sources, &targets);
   for (int32_t v = 0; v < graph.num_nodes(); ++v) {
-    index.sources.push_back(v);
-    index.targets.push_back(v);
+    sources.push_back(v);
+    targets.push_back(v);
   }
+  GatEdgeIndex index;
+  index.sources = std::make_shared<const tensor::SegmentIndex>(
+      std::move(sources), graph.num_nodes());
+  index.targets = std::make_shared<const tensor::SegmentIndex>(
+      std::move(targets), graph.num_nodes());
   return index;
 }
 
@@ -59,7 +66,8 @@ GatConv::GatConv(int64_t in_features, int64_t head_features,
 
 tensor::Tensor GatConv::Forward(const GatEdgeIndex& edges,
                                 const tensor::Tensor& x) const {
-  HYGNN_CHECK_EQ(x.rows(), edges.num_nodes);
+  HYGNN_CHECK(edges.targets != nullptr);
+  HYGNN_CHECK_EQ(x.rows(), edges.targets->num_segments());
   tensor::Tensor output;
   for (const Head& head : heads_) {
     tensor::Tensor h = tensor::MatMul(x, head.weight);  // [n, f]
@@ -69,11 +77,10 @@ tensor::Tensor GatConv::Forward(const GatEdgeIndex& edges,
         tensor::Add(tensor::IndexSelectRows(score_src, edges.sources),
                     tensor::IndexSelectRows(score_tgt, edges.targets)),
         negative_slope_);
-    tensor::Tensor alpha = tensor::SegmentSoftmax(
-        edge_scores, edges.targets, edges.num_nodes);
+    tensor::Tensor alpha = tensor::SegmentSoftmax(edge_scores, edges.targets);
     tensor::Tensor messages = tensor::IndexSelectRows(h, edges.sources);
-    tensor::Tensor aggregated = tensor::WeightedSegmentSum(
-        messages, alpha, edges.targets, edges.num_nodes);
+    tensor::Tensor aggregated =
+        tensor::WeightedSegmentSum(messages, alpha, edges.targets);
     output = output.defined() ? tensor::ConcatCols(output, aggregated)
                               : aggregated;
   }

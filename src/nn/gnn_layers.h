@@ -8,6 +8,7 @@
 #include "graph/graph.h"
 #include "nn/linear.h"
 #include "nn/module.h"
+#include "tensor/segment_index.h"
 #include "tensor/sparse.h"
 #include "tensor/tensor.h"
 
@@ -47,11 +48,13 @@ class SageConv : public Module {
   Linear linear_;  // input dim = 2 * in_features
 };
 
-/// Precomputed directed edge structure (with self-loops) for GAT.
+/// Precomputed directed edge structure (with self-loops) for GAT: each
+/// edge's source and target node as index objects (one segment per graph
+/// node), built once, so every forward's gathers and segment ops record
+/// them by pointer and group each side once.
 struct GatEdgeIndex {
-  std::vector<int32_t> sources;
-  std::vector<int32_t> targets;
-  int32_t num_nodes = 0;
+  tensor::SegmentIndexPtr sources;
+  tensor::SegmentIndexPtr targets;
 
   /// Builds from an undirected graph, adding one self-loop per node.
   static GatEdgeIndex FromGraph(const graph::Graph& graph);

@@ -9,18 +9,34 @@
 
 namespace hygnn::tensor {
 
-/// Base class for first-order optimizers over a fixed parameter list.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Tensor> parameters);
-  virtual ~Optimizer() = default;
+/// The evolving part of an Adam optimizer — step count plus both moment
+/// vectors per parameter. Snapshotted into training checkpoints so a
+/// resumed run takes bit-identical steps.
+struct AdamState {
+  int64_t step = 0;
+  std::vector<std::vector<float>> m;  // first moment per parameter
+  std::vector<std::vector<float>> v;  // second moment per parameter
+};
 
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
+/// Adam (Kingma & Ba) with optional L2 weight decay, over a fixed
+/// parameter list. Defaults follow the paper: beta1=0.9, beta2=0.999,
+/// eps=1e-8. The HyGNN paper trains with Adam at lr = 0.01.
+///
+/// Step, ZeroGrad and ClipGradNorm's scaling run element by element over
+/// fixed-grain core::ParallelFor chunks, so every element gets the same
+/// float operations at any thread count. GradNorm's double sum stays
+/// serial, in index order: that order is part of the bits.
+class Adam {
+ public:
+  Adam(std::vector<Tensor> parameters, float lr, float beta1 = 0.9f,
+       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
+
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
   /// Applies one update using the gradients currently stored on the
   /// parameters. Parameters with no accumulated gradient are skipped.
-  virtual void Step() = 0;
+  void Step();
 
   /// Clears all parameter gradients. Call between optimization steps.
   void ZeroGrad();
@@ -34,43 +50,6 @@ class Optimizer {
   /// Returns the pre-clipping norm.
   float ClipGradNorm(float max_norm);
 
-  const std::vector<Tensor>& parameters() const { return parameters_; }
-
- protected:
-  std::vector<Tensor> parameters_;
-};
-
-/// Stochastic gradient descent with optional L2 weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> parameters, float lr, float weight_decay = 0.0f);
-
-  void Step() override;
-
- private:
-  float lr_;
-  float weight_decay_;
-};
-
-/// The evolving part of an Adam optimizer — step count plus both moment
-/// vectors per parameter. Snapshotted into training checkpoints so a
-/// resumed run takes bit-identical steps.
-struct AdamState {
-  int64_t step = 0;
-  std::vector<std::vector<float>> m;  // first moment per parameter
-  std::vector<std::vector<float>> v;  // second moment per parameter
-};
-
-/// Adam (Kingma & Ba). Defaults follow the paper:
-/// beta1=0.9, beta2=0.999, eps=1e-8. The HyGNN paper trains with Adam at
-/// lr = 0.01.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Tensor> parameters, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
-
-  void Step() override;
-
   /// Copies out the optimizer state for checkpointing.
   AdamState ExportState() const;
 
@@ -79,6 +58,7 @@ class Adam : public Optimizer {
   core::Status RestoreState(const AdamState& state);
 
  private:
+  std::vector<Tensor> parameters_;
   float lr_, beta1_, beta2_, eps_, weight_decay_;
   int64_t t_ = 0;
   std::vector<std::vector<float>> m_;  // first moment per parameter

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/csr.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/tensor.h"
 
 namespace hygnn::tensor {
@@ -32,12 +33,22 @@ class CsrMatrix {
   const core::Csr& pattern() const { return pattern_; }
   const std::vector<float>& values() const { return values_; }
 
-  /// Lazily-built, cached transpose (thread-unsafe lazy init; fine for the
-  /// single-threaded training loops in this library).
+  /// The transpose, built by the first call and cached. The first call
+  /// builds it on the calling thread, unsynchronized, so it must not
+  /// race another first call; SpMM's backward makes it on the tape
+  /// executor's thread before any chunk of its product runs.
   std::shared_ptr<const CsrMatrix> Transpose() const;
 
-  /// Dense product y = A * x without autograd, x is [cols, d].
-  void MultiplyInto(const float* x, int64_t d, float* y) const;
+  /// Dense product A · x without autograd, x is [cols, d], into y
+  /// [rows, d]. Row r of A·x is summed from +0 over the row's entries in
+  /// order, acc = MulAdd(value, x[col], acc); then y's row is set to it
+  /// (kOverwrite, y never read) or y = y + acc (kAccumulate, every
+  /// element, rows with no entries included). Parallel over chunks of
+  /// rows sized from nnz · d and rows, never from the thread count, so
+  /// the bits are the same at any thread count; a one-row product runs
+  /// inline on the caller.
+  void MultiplyInto(const float* x, int64_t d, float* y,
+                    kernels::Store store = kernels::Store::kOverwrite) const;
 
  private:
   int64_t rows_ = 0;

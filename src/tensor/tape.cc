@@ -548,16 +548,14 @@ void DispatchBackward(TensorImpl* node, OpRecord* rec) {
       p0->EnsureGrad();
       kernels::MulAccumulate(g, rec->fbuf->data(), p0->grad.data(), total);
       break;
-    case OpKind::kSpMM: {
-      // dx += Aᵀ·g: the product goes into a zeroed temporary, then one
-      // add per element into x's gradient.
+    case OpKind::kSpMM:
+      // dx = dx + Aᵀ·g, each row of the product summed from +0 and added
+      // as soon as it is summed: the bits of the product in a zeroed
+      // buffer followed by one add per element, without the buffer.
       p0->EnsureGrad();
-      std::vector<float> product(p0->data.size(), 0.0f);
-      rec->csr->Transpose()->MultiplyInto(g, node->cols, product.data());
-      kernels::Add(p0->grad.data(), product.data(), p0->grad.data(),
-                   p0->size());
+      rec->csr->Transpose()->MultiplyInto(g, node->cols, p0->grad.data(),
+                                          kernels::Store::kAccumulate);
       break;
-    }
     case OpKind::kBceWithLogitsLoss:
       p0->EnsureGrad();
       kernels::BceWithLogitsBackward(p0->data.data(), rec->fbuf->data(),

@@ -1,10 +1,13 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <unordered_set>
 
 #include "core/logging.h"
+#include "core/thread_pool.h"
 #include "obs/optime.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/tape.h"
 
 namespace hygnn::tensor {
@@ -123,9 +126,11 @@ void Tensor::Backward() {
 }
 
 void Tensor::ZeroGrad() {
-  if (!impl_->grad.empty()) {
-    std::fill(impl_->grad.begin(), impl_->grad.end(), 0.0f);
-  }
+  float* g = impl_->grad.data();
+  core::ParallelFor(0, static_cast<int64_t>(impl_->grad.size()),
+                    kernels::kElementGrain, [=](int64_t lo, int64_t hi) {
+                      std::fill(g + lo, g + hi, 0.0f);
+                    });
 }
 
 Tensor Tensor::Detach() const {

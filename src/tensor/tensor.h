@@ -191,7 +191,8 @@ class Tensor {
   /// scalar ([1, 1]); its gradient is seeded with 1.
   void Backward();
 
-  /// Clears this node's gradient (if allocated).
+  /// Clears this node's gradient (if allocated), in parallel over
+  /// elements.
   void ZeroGrad();
 
   /// Detaches from the autograd graph: returns a tensor sharing no

@@ -282,9 +282,11 @@ std::shared_ptr<const tensor::CsrMatrix> TestCsr(int64_t rows, int64_t cols) {
 }
 
 TEST(KernelParityTest, SpMM) {
+  // About 7,700 entries times 19 columns: MultiplyInto's chunks of at
+  // least 2^14 multiply-adds split the forward's 3,000 rows and the
+  // backward's 400 (the transpose's) into about nine chunks each.
   ExpectThreadParity("SpMM", [](std::vector<tensor::Tensor>* inputs) {
-    return tensor::SpMM(TestCsr(300, kRows),
-                        MakeLeaf(inputs, 32, kRows, kCols));
+    return tensor::SpMM(TestCsr(3000, 400), MakeLeaf(inputs, 32, 400, kCols));
   });
 }
 

@@ -9,7 +9,12 @@ stops matching breaks THIS test instead of silently un-gating the repo.
 Run directly (python3 tests/lint_test.py) or via ctest (lint_test).
 """
 
+import contextlib
 import importlib.util
+import io
+import os
+import shutil
+import subprocess
 import sys
 import tempfile
 import unittest
@@ -18,9 +23,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 
-def load(name):
+def load(name, root=REPO):
     spec = importlib.util.spec_from_file_location(
-        name, REPO / "scripts" / f"{name}.py")
+        name, root / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -363,6 +368,48 @@ class DisciplineRuleTest(unittest.TestCase):
                                              errors="replace")
             lint.check_discipline(path, text, problems)
         self.assertEqual([], problems)
+
+
+class TrackedFilesTest(unittest.TestCase):
+    def test_walks_a_copy_outside_git(self):
+        """In a copy of the sources with no .git, lint walks the tree
+        instead: it skips the top-level build trees, .bench_build and
+        __pycache__, keeps a deeper directory named build*, lints the
+        same files, and finds them clean."""
+        tracked = sorted(lint.tracked_files())
+        kept = "src/builders/notes.txt"
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "export"
+            for path in tracked + [kept]:
+                (root / path).parent.mkdir(parents=True, exist_ok=True)
+                if path == kept:
+                    (root / path).write_text("")
+                else:
+                    shutil.copyfile(REPO / path, root / path)
+            for junk in ("build/CMakeCache.txt", "build-tsan/tests/a.o",
+                         "cmake-build-debug/b.o",
+                         ".bench_build/perfbench/CMakeFiles/c.o",
+                         "src/core/__pycache__/d.pyc"):
+                (root / junk).parent.mkdir(parents=True, exist_ok=True)
+                (root / junk).write_text("")
+            copy = load("lint", root)
+            self.assertEqual(sorted(tracked + [kept]),
+                             sorted(copy.tracked_files()))
+            with contextlib.redirect_stdout(io.StringIO()):
+                self.assertEqual(0, copy.main())
+
+    def test_git_failure_in_a_work_tree_raises(self):
+        """A root that holds a .git is linted through git alone: when git
+        fails there, lint fails instead of walking the tree."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "scripts").mkdir()
+            shutil.copyfile(REPO / "scripts" / "lint.py",
+                            root / "scripts" / "lint.py")
+            (root / ".git").write_text(f"gitdir: {root / 'missing'}\n")
+            copy = load("lint", root)
+            with self.assertRaises(subprocess.CalledProcessError):
+                copy.tracked_files()
 
 
 class TidyGateTest(unittest.TestCase):

@@ -1,4 +1,8 @@
 #include <cmath>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +15,7 @@
 #include "tensor/loss.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
+#include "tensor/tape.h"
 
 namespace hygnn::nn {
 namespace {
@@ -134,7 +139,7 @@ TEST(GatTest, SelfLoopsIncluded) {
   graph::Graph g(3, {});  // no edges at all
   auto edges = GatEdgeIndex::FromGraph(g);
   // Only the 3 self-loops.
-  EXPECT_EQ(edges.sources.size(), 3u);
+  EXPECT_EQ(edges.sources->size(), 3);
   core::Rng rng(10);
   GatConv layer(4, 4, 1, &rng);
   tensor::Tensor x = tensor::Tensor::Full(3, 4, 1.0f);
@@ -157,6 +162,51 @@ TEST(GatTest, AttentionTrainable) {
                                            layer.Forward(edges, x)));
   loss.Backward();
   EXPECT_TRUE(layer.Parameters()[1].has_grad());
+}
+
+TEST(GatTest, ForwardRecordsTheEdgeIndexObjects) {
+  // Every op of a GAT forward that reads the edges records one of the
+  // edge index's two objects by pointer, so each side's ids are copied
+  // and grouped once, in FromGraph, however many heads and forwards
+  // read them.
+  core::Rng rng(13);
+  graph::Graph g = MakeTestGraph();
+  GatConv layer(4, 4, /*num_heads=*/2, &rng);
+  const auto edges = GatEdgeIndex::FromGraph(g);
+  const tensor::Tensor y =
+      layer.Forward(edges, tensor::Tensor::Full(5, 4, 1.0f));
+  std::map<std::string, int> reads_sources;
+  std::map<std::string, int> reads_targets;
+  int other_indices = 0;
+  std::vector<tensor::TensorImpl*> stack{y.impl().get()};
+  std::set<tensor::TensorImpl*> seen{y.impl().get()};
+  while (!stack.empty()) {
+    tensor::TensorImpl* node = stack.back();
+    stack.pop_back();
+    if (node->rec != nullptr) {
+      const auto& index = node->rec->index;
+      if (index == edges.sources) {
+        ++reads_sources[node->op];
+      } else if (index == edges.targets) {
+        ++reads_targets[node->op];
+      } else if (index != nullptr) {
+        ++other_indices;
+      }
+    }
+    for (const auto& parent : node->parents) {
+      if (seen.insert(parent.get()).second) stack.push_back(parent.get());
+    }
+  }
+  // Per head: the source scores' and the messages' gathers read the
+  // sources; the target scores' gather, the softmax and the message sum
+  // read the targets.
+  EXPECT_EQ(reads_sources,
+            (std::map<std::string, int>{{"IndexSelectRows", 4}}));
+  EXPECT_EQ(reads_targets, (std::map<std::string, int>{
+                               {"IndexSelectRows", 2},
+                               {"SegmentSoftmax", 2},
+                               {"WeightedSegmentSum", 2}}));
+  EXPECT_EQ(other_indices, 0);
 }
 
 TEST(GnnTrainingTest, TwoLayerGcnFitsCommunityLabels) {
