@@ -6,7 +6,10 @@ sources with no .git, every file under the root except the top-level
 build trees and .bench_build, and .git and __pycache__ at any depth):
   1. include guards match the file path (HYGNN_<PATH>_H_, src/ stripped)
   2. no `using namespace` in headers
-  3. every .cc under src/ is listed in its directory's CMakeLists.txt
+  3. every .cc under src/, and every .cc or .cpp under tests/, bench/
+     and examples/, is registered in its directory's CMakeLists.txt: by
+     file name, or by the stem hygnn_add_test, hygnn_add_bench and
+     hygnn_add_example take (an unregistered file never builds)
   4. no raw assert( in src/ — use HYGNN_CHECK / HYGNN_DCHECK
   5. no committed build artifacts (build trees, objects, caches)
   6. src/tensor/ops.cc and src/tensor/loss.cc contain no raw compute
@@ -345,11 +348,15 @@ def check_discipline(path, text, problems):
                     f"{path}:{i}: [rule {rule['rule']}] {rule['message']}")
 
 
+CMAKE_LISTED_DIRS = ("src", "tests", "bench", "examples")
+
+
 def check_cmake_listing(files, problems):
     cmake_cache = {}
     for path in files:
         p = Path(path)
-        if p.suffix != ".cc" or p.parts[0] != "src":
+        if (p.suffix not in (".cc", ".cpp")
+                or p.parts[0] not in CMAKE_LISTED_DIRS):
             continue
         cmake = p.parent / "CMakeLists.txt"
         if str(cmake) not in cmake_cache:
@@ -359,7 +366,11 @@ def check_cmake_listing(files, problems):
         text = cmake_cache[str(cmake)]
         if text is None:
             problems.append(f"{path}: no {cmake} to register it in")
-        elif not re.search(rf"\b{re.escape(p.name)}\b", text):
+        elif not (
+                re.search(rf"\b{re.escape(p.name)}\b", text)
+                or re.search(
+                    rf"\bhygnn_add_(test|bench|example)\(\s*"
+                    rf"{re.escape(p.stem)}\s*\)", text)):
             problems.append(f"{path}: not listed in {cmake}")
 
 

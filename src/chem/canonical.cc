@@ -127,9 +127,9 @@ std::string BondSymbol(const Bond& bond) {
 
 std::string RingDigitToken(int32_t digit) {
   if (digit < 10) return std::to_string(digit);
-  char buffer[8];
-  std::snprintf(buffer, sizeof(buffer), "%%%02d", digit);
-  return buffer;
+  std::string token = "%";
+  token += std::to_string(digit);
+  return token;
 }
 
 /// Canonical DFS SMILES writer for one connected component.
@@ -142,9 +142,20 @@ class ComponentWriter {
         visited_(static_cast<size_t>(molecule.num_atoms()), false),
         bond_used_(static_cast<size_t>(molecule.num_bonds()), false) {}
 
-  std::string Write(int32_t root) {
+  /// InvalidArgument when the component needs more ring-closure labels
+  /// than SMILES can spell: the tokenizer reads `%` plus exactly two
+  /// digits, so a label of 100 would read back as `%10` then `0`.
+  Result<std::string> Write(int32_t root) {
     next_ring_digit_ = 1;
-    return WriteAtom(root, /*parent_bond=*/-1);
+    std::string out = WriteAtom(root, /*parent_bond=*/-1);
+    const int32_t labels = next_ring_digit_ - 1;
+    if (labels > kMaxRingLabel) {
+      return Status::InvalidArgument(
+          "component needs " + std::to_string(labels) +
+          " ring-closure labels; SMILES spells at most " +
+          std::to_string(kMaxRingLabel));
+    }
+    return out;
   }
 
   const std::vector<bool>& visited() const { return visited_; }
@@ -221,6 +232,7 @@ class ComponentWriter {
   }
 
   static constexpr char kClosureAnchor[] = "\x01";
+  static constexpr int32_t kMaxRingLabel = 99;
 
   const MolecularGraph& molecule_;
   const std::vector<int32_t>& ranks_;
@@ -292,7 +304,9 @@ Result<std::string> CanonicalSmiles(const std::string& smiles) {
   std::vector<std::string> components;
   for (int32_t root : atoms_by_rank) {
     if (writer.visited()[static_cast<size_t>(root)]) continue;
-    components.push_back(writer.Write(root));
+    auto component_or = writer.Write(root);
+    if (!component_or.ok()) return component_or.status();
+    components.push_back(std::move(component_or.value()));
   }
   std::sort(components.begin(), components.end());
   std::string out;

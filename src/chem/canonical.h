@@ -19,7 +19,9 @@ namespace hygnn::chem {
 /// tie-breaking; the writer emits a rank-ordered DFS with ring-closure
 /// digits for the non-tree bonds. Stereochemistry and isotopes are not
 /// preserved (they are parsed and dropped, as in the rest of the
-/// library).
+/// library). Each ring closure takes a label of its own, so a connected
+/// component with more than 99 of them (SMILES stops at `%99`) returns
+/// InvalidArgument.
 core::Result<std::string> CanonicalSmiles(const std::string& smiles);
 
 /// Canonical ranks (a permutation of [0, num_atoms)) of a parsed

@@ -14,6 +14,10 @@ namespace {
 using core::Result;
 using core::Status;
 
+/// Upper bound on learned merge operations (safety valve; the paper's
+/// run produced 741 unique substructures).
+constexpr int64_t kMaxMerges = 100000;
+
 using PairKey = std::pair<std::string, std::string>;
 
 struct PairKeyHash {
@@ -74,7 +78,7 @@ Result<Espf> Espf::Train(const std::vector<std::string>& corpus,
   }
 
   Espf model;
-  for (int64_t iter = 0; iter < config.max_merges; ++iter) {
+  for (int64_t iter = 0; iter < kMaxMerges; ++iter) {
     auto counts = CountPairs(sequences);
     PairKey best;
     int64_t best_count = 0;

@@ -14,9 +14,6 @@ struct EspfConfig {
   /// Minimum corpus frequency for a merged substructure to enter the
   /// vocabulary. The paper uses 5 on the 824-drug DrugBank corpus.
   int64_t frequency_threshold = 5;
-  /// Upper bound on learned merge operations (safety valve; the paper's
-  /// run produced 741 unique substructures).
-  int64_t max_merges = 100000;
 };
 
 /// Explainable Substructure Partition Fingerprint (Huang et al. 2019).

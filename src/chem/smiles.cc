@@ -218,26 +218,6 @@ Status ValidateSmiles(const std::string& smiles) {
   return Status::Ok();
 }
 
-Result<std::string> NormalizeSmiles(const std::string& smiles) {
-  // Strip whitespace first (inputs from CSV may carry padding).
-  std::string stripped;
-  stripped.reserve(smiles.size());
-  for (char c : smiles) {
-    if (!std::isspace(static_cast<unsigned char>(c))) stripped.push_back(c);
-  }
-  Status valid = ValidateSmiles(stripped);
-  if (!valid.ok()) return valid;
-  auto tokens = TokenizeSmiles(stripped).value();
-  // Drop redundant explicit single bonds between atoms/rings; '-' is the
-  // default bond and canonical forms omit it.
-  std::string out;
-  for (const auto& t : tokens) {
-    if (t.type == SmilesTokenType::kBond && t.text == "-") continue;
-    out += t.text;
-  }
-  return out;
-}
-
 std::vector<std::string> TokenTexts(const std::vector<SmilesToken>& tokens) {
   std::vector<std::string> texts;
   texts.reserve(tokens.size());

@@ -40,12 +40,6 @@ core::Result<std::vector<SmilesToken>> TokenizeSmiles(
 /// empty branches.
 core::Status ValidateSmiles(const std::string& smiles);
 
-/// Normalizes a SMILES string for substructure mining: strips
-/// whitespace and removes redundant explicit single-bond symbols between
-/// atoms. This plays the role the paper assigns to PubChem
-/// canonicalization — guaranteeing a clean, consistent token stream.
-core::Result<std::string> NormalizeSmiles(const std::string& smiles);
-
 /// Convenience: token texts in order (for substructure mining).
 std::vector<std::string> TokenTexts(const std::vector<SmilesToken>& tokens);
 

@@ -1,7 +1,5 @@
 #include "chem/strobemer.h"
 
-#include <unordered_set>
-
 namespace hygnn::chem {
 
 using core::Result;
@@ -64,18 +62,6 @@ Result<std::vector<std::string>> ExtractRandstrobes(
     strobemers.push_back(std::move(strobemer));
   }
   return strobemers;
-}
-
-Result<std::vector<std::string>> ExtractUniqueRandstrobes(
-    const std::string& smiles, const StrobemerConfig& config) {
-  auto strobemers_or = ExtractRandstrobes(smiles, config);
-  if (!strobemers_or.ok()) return strobemers_or.status();
-  std::vector<std::string> unique;
-  std::unordered_set<std::string> seen;
-  for (auto& s : strobemers_or.value()) {
-    if (seen.insert(s).second) unique.push_back(s);
-  }
-  return unique;
 }
 
 }  // namespace hygnn::chem

@@ -28,10 +28,6 @@ struct StrobemerConfig {
 core::Result<std::vector<std::string>> ExtractRandstrobes(
     const std::string& smiles, const StrobemerConfig& config);
 
-/// Distinct randstrobes, first-occurrence order.
-core::Result<std::vector<std::string>> ExtractUniqueRandstrobes(
-    const std::string& smiles, const StrobemerConfig& config);
-
 }  // namespace hygnn::chem
 
 #endif  // HYGNN_CHEM_STROBEMER_H_

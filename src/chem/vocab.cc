@@ -1,7 +1,5 @@
 #include "chem/vocab.h"
 
-#include <algorithm>
-
 #include "core/logging.h"
 
 namespace hygnn::chem {
@@ -34,16 +32,6 @@ const std::string& SubstructureVocabulary::Text(int32_t id) const {
 int64_t SubstructureVocabulary::Frequency(int32_t id) const {
   HYGNN_CHECK(id >= 0 && id < size());
   return counts_[id];
-}
-
-std::vector<int32_t> SubstructureVocabulary::IdsByFrequency() const {
-  std::vector<int32_t> ids(texts_.size());
-  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
-  std::sort(ids.begin(), ids.end(), [this](int32_t a, int32_t b) {
-    if (counts_[a] != counts_[b]) return counts_[a] > counts_[b];
-    return a < b;
-  });
-  return ids;
 }
 
 }  // namespace hygnn::chem

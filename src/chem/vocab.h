@@ -26,9 +26,6 @@ class SubstructureVocabulary {
 
   int32_t size() const { return static_cast<int32_t>(texts_.size()); }
 
-  /// Ids sorted by descending frequency (ties broken by id).
-  std::vector<int32_t> IdsByFrequency() const;
-
  private:
   std::unordered_map<std::string, int32_t> index_;
   std::vector<std::string> texts_;

@@ -1,7 +1,6 @@
 #include "core/clock.h"
 
 #include <chrono>
-#include <thread>
 
 namespace hygnn::core {
 
@@ -16,12 +15,6 @@ class MonotonicClockImpl : public Clock {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-  }
-
-  void SleepForMicros(int64_t micros) override {
-    if (micros > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(micros));
-    }
   }
 };
 

@@ -8,10 +8,10 @@ namespace hygnn::core {
 
 /// Monotonic time-source seam, mirroring the core::FileSystem seam
 /// (src/core/fs.h): every *semantic* time read in the library — request
-/// deadlines, batching windows, retry backoff sleeps — goes through the
-/// active Clock, so tests can swap in a ManualClock and drive "time
-/// passes" deterministically instead of sleeping and hoping the
-/// scheduler cooperates. Purely observational timing (obs histograms,
+/// deadlines and batching windows — goes through the active Clock, so
+/// tests can swap in a ManualClock and drive "time passes"
+/// deterministically instead of sleeping and hoping the scheduler
+/// cooperates. Purely observational timing (obs histograms,
 /// bench timers) reads MonotonicClock() through obs::NowNanos, never
 /// the active clock — metrics may jitter, semantics may not, and a
 /// ManualClock must never freeze a timer.
@@ -25,11 +25,6 @@ class Clock {
   /// Monotonic nanoseconds since an arbitrary epoch. Never decreases;
   /// immune to wall-clock adjustments.
   virtual uint64_t NowNanos() = 0;
-
-  /// Blocks the calling thread for at least `micros` microseconds.
-  /// ManualClock advances its own time instead of blocking, so code
-  /// that backs off (retry policies) runs instantly under test.
-  virtual void SleepForMicros(int64_t micros) = 0;
 };
 
 /// The process-wide monotonic (steady_clock) backend.
@@ -65,12 +60,6 @@ class ManualClock : public Clock {
 
   uint64_t NowNanos() override {
     return nanos_.load(std::memory_order_relaxed);
-  }
-
-  /// Advances time instead of blocking — a retry backoff under test
-  /// completes immediately while still "taking" the right duration.
-  void SleepForMicros(int64_t micros) override {
-    if (micros > 0) AdvanceMicros(static_cast<uint64_t>(micros));
   }
 
   void AdvanceNanos(uint64_t nanos) {

@@ -41,10 +41,6 @@ Status FlagParser::RequireKnown(const std::vector<std::string>& known) const {
   return Status::Ok();
 }
 
-bool FlagParser::Has(const std::string& name) const {
-  return values_.count(name) > 0;
-}
-
 std::string FlagParser::GetString(const std::string& name,
                                   const std::string& fallback) const {
   auto it = values_.find(name);

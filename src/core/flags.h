@@ -19,9 +19,6 @@ class FlagParser {
   /// value.
   Status Parse(int argc, const char* const* argv);
 
-  /// True when `--name` appeared on the command line.
-  bool Has(const std::string& name) const;
-
   /// Typed getters returning `fallback` when the flag is absent.
   std::string GetString(const std::string& name,
                         const std::string& fallback) const;

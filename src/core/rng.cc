@@ -60,10 +60,6 @@ float Rng::UniformFloat() {
   return static_cast<float>(Next() >> 40) * 0x1.0p-24f;
 }
 
-double Rng::UniformRange(double lo, double hi) {
-  return lo + (hi - lo) * Uniform();
-}
-
 uint64_t Rng::UniformInt(uint64_t n) {
   HYGNN_CHECK_GT(n, 0u);
   // Rejection sampling to avoid modulo bias.
@@ -126,7 +122,5 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
   }
   return weights.size() - 1;
 }
-
-Rng Rng::Fork() { return Rng(Next()); }
 
 }  // namespace hygnn::core

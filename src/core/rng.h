@@ -42,9 +42,6 @@ class Rng {
   /// Uniform float in [0, 1).
   float UniformFloat();
 
-  /// Uniform double in [lo, hi).
-  double UniformRange(double lo, double hi);
-
   /// Uniform integer in [0, n). Requires n > 0.
   uint64_t UniformInt(uint64_t n);
 
@@ -73,9 +70,6 @@ class Rng {
   /// Draws an index in [0, weights.size()) with probability proportional
   /// to weights[i]. Weights must be non-negative with a positive sum.
   size_t Categorical(const std::vector<double>& weights);
-
-  /// Derives an independent generator (for per-worker streams).
-  Rng Fork();
 
  private:
   uint64_t state_[4];

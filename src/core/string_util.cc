@@ -1,7 +1,6 @@
 #include "core/string_util.h"
 
 #include <cctype>
-#include <cstdio>
 
 namespace hygnn::core {
 
@@ -43,17 +42,6 @@ std::string Trim(std::string_view text) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
-std::string FormatFloat(double value, int precision) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
-  return buffer;
 }
 
 }  // namespace hygnn::core

@@ -21,12 +21,6 @@ std::string Trim(std::string_view text);
 /// True when `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
-/// True when `text` ends with `suffix`.
-bool EndsWith(std::string_view text, std::string_view suffix);
-
-/// Formats a double with `precision` digits after the decimal point.
-std::string FormatFloat(double value, int precision);
-
 }  // namespace hygnn::core
 
 #endif  // HYGNN_CORE_STRING_UTIL_H_

@@ -20,21 +20,7 @@ DdiDataset::DdiDataset(std::vector<DrugRecord> drugs,
                        std::vector<std::pair<int32_t, int32_t>> reactive_rule)
     : drugs_(std::move(drugs)),
       positives_(std::move(positives)),
-      reactive_rule_(std::move(reactive_rule)) {
-  positive_keys_.reserve(positives_.size());
-  for (const auto& p : positives_) {
-    positive_keys_.push_back(static_cast<uint64_t>(p.a) * drugs_.size() +
-                             p.b);
-  }
-  std::sort(positive_keys_.begin(), positive_keys_.end());
-}
-
-bool DdiDataset::IsKnownPositive(int32_t a, int32_t b) const {
-  const DrugPair p = MakePair(a, b);
-  const uint64_t key = static_cast<uint64_t>(p.a) * drugs_.size() + p.b;
-  return std::binary_search(positive_keys_.begin(), positive_keys_.end(),
-                            key);
-}
+      reactive_rule_(std::move(reactive_rule)) {}
 
 bool DdiDataset::OracleInteracts(int32_t a, int32_t b) const {
   return OracleInteractionType(a, b) >= 0;

@@ -47,9 +47,6 @@ class DdiDataset {
   /// All recorded (noisy) DDIs — the paper's "known DDIs".
   const std::vector<DrugPair>& positives() const { return positives_; }
 
-  /// True when the recorded DDI list contains {a, b}.
-  bool IsKnownPositive(int32_t a, int32_t b) const;
-
   /// Noise-free latent rule: do drugs a and b carry a reactive class
   /// pair? Plays the role of the external gold-standard databases
   /// (DrugBank/MedScape) in the paper's Table II validation.
@@ -68,7 +65,6 @@ class DdiDataset {
  private:
   std::vector<DrugRecord> drugs_;
   std::vector<DrugPair> positives_;
-  std::vector<uint64_t> positive_keys_;  // sorted a*N+b keys
   std::vector<std::pair<int32_t, int32_t>> reactive_rule_;
 };
 

@@ -74,13 +74,4 @@ std::vector<std::pair<int32_t, int32_t>> PositivePairs(
   return positives;
 }
 
-double PositiveFraction(const std::vector<LabeledPair>& pairs) {
-  if (pairs.empty()) return 0.0;
-  size_t positives = 0;
-  for (const auto& pair : pairs) {
-    if (pair.label > 0.5f) ++positives;
-  }
-  return static_cast<double>(positives) / static_cast<double>(pairs.size());
-}
-
 }  // namespace hygnn::data

@@ -38,9 +38,6 @@ PairSplit ColdStartSplit(const std::vector<LabeledPair>& pairs,
 std::vector<std::pair<int32_t, int32_t>> PositivePairs(
     const std::vector<LabeledPair>& pairs);
 
-/// Fraction of pairs labeled positive.
-double PositiveFraction(const std::vector<LabeledPair>& pairs);
-
 }  // namespace hygnn::data
 
 #endif  // HYGNN_DATA_PAIRS_H_

@@ -48,34 +48,4 @@ int64_t Hypergraph::EdgeDegree(int32_t edge) const {
   return edges_.Count(edge);
 }
 
-int64_t Hypergraph::SharedNodes(int32_t edge_a, int32_t edge_b) const {
-  auto a = EdgeMembers(edge_a);
-  auto b = EdgeMembers(edge_b);
-  int64_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
-}
-
-std::vector<std::vector<uint8_t>> Hypergraph::DenseIncidence() const {
-  std::vector<std::vector<uint8_t>> h(
-      static_cast<size_t>(num_nodes()),
-      std::vector<uint8_t>(static_cast<size_t>(num_edges()), 0));
-  for (size_t i = 0; i < pair_edges_.size(); ++i) {
-    h[static_cast<size_t>(edges_.indices[i])]
-     [static_cast<size_t>(pair_edges_[i])] = 1;
-  }
-  return h;
-}
-
 }  // namespace hygnn::graph

@@ -50,13 +50,6 @@ class Hypergraph {
   /// Hyperedge degree |e_j| (number of member nodes).
   int64_t EdgeDegree(int32_t edge) const;
 
-  /// Number of shared nodes between two hyperedges.
-  int64_t SharedNodes(int32_t edge_a, int32_t edge_b) const;
-
-  /// Dense incidence matrix H (num_nodes x num_edges, 0/1) — matches the
-  /// paper's H with H[i][j]=1 iff v_i in e_j. For tests/inspection only.
-  std::vector<std::vector<uint8_t>> DenseIncidence() const;
-
  private:
   core::Csr edges_;  // each edge's nodes, ascending
   core::Csr nodes_;  // each node's edges, ascending

@@ -155,66 +155,6 @@ double Accuracy(const std::vector<float>& scores,
   return ComputeConfusion(scores, labels, threshold).Accuracy();
 }
 
-double BrierScore(const std::vector<float>& scores,
-                  const std::vector<float>& labels) {
-  HYGNN_CHECK_EQ(scores.size(), labels.size());
-  if (scores.empty()) return 0.0;
-  double total = 0.0;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    const double diff = static_cast<double>(scores[i]) - labels[i];
-    total += diff * diff;
-  }
-  return total / static_cast<double>(scores.size());
-}
-
-ThresholdF1 BestF1Threshold(const std::vector<float>& scores,
-                            const std::vector<float>& labels) {
-  HYGNN_CHECK_EQ(scores.size(), labels.size());
-  ThresholdF1 best;
-  if (scores.empty()) return best;
-  // Sweep descending scores; at each distinct score, predicting
-  // positive for everything at or above it.
-  std::vector<size_t> order(scores.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&scores](size_t a, size_t b) {
-    if (scores[a] != scores[b]) return scores[a] > scores[b];
-    return a < b;  // deterministic tie order (see PrAuc)
-  });
-  int64_t total_positives = 0;
-  for (float label : labels) {
-    if (label > 0.5f) ++total_positives;
-  }
-  int64_t tp = 0, fp = 0;
-  size_t i = 0;
-  while (i < order.size()) {
-    size_t j = i;
-    while (j + 1 < order.size() &&
-           scores[order[j + 1]] == scores[order[i]]) {
-      ++j;
-    }
-    for (size_t k = i; k <= j; ++k) {
-      if (labels[order[k]] > 0.5f) {
-        ++tp;
-      } else {
-        ++fp;
-      }
-    }
-    if (tp > 0) {
-      const double precision =
-          static_cast<double>(tp) / static_cast<double>(tp + fp);
-      const double recall =
-          static_cast<double>(tp) / static_cast<double>(total_positives);
-      const double f1 = 2.0 * precision * recall / (precision + recall);
-      if (f1 > best.f1) {
-        best.f1 = f1;
-        best.threshold = scores[order[i]];
-      }
-    }
-    i = j + 1;
-  }
-  return best;
-}
-
 BinaryEval EvaluateBinary(const std::vector<float>& scores,
                           const std::vector<float>& labels) {
   BinaryEval result;

@@ -45,20 +45,6 @@ double PrAuc(const std::vector<float>& scores,
 double Accuracy(const std::vector<float>& scores,
                 const std::vector<float>& labels, float threshold = 0.5f);
 
-/// Brier score: mean squared error between probabilistic scores and
-/// binary labels (lower is better; measures calibration).
-double BrierScore(const std::vector<float>& scores,
-                  const std::vector<float>& labels);
-
-/// The decision threshold maximizing F1, with the F1 it attains.
-struct ThresholdF1 {
-  double threshold = 0.5;
-  double f1 = 0.0;
-};
-
-ThresholdF1 BestF1Threshold(const std::vector<float>& scores,
-                            const std::vector<float>& labels);
-
 /// F1 / ROC-AUC / PR-AUC triple — the paper's binary reporting columns.
 /// Shared by the trainer, the baseline harness, and the serving scorers
 /// so every evaluation path thresholds and aggregates identically.

@@ -17,10 +17,6 @@ class Module {
   virtual std::vector<tensor::Tensor> Parameters() const = 0;
 };
 
-/// Concatenates the parameter lists of several modules.
-std::vector<tensor::Tensor> CollectParameters(
-    const std::vector<const Module*>& modules);
-
 }  // namespace hygnn::nn
 
 #endif  // HYGNN_NN_MODULE_H_

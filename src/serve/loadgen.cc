@@ -17,6 +17,9 @@ namespace hygnn::serve {
 
 namespace {
 
+/// Base seed of the submitters' retry policies (plus thread index).
+constexpr uint64_t kRetrySeed = 0x9e3779b97f4a7c15ULL;
+
 /// One submitter's view of an in-flight request.
 struct Outstanding {
   std::shared_ptr<Server::Pending> pending;
@@ -105,7 +108,7 @@ LoadReport RunLoad(Server* server, std::span<const ScoreRequest> requests,
         std::optional<RetryPolicy> policy;
         if (config.retry) {
           policy.emplace(config.retry_options,
-                         config.retry_seed + static_cast<uint64_t>(t));
+                         kRetrySeed + static_cast<uint64_t>(t));
         }
         // Request i of this thread is globally request t + i*submitters,
         // scheduled at start + i*interval: deterministic pacing with

@@ -33,11 +33,11 @@ struct LoadConfig {
   int64_t timeout_us = 0;
   /// When true, retryable admission failures (shed, admission-time
   /// DeadlineExceeded) are retried with jittered exponential backoff
-  /// per `retry_options`. Each submitter gets its own RetryPolicy
-  /// seeded retry_seed + thread index, so runs are reproducible.
+  /// per `retry_options`. Each submitter gets its own RetryPolicy,
+  /// seeded from a fixed constant plus its thread index, so runs are
+  /// reproducible.
   bool retry = false;
   RetryOptions retry_options;
-  uint64_t retry_seed = 0x9e3779b97f4a7c15ULL;
 };
 
 /// What one offered-load level produced. Latency is end-to-end

@@ -100,12 +100,6 @@ struct ServerOptions {
   /// EmbeddingStore cache; each batch is scored on the worker that
   /// closed it.
   int32_t workers = 1;
-  /// Smoothing factor of the batch-service-time EWMA behind
-  /// deadline-aware admission (estimate = ewma_us * (queue depth + 1)
-  /// / workers): a request whose deadline cannot survive that estimate
-  /// is shed at admission with ResourceExhausted and a retry-after
-  /// hint instead of being queued to die. Must be in (0, 1].
-  double ewma_alpha = 0.2;
   /// Chaos seam (tests): invoked at every batch open, may stall the
   /// worker or fail the batch with an injected status. Borrowed; must
   /// outlive the server. Production servers leave it null.
@@ -130,11 +124,6 @@ struct ServerOptions {
     if (workers < 1) {
       return core::Status::InvalidArgument(
           "workers must be >= 1, got " + std::to_string(workers));
-    }
-    if (!(ewma_alpha > 0.0 && ewma_alpha <= 1.0)) {
-      return core::Status::InvalidArgument(
-          "ewma_alpha must be in (0, 1], got " +
-          std::to_string(ewma_alpha));
     }
     return core::Status::Ok();
   }

@@ -11,6 +11,13 @@ namespace hygnn::serve {
 
 namespace {
 
+/// Smoothing factor of the batch-service-time EWMA behind
+/// deadline-aware admission (estimate = ewma_us * (queue depth + 1)
+/// / workers): a request whose deadline cannot survive that estimate
+/// is shed at admission with ResourceExhausted and a retry-after hint
+/// instead of being queued to die.
+constexpr double kEwmaAlpha = 0.2;
+
 /// Pipeline-stage metric handles, fetched lazily (registration takes a
 /// mutex; Observe afterwards is lock-free from any worker).
 struct ServerMetrics {
@@ -499,8 +506,8 @@ void Server::FinishBatch(uint64_t service_start_nanos,
   if (sample_us > 0.0) {
     ewma_batch_us_ = ewma_batch_us_ == 0.0
                          ? sample_us
-                         : options_.ewma_alpha * sample_us +
-                               (1.0 - options_.ewma_alpha) * ewma_batch_us_;
+                         : kEwmaAlpha * sample_us +
+                               (1.0 - kEwmaAlpha) * ewma_batch_us_;
   }
   PublishHealthLocked();
 }

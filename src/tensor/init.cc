@@ -13,12 +13,6 @@ Tensor XavierUniform(int64_t fan_in, int64_t fan_out, core::Rng* rng,
   return UniformInit(fan_in, fan_out, -a, a, rng, requires_grad);
 }
 
-Tensor HeUniform(int64_t fan_in, int64_t fan_out, core::Rng* rng,
-                 bool requires_grad) {
-  const float a = std::sqrt(6.0f / static_cast<float>(fan_in));
-  return UniformInit(fan_in, fan_out, -a, a, rng, requires_grad);
-}
-
 Tensor UniformInit(int64_t rows, int64_t cols, float lo, float hi,
                    core::Rng* rng, bool requires_grad) {
   HYGNN_CHECK(rng != nullptr);

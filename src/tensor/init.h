@@ -11,11 +11,6 @@ namespace hygnn::tensor {
 Tensor XavierUniform(int64_t fan_in, int64_t fan_out, core::Rng* rng,
                      bool requires_grad = true);
 
-/// He/Kaiming uniform initialization: U(-a, a) with a = sqrt(6 / fan_in).
-/// Preferred in front of ReLU nonlinearities.
-Tensor HeUniform(int64_t fan_in, int64_t fan_out, core::Rng* rng,
-                 bool requires_grad = true);
-
 /// Uniform initialization in [lo, hi).
 Tensor UniformInit(int64_t rows, int64_t cols, float lo, float hi,
                    core::Rng* rng, bool requires_grad = true);

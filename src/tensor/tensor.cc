@@ -143,12 +143,6 @@ Tensor Tensor::Detach() const {
   return Tensor(std::move(impl));
 }
 
-Tensor Tensor::Clone() const {
-  auto copy = Detach();
-  copy.impl()->requires_grad = impl_->requires_grad;
-  return copy;
-}
-
 std::string Tensor::ToString() const {
   if (!defined()) return "Tensor[null]";
   return "Tensor[" + std::to_string(rows()) + "x" + std::to_string(cols()) +

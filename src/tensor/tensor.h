@@ -199,9 +199,6 @@ class Tensor {
   /// history (fresh copy of the data, requires_grad = false).
   Tensor Detach() const;
 
-  /// Deep copy of the data into a new leaf tensor.
-  Tensor Clone() const;
-
   /// Human-readable summary, e.g. "Tensor[3x4]".
   std::string ToString() const;
 

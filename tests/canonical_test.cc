@@ -1,4 +1,5 @@
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -88,6 +89,35 @@ TEST(CanonicalSmilesTest, PreservesAtomAndBondCounts) {
 TEST(CanonicalSmilesTest, RejectsInvalid) {
   EXPECT_FALSE(CanonicalSmiles("C(C").ok());
   EXPECT_FALSE(CanonicalSmiles("").ok());
+}
+
+/// `copies` cyclopropanes in one chain: one component whose writer
+/// opens a ring-closure label per ring and never reuses one.
+std::string ChainedCyclopropanes(int copies) {
+  std::string smiles;
+  for (int i = 0; i < copies; ++i) smiles += "C1CC1";
+  return smiles;
+}
+
+/// The tokenizer reads `%` plus two digits, so 99 labels is the most a
+/// component can spell; more must fail rather than read back as another
+/// molecule.
+TEST(CanonicalSmilesTest, RingLabelsStopAtNinetyNine) {
+  const std::string smiles = ChainedCyclopropanes(99);
+  auto original = MolecularGraph::FromSmiles(smiles).value();
+  auto canonical_or = CanonicalSmiles(smiles);
+  ASSERT_TRUE(canonical_or.ok()) << canonical_or.status().ToString();
+  const std::string& canonical = canonical_or.value();
+  EXPECT_NE(canonical.find("%99"), std::string::npos);
+  auto reparsed = MolecularGraph::FromSmiles(canonical).value();
+  EXPECT_EQ(reparsed.num_atoms(), original.num_atoms());
+  EXPECT_EQ(reparsed.num_bonds(), original.num_bonds());
+  EXPECT_EQ(CanonicalSmiles(canonical).value(), canonical);
+
+  for (int copies : {100, 101}) {
+    const auto status = CanonicalSmiles(ChainedCyclopropanes(copies)).status();
+    EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument) << copies;
+  }
 }
 
 /// IncidentBonds(atom) is the ascending scan of bonds() that touch

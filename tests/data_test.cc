@@ -84,25 +84,6 @@ TEST(GeneratorTest, PositivesMostlyMatchOracle) {
   }
 }
 
-TEST(GeneratorTest, IsKnownPositiveAgreesWithList) {
-  auto dataset = GenerateDataset(SmallConfig()).value();
-  for (const auto& pair : dataset.positives()) {
-    EXPECT_TRUE(dataset.IsKnownPositive(pair.a, pair.b));
-    EXPECT_TRUE(dataset.IsKnownPositive(pair.b, pair.a));
-  }
-  // A pair absent from the list must report false.
-  std::set<DrugPair> positive_set(dataset.positives().begin(),
-                                  dataset.positives().end());
-  for (int32_t a = 0; a < dataset.num_drugs() && a < 10; ++a) {
-    for (int32_t b = a + 1; b < dataset.num_drugs(); ++b) {
-      if (!positive_set.count(MakePair(a, b))) {
-        EXPECT_FALSE(dataset.IsKnownPositive(a, b));
-        break;
-      }
-    }
-  }
-}
-
 TEST(GeneratorTest, RejectsBadConfig) {
   DatasetConfig config;
   config.num_drugs = 1;
@@ -133,15 +114,21 @@ TEST(PairsTest, BalancedDatasetHasEqualClasses) {
   core::Rng rng(3);
   auto pairs = BuildBalancedPairs(dataset, &rng);
   EXPECT_EQ(pairs.size(), dataset.positives().size() * 2);
-  EXPECT_NEAR(PositiveFraction(pairs), 0.5, 1e-9);
+  size_t positives = 0;
+  for (const auto& pair : pairs) {
+    if (pair.label > 0.5f) ++positives;
+  }
+  EXPECT_EQ(positives * 2, pairs.size());
 }
 
 TEST(PairsTest, NegativesAreNotKnownPositives) {
   auto dataset = GenerateDataset(SmallConfig()).value();
+  const std::set<DrugPair> positives(dataset.positives().begin(),
+                                     dataset.positives().end());
   core::Rng rng(4);
   for (const auto& pair : BuildBalancedPairs(dataset, &rng)) {
     if (pair.label < 0.5f) {
-      EXPECT_FALSE(dataset.IsKnownPositive(pair.a, pair.b));
+      EXPECT_EQ(positives.count(MakePair(pair.a, pair.b)), 0u);
     }
   }
 }

@@ -1,4 +1,7 @@
+#include <algorithm>
+#include <iterator>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -119,34 +122,9 @@ TEST(HypergraphTest, Membership) {
   EXPECT_EQ(memberships[1], 1);
 }
 
-TEST(HypergraphTest, SharedNodes) {
-  Hypergraph h = MakeDrugHypergraph();
-  EXPECT_EQ(h.SharedNodes(0, 1), 2);  // {1, 2}
-  EXPECT_EQ(h.SharedNodes(0, 2), 0);
-  EXPECT_EQ(h.SharedNodes(1, 1), 3);
-}
-
 TEST(HypergraphTest, DuplicateMembersMerged) {
   Hypergraph h(3, {{0, 0, 1}});
   EXPECT_EQ(h.EdgeDegree(0), 2);
-}
-
-TEST(HypergraphTest, DenseIncidenceMatchesCoo) {
-  Hypergraph h = MakeDrugHypergraph();
-  auto dense = h.DenseIncidence();
-  // Reconstruct from COO pairs and compare (H[i][j] = 1 iff v_i in e_j).
-  int64_t dense_nnz = 0;
-  for (const auto& row : dense) {
-    for (uint8_t cell : row) dense_nnz += cell;
-  }
-  EXPECT_EQ(dense_nnz, h.num_incidences());
-  const auto& nodes = h.pair_nodes();
-  const auto& edges = h.pair_edges();
-  for (size_t p = 0; p < nodes.size(); ++p) {
-    EXPECT_EQ(dense[static_cast<size_t>(nodes[p])]
-                   [static_cast<size_t>(edges[p])],
-              1);
-  }
 }
 
 TEST(HypergraphTest, PairsOrderedByEdge) {
@@ -188,7 +166,12 @@ TEST(BuildersTest, DrugHypergraphShape) {
   Hypergraph h = BuildDrugHypergraph(subs, 3);
   EXPECT_EQ(h.num_nodes(), 3);
   EXPECT_EQ(h.num_edges(), 2);
-  EXPECT_EQ(h.SharedNodes(0, 1), 1);
+  const auto a = h.EdgeMembers(0);
+  const auto b = h.EdgeMembers(1);
+  std::vector<int32_t> shared;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(shared));
+  EXPECT_EQ(shared, std::vector<int32_t>{1});
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ TEST_P(HypergraphInvariantTest, InvariantsHold) {
     }
   }
 
-  // Both member lists are ascending (SharedNodes merges EdgeMembers),
+  // Both member lists are strictly ascending (so no incidence repeats),
   // and pair_nodes() is the edges' members concatenated.
   const auto ascending = [](std::span<const int32_t> items) {
     return std::adjacent_find(items.begin(), items.end(),
@@ -84,23 +84,6 @@ TEST_P(HypergraphInvariantTest, InvariantsHold) {
   EXPECT_EQ(concatenated, h.pair_nodes());
   for (int32_t v = 0; v < h.num_nodes(); ++v) {
     EXPECT_TRUE(ascending(h.NodeMemberships(v))) << "node " << v;
-  }
-
-  // Dense incidence agrees with the COO pairs.
-  auto dense = h.DenseIncidence();
-  int64_t nnz = 0;
-  for (const auto& row : dense) {
-    for (uint8_t cell : row) nnz += cell;
-  }
-  EXPECT_EQ(nnz, h.num_incidences());
-
-  // SharedNodes is symmetric and bounded by the smaller degree.
-  for (int32_t a = 0; a < h.num_edges(); ++a) {
-    for (int32_t b = 0; b < h.num_edges(); ++b) {
-      const int64_t shared = h.SharedNodes(a, b);
-      EXPECT_EQ(shared, h.SharedNodes(b, a));
-      EXPECT_LE(shared, std::min(h.EdgeDegree(a), h.EdgeDegree(b)));
-    }
   }
 }
 

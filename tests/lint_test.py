@@ -75,17 +75,17 @@ class UsingNamespaceTest(unittest.TestCase):  # rule 2
 
 
 class CmakeListingTest(unittest.TestCase):  # rule 3
-    def run_check(self, cmake_text):
+    def run_check(self, cmake_text, path="src/foo/bar.cc"):
         problems = []
         original = lint.REPO
         with tempfile.TemporaryDirectory() as tmp:
             lint.REPO = Path(tmp)
             try:
-                d = Path(tmp) / "src" / "foo"
+                d = (Path(tmp) / path).parent
                 d.mkdir(parents=True)
                 if cmake_text is not None:
                     (d / "CMakeLists.txt").write_text(cmake_text)
-                lint.check_cmake_listing(["src/foo/bar.cc"], problems)
+                lint.check_cmake_listing([path], problems)
             finally:
                 lint.REPO = original
         return problems
@@ -98,6 +98,18 @@ class CmakeListingTest(unittest.TestCase):  # rule 3
 
     def test_quiet_on_listed_source(self):
         self.assertEqual([], self.run_check("add_library(foo bar.cc)\n"))
+
+    def test_fires_on_unregistered_test(self):
+        self.assertTrue(self.run_check("hygnn_add_test(core_test)\n",
+                                       "tests/orphan_test.cc"))
+
+    def test_quiet_on_registered_stems(self):
+        for function, path in (("hygnn_add_test", "tests/core_test.cc"),
+                               ("hygnn_add_bench", "bench/bench_x.cc"),
+                               ("hygnn_add_example", "examples/demo.cpp")):
+            stem = Path(path).stem
+            self.assertEqual(
+                [], self.run_check(f"{function}({stem})\n", path), path)
 
 
 class RawAssertTest(unittest.TestCase):  # rule 4

@@ -1,4 +1,4 @@
-#include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,48 +12,6 @@ TEST(AccuracyTest, Basic) {
   std::vector<float> labels{1.0f, 0.0f, 0.0f, 1.0f};
   EXPECT_DOUBLE_EQ(Accuracy(scores, labels), 0.5);
   EXPECT_DOUBLE_EQ(Accuracy(scores, labels, 0.95f), 0.5);  // all negative
-}
-
-TEST(BrierScoreTest, PerfectAndWorst) {
-  EXPECT_DOUBLE_EQ(BrierScore({1.0f, 0.0f}, {1.0f, 0.0f}), 0.0);
-  EXPECT_DOUBLE_EQ(BrierScore({0.0f, 1.0f}, {1.0f, 0.0f}), 1.0);
-  EXPECT_DOUBLE_EQ(BrierScore({0.5f}, {1.0f}), 0.25);
-}
-
-TEST(BrierScoreTest, EmptyIsZero) {
-  EXPECT_DOUBLE_EQ(BrierScore({}, {}), 0.0);
-}
-
-TEST(BestF1ThresholdTest, FindsSeparator) {
-  // Positives at 0.8/0.9, negatives at 0.1/0.2: threshold 0.8 is
-  // perfect.
-  std::vector<float> scores{0.9f, 0.8f, 0.2f, 0.1f};
-  std::vector<float> labels{1.0f, 1.0f, 0.0f, 0.0f};
-  auto best = BestF1Threshold(scores, labels);
-  EXPECT_DOUBLE_EQ(best.f1, 1.0);
-  EXPECT_NEAR(best.threshold, 0.8, 1e-6);
-}
-
-TEST(BestF1ThresholdTest, BeatsFixedThresholdOnShiftedScores) {
-  // A well-ranked but badly-calibrated model: all scores below 0.5.
-  std::vector<float> scores{0.4f, 0.35f, 0.1f, 0.05f};
-  std::vector<float> labels{1.0f, 1.0f, 0.0f, 0.0f};
-  EXPECT_DOUBLE_EQ(F1Score(scores, labels, 0.5f), 0.0);
-  auto best = BestF1Threshold(scores, labels);
-  EXPECT_DOUBLE_EQ(best.f1, 1.0);
-}
-
-TEST(BestF1ThresholdTest, AllNegativesGiveZero) {
-  auto best = BestF1Threshold({0.5f, 0.6f}, {0.0f, 0.0f});
-  EXPECT_DOUBLE_EQ(best.f1, 0.0);
-}
-
-TEST(BestF1ThresholdTest, TiedScoresHandledAsOneCut) {
-  std::vector<float> scores{0.5f, 0.5f, 0.5f};
-  std::vector<float> labels{1.0f, 1.0f, 0.0f};
-  auto best = BestF1Threshold(scores, labels);
-  // Single possible cut: everything positive -> P=2/3, R=1.
-  EXPECT_NEAR(best.f1, 2.0 * (2.0 / 3.0) / (2.0 / 3.0 + 1.0), 1e-9);
 }
 
 }  // namespace

@@ -49,26 +49,6 @@ TEST_P(RocAucPropertyTest, MatchesPairCountingDefinition) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RocAucPropertyTest,
                          ::testing::Values(7u, 17u, 27u, 37u, 47u, 57u));
 
-/// F1-at-best-threshold dominates F1 at any fixed threshold.
-class BestF1PropertyTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(BestF1PropertyTest, DominatesFixedThresholds) {
-  core::Rng rng(GetParam());
-  const size_t n = 5 + rng.UniformInt(80);
-  std::vector<float> scores(n), labels(n);
-  for (size_t i = 0; i < n; ++i) {
-    scores[i] = rng.UniformFloat();
-    labels[i] = rng.Bernoulli(0.5) ? 1.0f : 0.0f;
-  }
-  const double best = BestF1Threshold(scores, labels).f1;
-  for (float threshold : {0.1f, 0.3f, 0.5f, 0.7f, 0.9f}) {
-    EXPECT_GE(best + 1e-12, F1Score(scores, labels, threshold));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BestF1PropertyTest,
-                         ::testing::Values(3u, 13u, 23u, 33u));
-
 /// BitVector set algebra against std::set references.
 class BitVectorPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 

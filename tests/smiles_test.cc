@@ -97,25 +97,6 @@ TEST(ValidatorTest, DisconnectedComponents) {
   EXPECT_TRUE(ValidateSmiles("CCO.CCN").ok());
 }
 
-TEST(NormalizeTest, StripsRedundantSingleBonds) {
-  auto normalized = NormalizeSmiles("C-C-O").value();
-  EXPECT_EQ(normalized, "CCO");
-}
-
-TEST(NormalizeTest, PreservesOtherBonds) {
-  auto normalized = NormalizeSmiles("C=CC#N").value();
-  EXPECT_EQ(normalized, "C=CC#N");
-}
-
-TEST(NormalizeTest, StripsWhitespacePadding) {
-  auto normalized = NormalizeSmiles(" CCO\n").value();
-  EXPECT_EQ(normalized, "CCO");
-}
-
-TEST(NormalizeTest, RejectsInvalidInput) {
-  EXPECT_FALSE(NormalizeSmiles("C(C").ok());
-}
-
 // Parameterized sweep: every token type round-trips through the
 // tokenizer (concatenating token texts reproduces the input).
 class RoundTripTest : public ::testing::TestWithParam<std::string> {};

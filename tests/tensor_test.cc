@@ -38,7 +38,7 @@ TEST(TensorTest, HandleSemantics) {
   Tensor b = a;  // aliases
   b.Set(0, 0, 5.0f);
   EXPECT_EQ(a.item(), 5.0f);
-  Tensor c = a.Clone();  // deep copy
+  Tensor c = a.Detach();  // deep copy
   c.Set(0, 0, 7.0f);
   EXPECT_EQ(a.item(), 5.0f);
 }
